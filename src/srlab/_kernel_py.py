@@ -7,11 +7,8 @@ dict mapping lattice exponent pairs (e, f), standing for (e + f*sqrt(p)) / D,
 to nonzero coefficient indices of a finite coefficient field whose add and
 multiply tables are passed in flat row-major lists.
 
-The compiled twin (_kernel_cy) must implement the same functions with the
-same semantics; core.py selects one of the two at import time.  The exact
-order key (`lat_key`, `ser_sorted`) exists only here: it is backend
-independent, and the field layer imports `ser_sorted` from this module
-directly.
+This is the library's only kernel; the layers above reach it through
+`srlab.core.kernel`.
 """
 
 from __future__ import annotations

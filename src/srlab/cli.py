@@ -64,6 +64,19 @@ def _int_opt(raw: str | None, name: str) -> int | None:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
 
 
+def _count_opt(flag: int | None, file_cfg: dict[str, str], key: str, default: int | None) -> int | None:
+    """A count setting: the flag, then the config file, then the default.
+
+    A given value below 1 is rejected rather than replaced by the default.
+    """
+    value = flag if flag is not None else _int_opt(file_cfg.get(key), key)
+    if value is None:
+        return default
+    if value < 1:
+        raise ConfigError(f"{key} must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="srlab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--samples", type=int, help="override documented sample counts")
     run.add_argument("--seed", type=int, help="run seed (default SRLAB_SEED or 0)")
     run.add_argument("--out", help="write the report to this path instead of stdout")
-    run.add_argument("--jobs", type=int, default=1, help="worker threads across suites")
+    run.add_argument("--jobs", type=int, help="worker threads across suites (default 1)")
     run.add_argument("--config", help="key=value config file")
     run.add_argument("--timings", action="store_true", help="attach wall-clock timings to the report")
 
@@ -106,27 +119,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed = _int_opt(os.environ.get("SRLAB_SEED"), "SRLAB_SEED")
     if seed is None:
         seed = 0
-    samples = args.samples
-    if samples is None:
-        samples = _int_opt(file_cfg.get("samples"), "samples")
+    samples = _count_opt(args.samples, file_cfg, "samples", None)
     case = args.case or file_cfg.get("case") or "G"
     if case not in ("B", "F", "G"):
         raise ConfigError(f"case must be one of B, F, G, got {case!r}")
     suites = args.suite
     if not suites and "suites" in file_cfg:
         suites = [s.strip() for s in file_cfg["suites"].split(",") if s.strip()]
-    jobs = args.jobs if args.jobs != 1 else (_int_opt(file_cfg.get("jobs"), "jobs") or 1)
-    if jobs < 1:
-        raise ConfigError("jobs must be at least 1")
+    jobs = _count_opt(args.jobs, file_cfg, "jobs", 1)
     timings = args.timings or file_cfg.get("timings", "").lower() in ("1", "true", "yes")
     out_path = args.out or file_cfg.get("out")
     cfg = RunConfig(
         case=case,
         samples=samples,
         seed=seed,
-        precision=_int_opt(file_cfg.get("field.precision"), "field.precision") or 40,
-        denom=_int_opt(file_cfg.get("field.denom"), "field.denom") or 2,
-        support_cap=_int_opt(file_cfg.get("field.support_cap"), "field.support_cap") or 64,
+        precision=_count_opt(None, file_cfg, "field.precision", 40),
+        denom=_count_opt(None, file_cfg, "field.denom", 2),
+        support_cap=_count_opt(None, file_cfg, "field.support_cap", 64),
         timings=timings,
     )
     report = run_all(cfg, suites, jobs=jobs)

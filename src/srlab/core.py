@@ -1,20 +1,12 @@
-"""Kernel backend selection.
+"""The one name through which the library reaches the exact kernel.
 
-The compiled kernel is used when its extension module importable, unless the
-environment variable SRLAB_PURE=1 forces the pure Python twin.  Both expose
-the same functions; everything above this module imports `kernel` from here.
+Every layer above the kernel imports `kernel` from here rather than the
+kernel module itself, so the kernel functions they call can be wrapped in a
+single place (the benchmark's tracer patches `srlab.core.kernel`).
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("SRLAB_PURE") == "1":
-    from . import _kernel_py as kernel
-else:
-    try:
-        from . import _kernel_cy as kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernel_py as kernel
+from . import _kernel_py as kernel
 
 BACKEND: str = kernel.BACKEND

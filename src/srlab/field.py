@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._kernel_py import ser_sorted
 from .core import kernel
 from .errors import (
     ConfigError,
@@ -416,7 +415,7 @@ class TitsField:
     # --- ordering helper ---
 
     def lat_sorted(self, terms: dict[Lat, int]) -> list[tuple[Lat, int]]:
-        return ser_sorted(terms, self.p)
+        return kernel.ser_sorted(terms, self.p)
 
 
 class FieldElem:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd
 from typing import Union
 
 from .core import kernel
@@ -44,7 +45,7 @@ class QuadExt:
                 raise ValueError(f"radicand must be one of {_ALLOWED_RADICANDS}, got {p!r}")
         else:
             p = None
-        den = fa.denominator * fb.denominator // _gcd(fa.denominator, fb.denominator)
+        den = fa.denominator * fb.denominator // gcd(fa.denominator, fb.denominator)
         na = fa.numerator * (den // fa.denominator)
         nb = fb.numerator * (den // fb.denominator)
         na, nb, den = kernel.q_make(na, nb, den)
@@ -192,12 +193,6 @@ class QuadExt:
 
     def __repr__(self) -> str:
         return f"QuadExt({self})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _frac_str(x: Fraction) -> str:

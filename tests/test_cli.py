@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from srlab import cli
 from srlab.cli import main, parse_config_file
 from srlab.errors import ConfigError
+from srlab.suites import run_all
 
 
 def run_report(tmp_path, name, argv):
@@ -113,3 +115,41 @@ def test_enumerate_output(tmp_path):
 def test_enumerate_resource_bound(tmp_path):
     out = tmp_path / "enum.json"
     assert main(["enumerate", "--q", "3", "--max-order", "10", "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--samples", "-5"], ""),
+        (["--samples", "0"], ""),
+        ([], "samples = 0\n"),
+        ([], "jobs = -1\n"),
+        ([], "field.precision = 0\n"),
+        ([], "field.denom = -3\n"),
+        ([], "field.support_cap = 0\n"),
+    ],
+    ids=["samples-flag-negative", "samples-flag-zero", "samples-zero", "jobs-negative",
+         "precision-zero", "denom-negative", "support-cap-zero"],
+)
+def test_count_settings_below_one_exit_two(tmp_path, flags, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"suites = scalars\n{config}")
+    out = tmp_path / "x.json"
+    assert main(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_explicit_jobs_one_wins_over_config(tmp_path, monkeypatch):
+    seen = []
+
+    def record_jobs(cfg, suites, jobs):
+        seen.append(jobs)
+        return run_all(cfg, suites, jobs=jobs)
+
+    monkeypatch.setattr(cli, "run_all", record_jobs)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suites = scalars\nsamples = 5\njobs = 2\n")
+    out = tmp_path / "j.json"
+    assert main(["run", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert seen == [1, 2]

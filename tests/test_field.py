@@ -222,6 +222,21 @@ def test_exact_key_order_matches_lat_cmp():
                 assert key_sign(x, y, p) == kpy.lat_cmp(*x, *y, p)
 
 
+def test_irr_sign_big_ints():
+    big = 10**40
+    for p in (2, 3):
+        for b in (big, big + 1, 7 * big + 3):
+            # floor(b*sqrt(p)); b*sqrt(p) is irrational, so never equal to an integer
+            root = isqrt(p * b * b)
+            for a in (root - 1, root, root + 1, root + 2):
+                # a < 0 < b side: -a + b*sqrt(p) > 0 exactly when a <= root
+                assert kpy.irr_sign(-a, b, p) == (1 if a <= root else -1), (a, b, p)
+                # mirrored a > 0 > b side: a - b*sqrt(p) > 0 exactly when a > root
+                assert kpy.irr_sign(a, -b, p) == (1 if a > root else -1), (a, b, p)
+        assert kpy.irr_sign(big, -big, p) == -1
+        assert kpy.irr_sign(-big + 1, big, p) == 1
+
+
 def test_exact_key_order_on_near_ties():
     assert (1393, 985) in sqrt_convergents(2, kpy.KEY_LIMIT)
     assert (1351, 780) in sqrt_convergents(3, kpy.KEY_LIMIT)
