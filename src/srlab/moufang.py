@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 from .errors import ConfigError, ResourceBoundError
 from .field import TitsField
 from .groups import TElem
+from .samplers import finite_elems_t
 from .valuation import CheckResult
 
 Point = TElem | None  # None is the point at infinity
@@ -123,13 +124,7 @@ def enumerate_group(field: TitsField, max_order: int = 500000) -> PermGroupStats
     """
     if field.mode != "finite":
         raise ConfigError("group enumeration needs a finite field")
-    q = field.q
-    elems = [
-        TElem(field.from_coeff(r), field.from_coeff(s), field.from_coeff(t))
-        for r in range(q)
-        for s in range(q)
-        for t in range(q)
-    ]
+    elems = finite_elems_t(field)
     index = {(x.r.k, x.s.k, x.t.k): i + 1 for i, x in enumerate(elems)}
     npoints = len(elems) + 1
 

@@ -1,27 +1,37 @@
 """Root systems of ranks one, two, and four, and their foldings.
 
-Rank-2 systems are presented on the unit circle: root k of a system with
-Coxeter number parameter n sits at angle k*pi/n, so reflections and the
-chamber involution are index arithmetic mod 2n.  The rank-4 system lives in
-exact coordinates over sqrt(2).  Folding glues each root to its image under
-the chamber involution and returns the ray system fixed by it.
+Each system is a list of integer root vectors with an integer Gram form.
+At construction it tabulates the Gram products, the angles, negation and
+the chamber involution, so index operations are lookups and integer
+arithmetic.  Exact values over sqrt(2) or sqrt(3) appear only in the unit
+vectors, which folding uses, and in the interval coefficients, which are
+built for the roots that lie in an interval, once per pair.  Folding glues
+each root to its image under the chamber involution and returns the ray
+system fixed by it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import isqrt
+from typing import Sequence
 
 from .errors import ConfigError, UnsupportedAngleError
 from .scalar import QuadExt
 
 Vec = tuple[QuadExt, ...]
+IntVec = tuple[int, ...]
 
 _ZERO = QuadExt(0)
 _ONE = QuadExt(1)
 _HALF = QuadExt(Fraction(1, 2))
+
+# (sign of <u, v>, 4 cos^2) -> angle in degrees
+_ANGLES = {
+    (1, 4): 0, (1, 3): 30, (1, 2): 45, (1, 1): 60, (0, 0): 90,
+    (-1, 1): 120, (-1, 2): 135, (-1, 3): 150, (-1, 4): 180,
+}
 
 
 def dot(u: Vec, v: Vec) -> QuadExt:
@@ -35,22 +45,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(x + y for x, y in zip(u, v))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c: QuadExt, u: Vec) -> Vec:
-    return tuple(c * x for x in u)
-
-
-def vec_neg(u: Vec) -> Vec:
-    return tuple(-x for x in u)
-
-
-def is_zero_vec(u: Vec) -> bool:
-    return all(not x for x in u)
-
-
 def same_ray(u: Vec, v: Vec) -> bool:
     """True when u and v point in the same direction (positive multiple)."""
     d = dot(u, v)
@@ -59,110 +53,110 @@ def same_ray(u: Vec, v: Vec) -> bool:
     return d * d == dot(u, u) * dot(v, v)
 
 
-def angle_from_cos(c: QuadExt) -> int:
-    """Angle in degrees for an exact cosine between two roots."""
-    if c == _ONE:
-        return 0
-    if c == -_ONE:
-        return 180
-    if c == _ZERO:
-        return 90
-    if c == _HALF:
-        return 60
-    if c == -_HALF:
-        return 120
-    half_r2 = QuadExt(0, Fraction(1, 2), 2)
-    if c == half_r2:
-        return 45
-    if c == -half_r2:
-        return 135
-    half_r3 = QuadExt(0, Fraction(1, 2), 3)
-    if c == half_r3:
-        return 30
-    if c == -half_r3:
-        return 150
-    raise UnsupportedAngleError(f"no root-system angle has cosine {c}")
+def angle_from_gram(g: int, ni: int, nj: int) -> int:
+    """Angle in degrees between vectors with product g and squared norms ni, nj."""
+    num = 4 * g * g
+    angle = _ANGLES.get(((g > 0) - (g < 0), num // (ni * nj)))
+    if angle is None or num % (ni * nj):
+        raise UnsupportedAngleError(f"no root-system angle has cos^2 {g * g}/{ni * nj}")
+    return angle
 
 
-def _circle(n: int, p: int | None) -> list[Vec]:
-    """Unit vectors at angles k*pi/n for k in range(2n)."""
-    if n == 1:
-        return [(_ONE, _ZERO), (-_ONE, _ZERO)]
-    if n == 4:
-        c = QuadExt(0, Fraction(1, 2), 2)
-        cos = [_ONE, c, _ZERO, -c, -_ONE, -c, _ZERO, c]
-        sin = [_ZERO, c, _ONE, c, _ZERO, -c, -_ONE, -c]
-    elif n == 6:
-        h = QuadExt(0, Fraction(1, 2), 3)
-        cos = [_ONE, h, _HALF, _ZERO, -_HALF, -h, -_ONE, -h, -_HALF, _ZERO, _HALF, h]
-        sin = [_ZERO, _HALF, h, _ONE, h, _HALF, _ZERO, -_HALF, -h, -_ONE, -h, -_HALF]
-    else:
-        raise ConfigError(f"unsupported rank-2 parameter n={n}")
-    return [(cos[k], sin[k]) for k in range(2 * n)]
-
-
-@dataclass(frozen=True)
-class Root:
-    """A root named by its index within a fixed system."""
-
-    system: "RootSystem"
-    idx: int
-
-    @property
-    def unit(self) -> Vec:
-        return self.system.unit(self.idx)
-
-    @property
-    def cls(self) -> int:
-        return self.system.length_class(self.idx)
-
-    def __neg__(self) -> "Root":
-        return Root(self.system, self.system.negate_idx(self.idx))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Root):
-            return NotImplemented
-        return self.system is other.system and self.idx == other.idx
-
-    def __hash__(self) -> int:
-        return hash((id(self.system), self.idx))
-
-    def __repr__(self) -> str:
-        return f"Root({self.system.kind}, {self.idx})"
+@functools.lru_cache(maxsize=None)
+def _sqrt(r: Fraction) -> QuadExt:
+    """Exact square root of a positive rational in Q, Q(sqrt 2) or Q(sqrt 3)."""
+    s = r.numerator * r.denominator
+    for f in (1, 2, 3):
+        root = isqrt(s // f)
+        if s % f == 0 and root * root == s // f:
+            c = Fraction(root, r.denominator)
+            return QuadExt(0, c, f) if f > 1 else QuadExt(c)
+    raise ConfigError(f"sqrt({r}) is not in Q(sqrt 2) or Q(sqrt 3)")
 
 
 class RootSystem:
-    """Shared interface of the concrete systems."""
+    """A reduced root system given by integer vectors and an integer form.
 
-    kind: str
-    count: int
+    `form` is the Gram matrix of the coordinate basis, up to a positive
+    factor; `frame` lists that basis in orthonormal coordinates (the
+    standard basis when omitted) and only serves the exact unit vectors.
+    The chamber involution is the isometry permuting the roots that
+    reverses the list `tau_refs`; a root is fixed by its angles to those
+    roots, so it is read off the angle table.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        vectors: Sequence[IntVec],
+        form: Sequence[Sequence[int]],
+        tau_refs: Sequence[int],
+        frame: Sequence[Vec] | None = None,
+    ) -> None:
+        self.kind = kind
+        self.count = len(vectors)
+        self.tau_refs = list(tau_refs)
+        self._vectors = list(vectors)
+        self._index = {v: k for k, v in enumerate(vectors)}
+        images = [tuple(sum(m * x for m, x in zip(row, v)) for row in form) for v in vectors]
+        self._gram = [[sum(a * b for a, b in zip(u, w)) for w in images] for u in vectors]
+        norms = [self._gram[k][k] for k in range(self.count)]
+        self._norms = norms
+        self._angle = [
+            [angle_from_gram(g, norms[i], norms[j]) for j, g in enumerate(row)]
+            for i, row in enumerate(self._gram)
+        ]
+        self._neg = [self._index[tuple(-x for x in v)] for v in vectors]
+        self._classes = [0 if n == norms[0] else 1 for n in norms]
+        self._units = [self._unit_vector(v, frame) for v in vectors]
+        self._tau = self._build_involution()
+        self._intervals: dict[tuple[int, int], list[tuple[int, QuadExt, QuadExt]]] = {}
+
+    @staticmethod
+    def _unit_vector(v: IntVec, frame: Sequence[Vec] | None) -> Vec:
+        if frame is None:
+            x: Vec = tuple(QuadExt(c) for c in v)
+        else:
+            x = tuple(dot(tuple(QuadExt(c) for c in v), col) for col in zip(*frame))
+        scale = _sqrt(1 / dot(x, x).as_fractions()[0])
+        return tuple(c * scale for c in x)
+
+    def _build_involution(self) -> list[int]:
+        refs = self.tau_refs
+        by_angles = {tuple(row[r] for r in refs): k for k, row in enumerate(self._angle)}
+        if len(by_angles) != self.count:
+            raise ConfigError("the involution's reference roots do not tell the roots apart")
+        tau = []
+        for row in self._angle:
+            image = by_angles.get(tuple(row[r] for r in reversed(refs)))
+            if image is None:
+                raise ConfigError("chamber involution does not permute the roots")
+            tau.append(image)
+        if any(tau[tau[k]] != k for k in range(self.count)):
+            raise ConfigError("chamber involution is not an involution")
+        return tau
 
     def unit(self, idx: int) -> Vec:
-        raise NotImplementedError
+        return self._units[idx]
 
     def negate_idx(self, idx: int) -> int:
-        raise NotImplementedError
+        return self._neg[idx]
 
     def reflect_idx(self, mirror: int, idx: int) -> int:
-        raise NotImplementedError
+        cartan, rem = divmod(2 * self._gram[idx][mirror], self._norms[mirror])
+        if rem:
+            raise ValueError("reflection left the root set")
+        r = self._vectors[mirror]
+        return self._index[tuple(x - cartan * y for x, y in zip(self._vectors[idx], r))]
 
     def length_class(self, idx: int) -> int:
-        raise NotImplementedError
+        return self._classes[idx]
 
     def chamber_involution_idx(self, idx: int) -> int:
-        raise NotImplementedError
-
-    def root(self, idx: int) -> Root:
-        return Root(self, idx % self.count)
-
-    def roots(self) -> list[Root]:
-        return [Root(self, k) for k in range(self.count)]
-
-    def cos_between(self, i: int, j: int) -> QuadExt:
-        return dot(self.unit(i), self.unit(j))
+        return self._tau[idx]
 
     def angle_deg(self, i: int, j: int) -> int:
-        return angle_from_cos(self.cos_between(i, j))
+        return self._angle[i][j]
 
     def interval(self, i: int, j: int) -> list[tuple[int, QuadExt, QuadExt]]:
         """Roots strictly between root i and root j, closest to i first.
@@ -170,35 +164,42 @@ class RootSystem:
         Each entry is (idx, p, q) with unit(idx) == p*unit(i) + q*unit(j),
         p > 0 and q > 0 exactly.
         """
-        cache: dict[tuple[int, int], list[tuple[int, QuadExt, QuadExt]]]
-        cache = getattr(self, "_interval_cache", None) or {}
-        if not hasattr(self, "_interval_cache"):
-            self._interval_cache = cache
-        if (i, j) in cache:
-            return cache[(i, j)]
-        ui = self.unit(i)
-        uj = self.unit(j)
-        c = dot(ui, uj)
-        denom = _ONE - c * c
-        if not denom:
+        out = self._intervals.get((i, j))
+        if out is not None:
+            return out
+        gram, norms = self._gram, self._norms
+        gi, gj, gij = gram[i], gram[j], gram[i][j]
+        det = norms[i] * norms[j] - gij * gij
+        if det == 0:
             raise ValueError("interval endpoints must not be parallel")
-        out: list[tuple[int, QuadExt, QuadExt]] = []
+        # root k = (a*root i + b*root j)/det when it lies in their span
+        hits = []
         for k in range(self.count):
-            if k == i or k == j:
-                continue
-            uk = self.unit(k)
-            di = dot(uk, ui)
-            dj = dot(uk, uj)
-            p = (di - dj * c) / denom
-            q = (dj - di * c) / denom
-            if p.sign() <= 0 or q.sign() <= 0:
-                continue
-            if vec_add(vec_scale(p, ui), vec_scale(q, uj)) != uk:
-                continue
-            out.append((k, p, q))
-        out.sort(key=lambda t: dot(self.unit(t[0]), ui), reverse=True)
-        cache[(i, j)] = out
+            a = gi[k] * norms[j] - gj[k] * gij
+            b = gj[k] * norms[i] - gi[k] * gij
+            if a > 0 and b > 0 and norms[k] * det == a * gi[k] + b * gj[k]:
+                hits.append((self._angle[i][k], k, Fraction(a, det), Fraction(b, det)))
+        hits.sort()
+        # unit(k) = p*unit(i) + q*unit(j) with p = a*sqrt(N_i/N_k), q = b*sqrt(N_j/N_k)
+        out = [
+            (
+                k,
+                QuadExt(a) * _sqrt(Fraction(norms[i], norms[k])),
+                QuadExt(b) * _sqrt(Fraction(norms[j], norms[k])),
+            )
+            for _, k, a, b in hits
+        ]
+        self._intervals[(i, j)] = out
         return out
+
+    def interval_pairs(self) -> list[tuple[int, int]]:
+        """Ordered non-opposite pairs of distinct roots with a nonempty interval."""
+        return [
+            (i, j)
+            for i in range(self.count)
+            for j in range(self.count)
+            if i != j and self._angle[i][j] != 180 and self.interval(i, j)
+        ]
 
     def fold(self) -> "FoldedSystem":
         """Glue each root with its chamber-involution image into rays."""
@@ -206,7 +207,7 @@ class RootSystem:
         projection: dict[int, int] = {}
         for k in range(self.count):
             w = vec_add(self.unit(k), self.unit(self.chamber_involution_idx(k)))
-            if is_zero_vec(w):
+            if all(not x for x in w):
                 raise ConfigError("chamber involution negates a root; cannot fold")
             for r, ray in enumerate(rays):
                 if same_ray(w, ray):
@@ -219,163 +220,60 @@ class RootSystem:
 
 
 class Rank2System(RootSystem):
-    """A dihedral root system with 2n unit roots at multiples of pi/n."""
+    """A dihedral root system with 2n roots, root k at angle k*pi/n.
 
-    def __init__(self, kind: str, n: int, p: int | None) -> None:
-        self.kind = kind
-        self.n = n
-        self.p = p
-        self.count = 2 * n
-        self._units = _circle(n, p)
+    `half` lists the roots at angles 0, pi/n, ..., pi - pi/n; the others are
+    their negatives.  The chamber involution swaps roots 0 and 1.
+    """
 
-    def unit(self, idx: int) -> Vec:
-        return self._units[idx % self.count]
+    def __init__(
+        self,
+        kind: str,
+        half: Sequence[IntVec],
+        form: Sequence[Sequence[int]],
+        frame: Sequence[Vec] | None = None,
+    ) -> None:
+        self.n = len(half)
+        vectors = list(half) + [tuple(-x for x in v) for v in half]
+        super().__init__(kind, vectors, form, (0, 1), frame)
 
-    def negate_idx(self, idx: int) -> int:
-        return (idx + self.n) % self.count
-
-    def reflect_idx(self, mirror: int, idx: int) -> int:
-        # s_mirror negates the mirror root and fixes its perpendicular
-        return (2 * mirror + self.n - idx) % self.count
-
-    def length_class(self, idx: int) -> int:
-        if self.n == 1:
-            return 0
-        return idx % 2
-
-    def chamber_involution_idx(self, idx: int) -> int:
-        return (1 - idx) % self.count
-
-    def position_root(self, pos: int) -> Root:
+    def position_root(self, pos: int) -> int:
         """Root at word position pos (1-based); positions 1..n are positive."""
         if not 1 <= pos <= self.n:
             raise ValueError(f"position must be in 1..{self.n}, got {pos}")
-        return self.root((pos - self.n // 2) % self.count)
+        return (pos - self.n // 2) % self.count
 
     def root_position(self, idx: int) -> int | None:
         """Inverse of position_root, or None for a negative root."""
         pos = (idx + self.n // 2 - 1) % self.count + 1
         return pos if 1 <= pos <= self.n else None
 
-    def positive_roots(self) -> list[Root]:
-        return [self.position_root(j) for j in range(1, self.n + 1)]
-
-
-def _mat_inv(m: list[list[QuadExt]]) -> list[list[QuadExt]]:
-    """Exact inverse of a small square matrix by Gauss-Jordan elimination."""
-    n = len(m)
-    a = [row[:] + [(_ONE if i == j else _ZERO) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inv()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def _mat_vec(m: list[list[QuadExt]], v: Vec) -> Vec:
-    return tuple(dot(tuple(row), v) for row in m)
-
 
 class F4System(RootSystem):
-    """The 48 unit roots of the rank-4 system with two root lengths."""
+    """The 48 roots of the rank-4 system with two root lengths, scaled by 2:
+    24 long roots 2(+-e_i +- e_j) and 24 short roots 2(+-e_i) and
+    (+-1, +-1, +-1, +-1).  The chamber involution reverses its simple roots,
+    listed long, long, short, short."""
 
     def __init__(self) -> None:
-        self.kind = "F4"
-        c = QuadExt(0, Fraction(1, 2), 2)
-        vectors: list[Vec] = []
-        classes: list[int] = []
+        def basis(i: int, val: int) -> IntVec:
+            return tuple(val if k == i else 0 for k in range(4))
 
-        def basis(i: int, val: QuadExt) -> Vec:
-            return tuple(val if k == i else _ZERO for k in range(4))
-
-        # long roots (+-e_i +- e_j)/sqrt(2)
+        vectors: list[IntVec] = []
         for i in range(4):
             for j in range(i + 1, 4):
-                for si in (c, -c):
-                    for sj in (c, -c):
-                        vectors.append(vec_add(basis(i, si), basis(j, sj)))
-                        classes.append(0)
-        # short roots +-e_i
+                for si in (2, -2):
+                    for sj in (2, -2):
+                        vectors.append(tuple(a + b for a, b in zip(basis(i, si), basis(j, sj))))
         for i in range(4):
-            for s in (_ONE, -_ONE):
+            for s in (2, -2):
                 vectors.append(basis(i, s))
-                classes.append(1)
-        # short roots (+-1 +-1 +-1 +-1)/2
         for mask in range(16):
-            vectors.append(tuple(_HALF if mask & (1 << k) == 0 else -_HALF for k in range(4)))
-            classes.append(1)
-
-        self.count = len(vectors)
-        self._units = vectors
-        self._classes = classes
-        self._index = {v: k for k, v in enumerate(vectors)}
-        self._tau = self._build_involution()
-
-    def _build_involution(self) -> list[int]:
-        # simple roots of a fixed chamber, listed long, long, short, short
-        c = QuadExt(0, Fraction(1, 2), 2)
-        u1: Vec = (_ZERO, c, -c, _ZERO)
-        u2: Vec = (_ZERO, _ZERO, c, -c)
-        u3: Vec = (_ZERO, _ZERO, _ZERO, _ONE)
-        u4: Vec = (_HALF, -_HALF, -_HALF, -_HALF)
-        simple = [u1, u2, u3, u4]
-        b_inv = _mat_inv([[simple[j][i] for j in range(4)] for i in range(4)])
-        reversed_cols = [u4, u3, u2, u1]
-
-        def apply(v: Vec) -> Vec:
-            coords = _mat_vec(b_inv, v)
-            out: Vec = (_ZERO, _ZERO, _ZERO, _ZERO)
-            for coef, col in zip(coords, reversed_cols):
-                out = vec_add(out, vec_scale(coef, col))
-            return out
-
-        tau = []
-        for k in range(self.count):
-            img = apply(self._units[k])
-            idx = self._index.get(img)
-            if idx is None:
-                raise ConfigError("chamber involution does not permute the roots")
-            tau.append(idx)
-        for k in range(self.count):
-            if tau[tau[k]] != k:
-                raise ConfigError("chamber involution is not an involution")
-        if all(tau[k] == k for k in range(self.count)):
-            raise ConfigError("chamber involution is trivial")
-        return tau
-
-    def unit(self, idx: int) -> Vec:
-        return self._units[idx % self.count]
-
-    def index_of(self, v: Vec) -> int:
-        idx = self._index.get(v)
-        if idx is None:
-            raise ValueError("not a root vector")
-        return idx
-
-    def negate_idx(self, idx: int) -> int:
-        return self._index[vec_neg(self._units[idx % self.count])]
-
-    def reflect_idx(self, mirror: int, idx: int) -> int:
-        r = self._units[mirror % self.count]
-        v = self._units[idx % self.count]
-        img = vec_sub(v, vec_scale(QuadExt(2) * dot(v, r), r))
-        out = self._index.get(img)
-        if out is None:
-            raise ValueError("reflection left the root set")
-        return out
-
-    def length_class(self, idx: int) -> int:
-        return self._classes[idx % self.count]
-
-    def chamber_involution_idx(self, idx: int) -> int:
-        return self._tau[idx % self.count]
+            vectors.append(tuple(-1 if mask & (1 << k) else 1 for k in range(4)))
+        simple_roots = ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1))
+        simple = [vectors.index(v) for v in simple_roots]
+        identity = [[int(a == b) for b in range(4)] for a in range(4)]
+        super().__init__("F4", vectors, identity, simple)
 
 
 def _cyclic_cmp_key(coords: Sequence[tuple[QuadExt, QuadExt]]):
@@ -432,22 +330,19 @@ class FoldedSystem:
     def _fixed_basis(parent: RootSystem) -> tuple[Vec, Vec]:
         if isinstance(parent, Rank2System):
             return (_ONE, _ZERO), (_ZERO, _ONE)
-        c = QuadExt(0, Fraction(1, 2), 2)
-        u1: Vec = (_ZERO, c, -c, _ZERO)
-        u2: Vec = (_ZERO, _ZERO, c, -c)
-        u3: Vec = (_ZERO, _ZERO, _ZERO, _ONE)
-        u4: Vec = (_HALF, -_HALF, -_HALF, -_HALF)
-        tau = parent.chamber_involution_idx
-        idx = parent.index_of  # type: ignore[attr-defined]
-        e = vec_add(u1, parent.unit(tau(idx(u1))))
-        f = vec_add(u2, parent.unit(tau(idx(u2))))
+        # the first two simple roots plus their images span the fixed plane
+        unit, tau = parent.unit, parent.chamber_involution_idx
+        e, f = (vec_add(unit(r), unit(tau(r))) for r in parent.tau_refs[:2])
         return e, f
 
     @staticmethod
     def _plane_coords(w: Vec, basis: tuple[Vec, Vec]) -> tuple[QuadExt, QuadExt]:
+        """Coordinates of w's projection in the basis (e, f), by Cramer's rule."""
         e, f = basis
-        g = _mat_inv([[dot(e, e), dot(f, e)], [dot(e, f), dot(f, f)]])
-        return _mat_vec(g, (dot(w, e), dot(w, f)))  # type: ignore[return-value]
+        ee, ef, ff = dot(e, e), dot(e, f), dot(f, f)
+        we, wf = dot(w, e), dot(w, f)
+        det = ee * ff - ef * ef
+        return (we * ff - wf * ef) / det, (wf * ee - we * ef) / det
 
     def ray(self, idx: int) -> Vec:
         return self.rays[idx % self.count]
@@ -479,17 +374,22 @@ class FoldedSystem:
 
 _SYSTEMS: dict[str, RootSystem] = {}
 
+_ID2 = [[1, 0], [0, 1]]
+# hexagonal coordinates: basis vectors of equal length at 60 degrees
+_HEX_FRAME = ((_ONE, _ZERO), (_HALF, QuadExt(0, Fraction(1, 2), 3)))
+
 
 def get_system(kind: str) -> RootSystem:
     """Shared instance of the root system named A1, B2, G2, or F4."""
     sys = _SYSTEMS.get(kind)
     if sys is None:
         if kind == "A1":
-            sys = Rank2System("A1", 1, None)
+            sys = Rank2System("A1", [(1, 0)], _ID2)
         elif kind == "B2":
-            sys = Rank2System("B2", 4, 2)
+            sys = Rank2System("B2", [(1, 0), (1, 1), (0, 1), (-1, 1)], _ID2)
         elif kind == "G2":
-            sys = Rank2System("G2", 6, 3)
+            half = [(1, 0), (1, 1), (0, 1), (-1, 2), (-1, 1), (-2, 1)]
+            sys = Rank2System("G2", half, [[2, 1], [1, 2]], _HEX_FRAME)
         elif kind == "F4":
             sys = F4System()
         else:

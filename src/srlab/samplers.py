@@ -1,0 +1,149 @@
+"""Seeded samplers and finite enumerations shared by the suites and tests.
+
+Every sampler draws from the `random.Random` it is given, in a fixed order,
+so a suite's samples depend only on its seed and on the order of its calls.
+Series samplers build monomials with exponents in the lattice (a + b rp)/d
+of the field; `biased_component` is the law of one group coordinate:
+mostly monomials, sometimes two-term sums, occasionally zero.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from .field import FieldCfg, FieldElem, TitsField
+from .groups import SElem, TElem
+from .scalar import QuadExt
+
+
+def hahn_field(char: int, denom: int = 2, precision: int = 40, support_cap: int = 64) -> TitsField:
+    """A series field of characteristic `char` with the given lattice and caps."""
+    return TitsField(
+        FieldCfg(
+            char=char,
+            mode="hahn",
+            m=1,
+            denom=denom,
+            precision=precision,
+            support_cap=support_cap,
+        )
+    )
+
+
+def rand_lat(rng: random.Random, span: int = 6) -> tuple[int, int]:
+    return (rng.randint(-span, span), rng.randint(-2, 2))
+
+
+def rand_monomial(field: TitsField, rng: random.Random, span: int = 6) -> FieldElem:
+    exp = field.unlat(rand_lat(rng, span))
+    return field.monomial(exp, rng.randrange(1, field.q))
+
+
+def rand_short(
+    field: TitsField, rng: random.Random, terms: int = 2, span: int = 6
+) -> FieldElem:
+    out = field.zero()
+    for _ in range(terms):
+        out = out + rand_monomial(field, rng, span)
+    if out.is_zero():
+        out = field.one()
+    return out
+
+
+def biased_component(field: TitsField, rng: random.Random) -> FieldElem:
+    """Mostly monomials, sometimes short sums, occasionally zero."""
+    roll = rng.random()
+    if roll < 0.10:
+        return field.zero()
+    if roll < 0.80:
+        return rand_monomial(field, rng)
+    return rand_short(field, rng, terms=2)
+
+
+def rand_t(field: TitsField, rng: random.Random) -> TElem:
+    a = TElem(
+        biased_component(field, rng),
+        biased_component(field, rng),
+        biased_component(field, rng),
+    )
+    if a.is_identity():
+        return TElem.center(field.one())
+    return a
+
+
+def rand_s(field: TitsField, rng: random.Random) -> SElem:
+    a = SElem(biased_component(field, rng), biased_component(field, rng))
+    if a.is_identity():
+        return SElem.center(field.one())
+    return a
+
+
+def finite_elems_t(field: TitsField) -> list[TElem]:
+    """Every element of T over a finite field, in lexicographic coordinate order."""
+    q = field.q
+    return [
+        TElem(field.from_coeff(r), field.from_coeff(s), field.from_coeff(t))
+        for r in range(q)
+        for s in range(q)
+        for t in range(q)
+    ]
+
+
+def finite_elems_s(field: TitsField) -> list[SElem]:
+    """Every element of S over a finite field, in lexicographic coordinate order."""
+    q = field.q
+    return [
+        SElem(field.from_coeff(s), field.from_coeff(t))
+        for s in range(q)
+        for t in range(q)
+    ]
+
+
+def rand_quad(rng: random.Random, p: int | None) -> QuadExt:
+    a = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    if p is None:
+        return QuadExt(a)
+    b = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    return QuadExt(a, b, p)
+
+
+def lat_mul_quad(lat: tuple[int, int], a: int, b: int, p: int) -> tuple[int, int]:
+    """Multiply a lattice exponent by the integer quadratic a + b sqrt(p)."""
+    e, f = lat
+    return (a * e + b * f * p, a * f + b * e)
+
+
+def tie_samples_t(field: TitsField, rng: random.Random, count: int) -> list[TElem]:
+    """Monomial triples with two of the three norm levels exactly equal."""
+    out: list[TElem] = []
+    coeff = lambda: rng.randrange(1, field.q)
+    for k in range(count):
+        mode = k % 3
+        if mode == 0:  # r-level == s-level, t-level strictly above
+            gr = rand_lat(rng, 4)
+            gs = lat_mul_quad(gr, 1, 1, 3)
+            gt = lat_mul_quad(gr, 2, 1, 3)
+            gt = (gt[0] + rng.randint(1, 3), gt[1])
+            r = field.monomial(field.unlat(gr), coeff())
+            s = field.monomial(field.unlat(gs), coeff())
+            t = field.monomial(field.unlat(gt), coeff())
+        elif mode == 1:  # r-level == t-level, s-level strictly above
+            gr = rand_lat(rng, 4)
+            gt = lat_mul_quad(gr, 2, 1, 3)
+            gs = lat_mul_quad(gr, 1, 1, 3)
+            gs = (gs[0] + rng.randint(1, 3), gs[1])
+            r = field.monomial(field.unlat(gr), coeff())
+            s = field.monomial(field.unlat(gs), coeff())
+            t = field.monomial(field.unlat(gt), coeff())
+        else:  # s-level == t-level with r zero
+            e = rng.randint(-4, 4)
+            f = rng.randint(-2, 2)
+            f += (e - f) % 2
+            gs = (e, f)
+            gt = ((e + 3 * f) // 2, (e + f) // 2)
+            r = field.zero()
+            s = field.monomial(field.unlat(gs), coeff())
+            t = field.monomial(field.unlat(gt), coeff())
+        out.append(TElem(r, s, t))
+    return out

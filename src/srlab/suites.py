@@ -27,10 +27,23 @@ from .groups import (
     val_norm_exact_S,
     val_norm_exact_T,
 )
-from .moufang import enumerate_group, rho_identity_check, rho_map, rho_scalar_check
+from .moufang import enumerate_group, rho_identity_check, rho_scalar_check
 from .report import check_entry
-from .roots import FoldedSystem, QuadExt, dot, get_system
-from .scalar import INFINITY, ExtVal, ext_min, parse_quad
+from .roots import FoldedSystem, get_system
+from .samplers import (
+    finite_elems_s,
+    finite_elems_t,
+    hahn_field,
+    lat_mul_quad,
+    rand_lat,
+    rand_monomial,
+    rand_quad,
+    rand_s,
+    rand_short,
+    rand_t,
+    tie_samples_t,
+)
+from .scalar import INFINITY, ExtVal, QuadExt, ext_min, parse_quad
 from .valuation import (
     CheckResult,
     LatticeOrderValuation,
@@ -44,13 +57,10 @@ from .valuation import (
     check_v1,
     check_v2_pair,
     check_v3,
-    collect,
     moufang_phi,
     nu_from_phi,
     resolve_assignment,
     solve_suzuki_word,
-    word_rho,
-    words_agree,
 )
 
 SUITE_NAMES = [
@@ -78,98 +88,14 @@ class RunConfig:
     support_cap: int = 64
     timings: bool = False
 
+    def hahn_field(self, char: int) -> TitsField:
+        """The series field of characteristic `char` under this run's settings."""
+        return hahn_field(char, self.denom, self.precision, self.support_cap)
+
 
 def suite_seed(seed: int, suite: str) -> int:
     digest = hashlib.sha256(f"{seed}:{suite}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _hahn_field(cfg: RunConfig, char: int) -> TitsField:
-    return TitsField(
-        FieldCfg(
-            char=char,
-            mode="hahn",
-            m=1,
-            denom=cfg.denom,
-            precision=cfg.precision,
-            support_cap=cfg.support_cap,
-        )
-    )
-
-
-def _rand_lat(rng: random.Random, span: int = 6) -> tuple[int, int]:
-    return (rng.randint(-span, span), rng.randint(-2, 2))
-
-
-def _rand_monomial(field: TitsField, rng: random.Random, span: int = 6) -> FieldElem:
-    exp = field.unlat(_rand_lat(rng, span))
-    return field.monomial(exp, rng.randrange(1, field.q))
-
-
-def _rand_short(
-    field: TitsField, rng: random.Random, terms: int = 2, span: int = 6
-) -> FieldElem:
-    out = field.zero()
-    for _ in range(terms):
-        out = out + _rand_monomial(field, rng, span)
-    if out.is_zero():
-        out = field.one()
-    return out
-
-
-def _biased_component(field: TitsField, rng: random.Random) -> FieldElem:
-    """Mostly monomials, sometimes short sums, occasionally zero."""
-    roll = rng.random()
-    if roll < 0.10:
-        return field.zero()
-    if roll < 0.80:
-        return _rand_monomial(field, rng)
-    return _rand_short(field, rng, terms=2)
-
-
-def _rand_t(field: TitsField, rng: random.Random) -> TElem:
-    a = TElem(
-        _biased_component(field, rng),
-        _biased_component(field, rng),
-        _biased_component(field, rng),
-    )
-    if a.is_identity():
-        return TElem.center(field.one())
-    return a
-
-
-def _rand_s(field: TitsField, rng: random.Random) -> SElem:
-    a = SElem(_biased_component(field, rng), _biased_component(field, rng))
-    if a.is_identity():
-        return SElem.center(field.one())
-    return a
-
-
-def _finite_elems_t(field: TitsField) -> list[TElem]:
-    q = field.q
-    return [
-        TElem(field.from_coeff(r), field.from_coeff(s), field.from_coeff(t))
-        for r in range(q)
-        for s in range(q)
-        for t in range(q)
-    ]
-
-
-def _finite_elems_s(field: TitsField) -> list[SElem]:
-    q = field.q
-    return [
-        SElem(field.from_coeff(s), field.from_coeff(t))
-        for s in range(q)
-        for t in range(q)
-    ]
-
-
-def _rand_quad(rng: random.Random, p: int | None) -> QuadExt:
-    a = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-    if p is None:
-        return QuadExt(a)
-    b = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-    return QuadExt(a, b, p)
 
 
 # --- scalars ---
@@ -183,7 +109,7 @@ def _suite_scalars(cfg: RunConfig, rng: random.Random) -> dict:
         ok_ord = True
         ok_inv = True
         for _ in range(n):
-            x, y, z = (_rand_quad(rng, p) for _ in range(3))
+            x, y, z = (rand_quad(rng, p) for _ in range(3))
             if (x + y) * z != x * z + y * z or x * y != y * x:
                 ok_ring = False
             if (x + y) + z != x + (y + z):
@@ -202,12 +128,12 @@ def _suite_scalars(cfg: RunConfig, rng: random.Random) -> dict:
         checks.append(check_entry(f"sqrt{p}-squares", r * r == QuadExt(p)))
         ok_parse = True
         for _ in range(n // 2):
-            q = _rand_quad(rng, p)
+            q = rand_quad(rng, p)
             if parse_quad(str(q), radicand=p) != q:
                 ok_parse = False
         checks.append(check_entry(f"parse-roundtrip-sqrt{p}", ok_parse))
     ok_ext = True
-    vals = [ExtVal.of(_rand_quad(rng, 3)) for _ in range(20)] + [INFINITY]
+    vals = [ExtVal.of(rand_quad(rng, 3)) for _ in range(20)] + [INFINITY]
     for a in vals:
         for b in vals:
             if ext_min(a, b) != ext_min(b, a):
@@ -281,7 +207,7 @@ def _suite_roots(cfg: RunConfig, rng: random.Random) -> dict:
     for kind in ("B2", "G2"):
         system = get_system(kind)
         for pos in range(1, system.n + 1):
-            if system.root_position(system.position_root(pos).idx) != pos:
+            if system.root_position(system.position_root(pos)) != pos:
                 ok_pos = False
     checks.append(check_entry("position-map-roundtrip", ok_pos))
     f4 = get_system("F4")
@@ -351,16 +277,16 @@ def _suite_field(cfg: RunConfig, rng: random.Random) -> dict:
         checks.append(check_entry(f"F{field.q}-twist-multiplicative", ok_mul))
     n = cfg.samples or 120
     for char in (2, 3):
-        field = _hahn_field(cfg, char)
+        field = cfg.hahn_field(char)
         ok_ring = True
         ok_inv = True
         ok_theta = True
         ok_val = True
         ok_parse = True
         for _ in range(n):
-            a = _rand_short(field, rng, terms=rng.randint(1, 3))
-            b = _rand_short(field, rng, terms=rng.randint(1, 2))
-            c = _rand_monomial(field, rng)
+            a = rand_short(field, rng, terms=rng.randint(1, 3))
+            b = rand_short(field, rng, terms=rng.randint(1, 2))
+            c = rand_monomial(field, rng)
             if not ((a + b) * c).agrees(a * c + b * c):
                 ok_ring = False
             if not (a * b).agrees(b * a):
@@ -393,13 +319,13 @@ def _suite_groups(cfg: RunConfig, rng: random.Random) -> dict:
     timing: dict = {}
 
     f2 = TitsField(FieldCfg(char=2, mode="finite", m=1))
-    s_all = _finite_elems_s(f2)
+    s_all = finite_elems_s(f2)
     ok = all(((a * b) * c).agrees(a * (b * c)) for a in s_all for b in s_all for c in s_all)
     ok = ok and all((a * a.inverse()).is_identity() for a in s_all)
     checks.append(check_entry("S-F2-group-laws", ok))
 
     f3 = TitsField(FieldCfg(char=3, mode="finite", m=1))
-    t_all = _finite_elems_t(f3)
+    t_all = finite_elems_t(f3)
     ok = all(((a * b) * c).agrees(a * (b * c)) for a in t_all for b in t_all for c in t_all)
     ok = ok and all((a * a.inverse()).is_identity() for a in t_all)
     cz = TElem.center(f3.one())
@@ -410,17 +336,17 @@ def _suite_groups(cfg: RunConfig, rng: random.Random) -> dict:
     ok = all(a.omega().omega().agrees(a) for a in t_all if not a.is_identity())
     checks.append(check_entry("omega-squared-F3", ok))
     f27 = TitsField(FieldCfg(char=3, mode="finite", m=3))
-    t27 = _finite_elems_t(f27)
+    t27 = finite_elems_t(f27)
     ok = all(a.omega().omega().agrees(a) for a in t27 if not a.is_identity())
     checks.append(check_entry("omega-squared-F27", ok))
     timing["omega_finite_seconds"] = round(time.perf_counter() - t0, 3)
 
     n = cfg.samples or 1000
-    hf = _hahn_field(cfg, 3)
+    hf = cfg.hahn_field(3)
     t0 = time.perf_counter()
     ok = True
     for _ in range(n):
-        a = _rand_t(hf, rng)
+        a = rand_t(hf, rng)
         if not a.omega().omega().agrees(a):
             ok = False
             break
@@ -432,25 +358,25 @@ def _suite_groups(cfg: RunConfig, rng: random.Random) -> dict:
     ok = ok and all(a.norm().is_zero() == a.is_identity() for a in t27)
     checks.append(check_entry("T-norm-anisotropic", ok))
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
-    ok = all(a.norm().is_zero() == a.is_identity() for a in _finite_elems_s(f8))
+    ok = all(a.norm().is_zero() == a.is_identity() for a in finite_elems_s(f8))
     checks.append(check_entry("S-norm-anisotropic", ok))
 
     ok = True
     for _ in range(40):
-        h = _rand_t(hf, rng)
+        h = rand_t(hf, rng)
         if h.norm().is_zero():
             continue
-        x, y = _rand_t(hf, rng), _rand_t(hf, rng)
+        x, y = rand_t(hf, rng), rand_t(hf, rng)
         if not h_action_T(h, x * y).agrees(h_action_T(h, x) * h_action_T(h, y)):
             ok = False
     checks.append(check_entry("T-scaling-action-automorphism", ok))
-    hf2 = _hahn_field(cfg, 2)
+    hf2 = cfg.hahn_field(2)
     ok = True
     for _ in range(40):
-        h = _rand_s(hf2, rng)
+        h = rand_s(hf2, rng)
         if h.norm().is_zero():
             continue
-        x, y = _rand_s(hf2, rng), _rand_s(hf2, rng)
+        x, y = rand_s(hf2, rng), rand_s(hf2, rng)
         if not h_action_S(h, x * y).agrees(h_action_S(h, x) * h_action_S(h, y)):
             ok = False
     checks.append(check_entry("S-scaling-action-automorphism", ok))
@@ -466,63 +392,22 @@ def _suite_groups(cfg: RunConfig, rng: random.Random) -> dict:
 # --- appendix ---
 
 
-def _lat_mul_quad(lat: tuple[int, int], a: int, b: int, p: int) -> tuple[int, int]:
-    """Multiply a lattice exponent by the integer quadratic a + b sqrt(p)."""
-    e, f = lat
-    return (a * e + b * f * p, a * f + b * e)
-
-
-def _tie_samples_t(field: TitsField, rng: random.Random, count: int) -> list[TElem]:
-    """Monomial triples with two of the three norm levels exactly equal."""
-    out: list[TElem] = []
-    coeff = lambda: rng.randrange(1, field.q)
-    for k in range(count):
-        mode = k % 3
-        if mode == 0:  # r-level == s-level, t-level strictly above
-            gr = _rand_lat(rng, 4)
-            gs = _lat_mul_quad(gr, 1, 1, 3)
-            gt = _lat_mul_quad(gr, 2, 1, 3)
-            gt = (gt[0] + rng.randint(1, 3), gt[1])
-            r = field.monomial(field.unlat(gr), coeff())
-            s = field.monomial(field.unlat(gs), coeff())
-            t = field.monomial(field.unlat(gt), coeff())
-        elif mode == 1:  # r-level == t-level, s-level strictly above
-            gr = _rand_lat(rng, 4)
-            gt = _lat_mul_quad(gr, 2, 1, 3)
-            gs = _lat_mul_quad(gr, 1, 1, 3)
-            gs = (gs[0] + rng.randint(1, 3), gs[1])
-            r = field.monomial(field.unlat(gr), coeff())
-            s = field.monomial(field.unlat(gs), coeff())
-            t = field.monomial(field.unlat(gt), coeff())
-        else:  # s-level == t-level with r zero
-            e = rng.randint(-4, 4)
-            f = rng.randint(-2, 2)
-            f += (e - f) % 2
-            gs = (e, f)
-            gt = ((e + 3 * f) // 2, (e + f) // 2)
-            r = field.zero()
-            s = field.monomial(field.unlat(gs), coeff())
-            t = field.monomial(field.unlat(gt), coeff())
-        out.append(TElem(r, s, t))
-    return out
-
-
 def _suite_appendix(cfg: RunConfig, rng: random.Random) -> dict:
     checks: list[dict] = []
     stats: dict = {}
 
-    hf2 = _hahn_field(cfg, 2)
+    hf2 = cfg.hahn_field(2)
     n_pre = (cfg.samples or 1000) * 10
     ok = True
     ties = 0
     for k in range(n_pre):
         if k % 10 == 0:  # engineered collision of the two norm levels
-            gs = _rand_lat(rng, 4)
-            gt = _lat_mul_quad(gs, 1, 1, 2)
+            gs = rand_lat(rng, 4)
+            gt = lat_mul_quad(gs, 1, 1, 2)
             a = SElem(hf2.monomial(hf2.unlat(gs)), hf2.monomial(hf2.unlat(gt)))
             ties += 1
         else:
-            a = SElem(_rand_monomial(hf2, rng), _rand_monomial(hf2, rng))
+            a = SElem(rand_monomial(hf2, rng), rand_monomial(hf2, rng))
         if a.norm().val() != val_norm_exact_S(a):
             ok = False
             break
@@ -530,12 +415,12 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random) -> dict:
     stats["s_prevalidation_samples"] = n_pre
     stats["s_prevalidation_ties"] = ties
 
-    hf3 = _hahn_field(cfg, 3)
+    hf3 = cfg.hahn_field(3)
     n = cfg.samples or 1000
     tie_count = max(50, min(60, n // 2)) if n >= 50 else n
-    samples = _tie_samples_t(hf3, rng, tie_count)
+    samples = tie_samples_t(hf3, rng, tie_count)
     while len(samples) < n:
-        samples.append(_rand_t(hf3, rng))
+        samples.append(rand_t(hf3, rng))
     ok = True
     for a in samples:
         if a.norm().val() != val_norm_exact_T(a):
@@ -548,14 +433,14 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random) -> dict:
     n_pairs = cfg.samples or 1000
     ok = True
     for _ in range(n_pairs):
-        a, b = _rand_t(hf3, rng), _rand_t(hf3, rng)
+        a, b = rand_t(hf3, rng), rand_t(hf3, rng)
         if (a * b).norm().val() < ext_min(a.norm().val(), b.norm().val()):
             ok = False
             break
     checks.append(check_entry("T-norm-level-ultrametric", ok))
     ok = True
     for _ in range(n_pairs):
-        a, b = _rand_s(hf2, rng), _rand_s(hf2, rng)
+        a, b = rand_s(hf2, rng), rand_s(hf2, rng)
         if (a * b).norm().val() < ext_min(a.norm().val(), b.norm().val()):
             ok = False
             break
@@ -568,30 +453,19 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random) -> dict:
 # --- valuation axioms ---
 
 
-def _interval_pairs(system) -> list[tuple[int, int]]:
-    out = []
-    for i in range(system.count):
-        for j in range(system.count):
-            if i == j or system.angle_deg(i, j) == 180:
-                continue
-            if system.interval(i, j):
-                out.append((i, j))
-    return out
-
-
 def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
     checks: list[dict] = []
     stats: dict = {}
     n = cfg.samples or 100
 
-    fields = {"B": _hahn_field(cfg, 2), "G": _hahn_field(cfg, 3)}
+    fields = {"B": cfg.hahn_field(2), "G": cfg.hahn_field(3)}
     for case in ("B", "G"):
         field = fields[case]
         system = ambient_system(case)
         nu = TAdicValuation()
         phi = PhiAssignment(case, system, nu, twisted_class=1)
         pairs = [
-            (_rand_short(field, rng, rng.randint(1, 2)), _rand_short(field, rng, 1))
+            (rand_short(field, rng, rng.randint(1, 2)), rand_short(field, rng, 1))
             for _ in range(n)
         ] + [(field.zero(), field.one())]
         ok = all(check_v1(phi, idx, pairs).ok for idx in range(system.count))
@@ -601,11 +475,11 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
             i: int, j: int, field: TitsField = field
         ) -> list[tuple[FieldElem, FieldElem]]:
             return [
-                (_rand_monomial(field, rng), _rand_monomial(field, rng))
+                (rand_monomial(field, rng), rand_monomial(field, rng))
                 for _ in range(n)
             ]
 
-        pair_list = _interval_pairs(system)
+        pair_list = system.interval_pairs()
         res = resolve_assignment(case, nu, sample_pairs, pair_list)
         checks.append(
             check_entry(
@@ -623,12 +497,12 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
     field = fields["B"]
     nu = TAdicValuation()
     phi4 = PhiAssignment("F", f4, nu, twisted_class=1)
-    all_pairs = _interval_pairs(f4)
+    all_pairs = f4.interval_pairs()
     chosen = [all_pairs[rng.randrange(len(all_pairs))] for _ in range(100)]
     ok = True
     for i, j in chosen:
         res = check_v2_pair(
-            phi4, i, j, [(_rand_monomial(field, rng), _rand_monomial(field, rng)) for _ in range(n)]
+            phi4, i, j, [(rand_monomial(field, rng), rand_monomial(field, rng)) for _ in range(n)]
         )
         if not res:
             ok = False
@@ -643,11 +517,11 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
         ok_const = True
         ok_self = True
         for alpha_pos in range(1, system.n + 1):
-            alpha = system.position_root(alpha_pos).idx
+            alpha = system.position_root(alpha_pos)
             for beta_pos in range(1, system.n + 1):
-                beta = system.position_root(beta_pos).idx
-                u = _rand_monomial(field, rng)
-                g_params = [_rand_monomial(field, rng) for _ in range(20)]
+                beta = system.position_root(beta_pos)
+                u = rand_monomial(field, rng)
+                g_params = [rand_monomial(field, rng) for _ in range(20)]
                 res = check_v3(phi, alpha, beta, u, g_params)
                 if not res:
                     ok_const = False
@@ -656,17 +530,17 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
         checks.append(check_entry(f"{case}-conjugation-shift-constant", ok_const))
         checks.append(check_entry(f"{case}-self-shift-minus-twice", ok_self))
 
-        alpha = system.position_root(1).idx
+        alpha = system.position_root(1)
         w = field.one()
-        u = _rand_monomial(field, rng)
+        u = rand_monomial(field, rng)
         res = check_double_reflection(
-            phi, alpha, u, w, [_rand_monomial(field, rng) for _ in range(20)]
+            phi, alpha, u, w, [rand_monomial(field, rng) for _ in range(20)]
         )
         checks.append(check_entry(f"{case}-double-reflection-shift", res))
 
     g_field = fields["G"]
     system = ambient_system("G")
-    params = [_rand_monomial(g_field, rng) for _ in range(30)]
+    params = [rand_monomial(g_field, rng) for _ in range(30)]
     phi = PhiAssignment("G", system, TAdicValuation(), twisted_class=1)
     checks.append(
         check_entry("G-flip-invariance-tadic", check_rho_invariance(phi, params))
@@ -688,23 +562,23 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random) -> dict:
     stats: dict = {}
 
     f3 = TitsField(FieldCfg(char=3, mode="finite", m=1))
-    t_all = _finite_elems_t(f3)
+    t_all = finite_elems_t(f3)
     ok = all(check_embedding_hom("G", a, b).ok for a in t_all for b in t_all)
     checks.append(check_entry("G-word-homomorphism-F3", ok))
     ok = all(check_embedding_rho("G", a).ok for a in t_all)
     checks.append(check_entry("G-word-flip-invariance-F3", ok))
 
-    hf3 = _hahn_field(cfg, 3)
-    n = (cfg.samples or 1000) // 5
+    hf3 = cfg.hahn_field(3)
+    n = max(1, (cfg.samples or 1000) // 5)  # never pass on zero pairs
     ok = True
     for _ in range(n):
-        a, b = _rand_t(hf3, rng), _rand_t(hf3, rng)
+        a, b = rand_t(hf3, rng), rand_t(hf3, rng)
         if not check_embedding_hom("G", a, b).ok:
             ok = False
             break
     checks.append(check_entry("G-word-homomorphism-hahn", ok))
     stats["g_hahn_pairs"] = n
-    ok = all(check_embedding_rho("G", _rand_t(hf3, rng)).ok for _ in range(50))
+    ok = all(check_embedding_rho("G", rand_t(hf3, rng)).ok for _ in range(50))
     checks.append(check_entry("G-word-flip-invariance-hahn", ok))
 
     lam, mu = solve_suzuki_word()
@@ -715,11 +589,11 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random) -> dict:
         )
     )
     f2 = TitsField(FieldCfg(char=2, mode="finite", m=1))
-    s_all = _finite_elems_s(f2)
+    s_all = finite_elems_s(f2)
     ok = all(check_embedding_hom("B", a, b).ok for a in s_all for b in s_all)
     checks.append(check_entry("B-word-homomorphism-F2", ok))
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
-    s8 = _finite_elems_s(f8)
+    s8 = finite_elems_s(f8)
     pick = [s8[rng.randrange(len(s8))] for _ in range(100)]
     ok = all(
         check_embedding_hom("B", a, b).ok
@@ -727,10 +601,10 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random) -> dict:
     )
     ok = ok and all(check_embedding_rho("B", a).ok for a in pick[:50])
     checks.append(check_entry("B-word-checks-F8", ok))
-    hf2 = _hahn_field(cfg, 2)
+    hf2 = cfg.hahn_field(2)
     ok = True
     for _ in range(100):
-        a, b = _rand_s(hf2, rng), _rand_s(hf2, rng)
+        a, b = rand_s(hf2, rng), rand_s(hf2, rng)
         if not check_embedding_hom("B", a, b).ok or not check_embedding_rho("B", a).ok:
             ok = False
             break
@@ -770,7 +644,7 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random) -> dict:
     )
 
     f27 = TitsField(FieldCfg(char=3, mode="finite", m=3))
-    t27 = _finite_elems_t(f27)
+    t27 = finite_elems_t(f27)
     sample = [t27[rng.randrange(1, len(t27))] for _ in range(30)]
     ok = all(
         rho_scalar_check(t27[rng.randrange(1, len(t27))], sample).ok for _ in range(10)
@@ -782,7 +656,7 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random) -> dict:
     # after two norm inversions, so the diagonal shape is spot checked on
     # single-slot points under a central scaling element; general position
     # is covered by the finite-field checks above.
-    hf3 = _hahn_field(cfg, 3)
+    hf3 = cfg.hahn_field(3)
     hs = []
     for _ in range(9):
         comps = [hf3.zero(), hf3.zero(), hf3.zero()]
@@ -805,16 +679,16 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random) -> dict:
     phi_g = moufang_phi("G", nu)
     ok = True
     for _ in range(n):
-        t = _rand_monomial(hf3, rng)
+        t = rand_monomial(hf3, rng)
         if nu_from_phi("G", phi_g, t) != nu.of(t):
             ok = False
             break
     checks.append(check_entry("G-round-trip-on-monomials", ok))
-    hf2 = _hahn_field(cfg, 2)
+    hf2 = cfg.hahn_field(2)
     phi_b = moufang_phi("B", nu)
     ok = True
     for _ in range(n // 2):
-        t = _rand_monomial(hf2, rng)
+        t = rand_monomial(hf2, rng)
         if nu_from_phi("B", phi_b, t) != nu.of(t):
             ok = False
             break
@@ -822,7 +696,7 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random) -> dict:
 
     system = ambient_system("G")
     phi = PhiAssignment("G", system, nu, twisted_class=1)
-    params = [_rand_monomial(hf3, rng) for _ in range(30)]
+    params = [rand_monomial(hf3, rng) for _ in range(30)]
     checks.append(
         check_entry("flip-invariance-positive-direction", check_rho_invariance(phi, params))
     )

@@ -31,11 +31,12 @@ from .errors import (
 )
 from .field import FieldElem, TitsField
 from .groups import SElem, TElem
-from .roots import Rank2System, Root, RootSystem, Vec, dot, get_system
+from .roots import Rank2System, RootSystem, get_system
 from .scalar import INFINITY, ExtVal, QuadExt, ext_min
 
 _CASE_CHAR = {"B": 2, "F": 2, "G": 3}
 _CASE_AMBIENT = {"B": "B2", "F": "F4", "G": "G2"}
+_INV_SQRT = {p: QuadExt(0, Fraction(1, p), p) for p in (2, 3)}
 
 
 def ambient_system(case: str) -> RootSystem:
@@ -98,7 +99,7 @@ def _hexagon_comm_signs() -> dict[tuple[int, int, int], int]:
     # stated for the pair orientations (1,6), (1,5), (2,6)
     g2 = get_system("G2")
     assert isinstance(g2, Rank2System)
-    pos = {j: g2.position_root(j).idx for j in range(1, 7)}
+    pos = {j: g2.position_root(j) for j in range(1, 7)}
     table: dict[tuple[int, int, int], int] = {}
     table[(pos[1], pos[6], pos[2])] = -1
     table[(pos[1], pos[6], pos[3])] = -1
@@ -119,15 +120,10 @@ def default_signs(case: str, strict: bool = False) -> SignTable:
     )
 
 
-def _weight_exp(c: QuadExt, p: int) -> tuple[int, int] | None:
-    """Map an interval coefficient to a twisted exponent (m, n), or None."""
-    if c == QuadExt(1):
-        return (1, 0)
-    if c == QuadExt(2):
-        return (2, 0)
-    if c == QuadExt.sqrt(p):
-        return (0, 1)
-    return None
+# interval coefficient -> twisted exponent (m, n): 1, 2, sqrt(p) -> 1, 2, theta
+_WEIGHT_EXP = {
+    p: {QuadExt(1): (1, 0), QuadExt(2): (2, 0), QuadExt.sqrt(p): (0, 1)} for p in (2, 3)
+}
 
 
 def commutator_factors(
@@ -153,8 +149,8 @@ def commutator_factors(
         signs = default_signs(case)
     out: list[tuple[int, FieldElem]] = []
     for k, pc, qc in system.interval(i, j):
-        ws = _weight_exp(pc, p)
-        wt = _weight_exp(qc, p)
+        ws = _WEIGHT_EXP[p].get(pc)
+        wt = _WEIGHT_EXP[p].get(qc)
         if ws is None or wt is None:
             continue
         param = s.twisted_pow(*ws) * t.twisted_pow(*wt)
@@ -201,8 +197,8 @@ def collect(
                 changed = True
                 idx = max(idx - 1, 0)
             elif pi > pj:
-                ri = system.position_root(pi).idx
-                rj = system.position_root(pj).idx
+                ri = system.position_root(pi)
+                rj = system.position_root(pj)
                 comm = commutator_factors(case, system, rj, tj, ri, si, signs)
                 tail: WordFactors = []
                 for k, c in comm:
@@ -300,8 +296,6 @@ def m_sigma_conj(
 class Valuation:
     """A valuation handle; subclasses read the support of a series element."""
 
-    theta_invariant = True
-
     def of(self, x: FieldElem) -> ExtVal:
         raise NotImplementedError
 
@@ -320,8 +314,6 @@ class LatticeOrderValuation(Valuation):
     but it commutes with the twisting endomorphism only for lam = sqrt(char);
     it exists to witness that the invariance checks can fail.
     """
-
-    theta_invariant = False
 
     def __init__(self, lam: QuadExt) -> None:
         if lam.sign() <= 0 or lam.is_rational:
@@ -350,29 +342,19 @@ class PhiAssignment:
 
     Parameters on roots of length class `twisted_class` are measured through
     the twisting endomorphism and scaled back by sqrt(char); the other class
-    is measured directly.  An optional offset vector shifts the family to an
-    equipollent one.
+    is measured directly.
     """
 
     case: str
     system: RootSystem
     nu: Valuation
     twisted_class: int
-    offset: Vec | None = None
 
     def phi(self, root_idx: int, param: FieldElem) -> ExtVal:
         p = case_char(self.case)
         if self.system.length_class(root_idx) == self.twisted_class:
-            base = self.nu.of(param.theta()).scale(QuadExt(0, Fraction(1, p), p))
-        else:
-            base = self.nu.of(param)
-        if self.offset is not None:
-            base = base + dot(self.system.unit(root_idx), self.offset)
-        return base
-
-    def shifted(self, x: Vec) -> "PhiAssignment":
-        off = x if self.offset is None else tuple(a + b for a, b in zip(self.offset, x))
-        return PhiAssignment(self.case, self.system, self.nu, self.twisted_class, off)
+            return self.nu.of(param.theta()).scale(_INV_SQRT[p])
+        return self.nu.of(param)
 
 
 @dataclass
@@ -383,21 +365,6 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    """The half-apartment fixed by a root group element under phi."""
-
-    root_idx: int
-    level: ExtVal
-
-    def describe(self, system: RootSystem) -> str:
-        return f"root {self.root_idx}: points x with <x, root> >= {self.level}"
-
-
-def fixed_halfspace(phi: PhiAssignment, root_idx: int, param: FieldElem) -> HalfSpace:
-    return HalfSpace(root_idx, phi.phi(root_idx, param))
 
 
 def check_v1(

@@ -21,22 +21,19 @@ from fractions import Fraction
 
 from srlab.cli import main
 from srlab.field import FieldCfg, TitsField
-from srlab.groups import SElem, TElem, val_norm_exact_S, val_norm_exact_T
+from srlab.groups import SElem, val_norm_exact_S, val_norm_exact_T
 from srlab.moufang import enumerate_group
 from srlab.roots import get_system
 from srlab.scalar import QuadExt, ext_min
-from srlab.suites import (
-    RunConfig,
-    _finite_elems_s,
-    _finite_elems_t,
-    _hahn_field,
-    _interval_pairs,
-    _lat_mul_quad,
-    _rand_monomial,
-    _rand_s,
-    _rand_short,
-    _rand_t,
-    _tie_samples_t,
+from srlab.samplers import (
+    finite_elems_t,
+    hahn_field,
+    lat_mul_quad,
+    rand_monomial,
+    rand_s,
+    rand_short,
+    rand_t,
+    tie_samples_t,
 )
 from srlab.valuation import (
     PhiAssignment,
@@ -54,8 +51,6 @@ from srlab.valuation import (
     nu_from_phi,
     resolve_assignment,
 )
-
-_CFG = RunConfig()
 
 
 def _report(capsys, n: int, ok: bool, elapsed: float | None = None) -> None:
@@ -85,14 +80,14 @@ def test_criterion_1_folded_directions(capsys):
 def test_criterion_2_omega_involution(capsys):
     t0 = time.perf_counter()
     f3 = TitsField(FieldCfg(char=3, mode="finite", m=1))
-    small = [a for a in _finite_elems_t(f3) if not a.is_identity()]
+    small = [a for a in finite_elems_t(f3) if not a.is_identity()]
     ok3 = all(a.omega().omega().agrees(a) for a in small)
     f27 = TitsField(FieldCfg(char=3, mode="finite", m=3))
-    big = [a for a in _finite_elems_t(f27) if not a.is_identity()]
+    big = [a for a in finite_elems_t(f27) if not a.is_identity()]
     ok27 = all(a.omega().omega().agrees(a) for a in big)
-    hf = _hahn_field(_CFG, 3)
+    hf = hahn_field(3)
     rng = random.Random(20)
-    ok_hahn = all(a.omega().omega().agrees(a) for a in (_rand_t(hf, rng) for _ in range(1000)))
+    ok_hahn = all(a.omega().omega().agrees(a) for a in (rand_t(hf, rng) for _ in range(1000)))
     elapsed = time.perf_counter() - t0
     ok = len(small) == 26 and len(big) == 19682 and ok3 and ok27 and ok_hahn
     _report(capsys, 2, ok and elapsed < 30.0, elapsed)
@@ -105,15 +100,15 @@ def test_criterion_2_omega_involution(capsys):
 def test_criterion_3_norm_valuation_formula(capsys):
     t0 = time.perf_counter()
     rng = random.Random(3)
-    hf2 = _hahn_field(_CFG, 2)
+    hf2 = hahn_field(2)
     pre_ok = True
     for k in range(10**4):
         if k % 10 == 0:  # engineered collision of the two levels
             gs = (rng.randint(-4, 4), rng.randint(-2, 2))
-            gt = _lat_mul_quad(gs, 1, 1, 2)
+            gt = lat_mul_quad(gs, 1, 1, 2)
             a = SElem(hf2.monomial(hf2.unlat(gs)), hf2.monomial(hf2.unlat(gt)))
         else:
-            a = SElem(_rand_monomial(hf2, rng), _rand_monomial(hf2, rng))
+            a = SElem(rand_monomial(hf2, rng), rand_monomial(hf2, rng))
         expect = ext_min(
             a.s.val().scale(QuadExt(2, 1, 2)),
             a.t.val().scale(QuadExt(0, 1, 2)),
@@ -122,11 +117,11 @@ def test_criterion_3_norm_valuation_formula(capsys):
             pre_ok = False
             break
 
-    hf3 = _hahn_field(_CFG, 3)
+    hf3 = hahn_field(3)
     ties = 60
-    samples = _tie_samples_t(hf3, rng, ties)
+    samples = tie_samples_t(hf3, rng, ties)
     while len(samples) < 1000:
-        samples.append(_rand_t(hf3, rng))
+        samples.append(rand_t(hf3, rng))
     t_ok = True
     for a in samples:
         expect = ext_min(
@@ -148,17 +143,17 @@ def test_criterion_3_norm_valuation_formula(capsys):
 
 def test_criterion_4_norm_ultrametric(capsys):
     rng = random.Random(4)
-    hf3 = _hahn_field(_CFG, 3)
-    hf2 = _hahn_field(_CFG, 2)
+    hf3 = hahn_field(3)
+    hf2 = hahn_field(2)
     t_ok = True
     for _ in range(1000):
-        a, b = _rand_t(hf3, rng), _rand_t(hf3, rng)
+        a, b = rand_t(hf3, rng), rand_t(hf3, rng)
         if (a * b).norm().val() < ext_min(a.norm().val(), b.norm().val()):
             t_ok = False
             break
     s_ok = True
     for _ in range(1000):
-        a, b = _rand_s(hf2, rng), _rand_s(hf2, rng)
+        a, b = rand_s(hf2, rng), rand_s(hf2, rng)
         if (a * b).norm().val() < ext_min(a.norm().val(), b.norm().val()):
             s_ok = False
             break
@@ -170,7 +165,7 @@ def test_criterion_4_norm_ultrametric(capsys):
 def test_criterion_5_valuation_axioms(capsys):
     rng = random.Random(5)
     n = 100
-    fields = {"B": _hahn_field(_CFG, 2), "G": _hahn_field(_CFG, 3)}
+    fields = {"B": hahn_field(2), "G": hahn_field(3)}
     nu = TAdicValuation()
     v1_ok = True
     v3_ok = True
@@ -181,7 +176,7 @@ def test_criterion_5_valuation_axioms(capsys):
         system = ambient_system(case)
         phi = PhiAssignment(case, system, nu, twisted_class=1)
         pairs = [
-            (_rand_short(field, rng, rng.randint(1, 2)), _rand_short(field, rng, 1))
+            (rand_short(field, rng, rng.randint(1, 2)), rand_short(field, rng, 1))
             for _ in range(n)
         ] + [(field.zero(), field.one())]
         if not all(check_v1(phi, idx, pairs).ok for idx in range(system.count)):
@@ -189,34 +184,34 @@ def test_criterion_5_valuation_axioms(capsys):
 
         def sample_pairs(i, j, field=field):
             return [
-                (_rand_monomial(field, rng), _rand_monomial(field, rng))
+                (rand_monomial(field, rng), rand_monomial(field, rng))
                 for _ in range(n)
             ]
 
-        resolutions[case] = resolve_assignment(case, nu, sample_pairs, _interval_pairs(system))
+        resolutions[case] = resolve_assignment(case, nu, sample_pairs, system.interval_pairs())
 
         for alpha_pos in range(1, system.n + 1):
             for beta_pos in range(1, system.n + 1):
-                alpha = system.position_root(alpha_pos).idx
-                beta = system.position_root(beta_pos).idx
-                u = _rand_monomial(field, rng)
-                if not check_v3(phi, alpha, beta, u, [_rand_monomial(field, rng) for _ in range(20)]):
+                alpha = system.position_root(alpha_pos)
+                beta = system.position_root(beta_pos)
+                u = rand_monomial(field, rng)
+                if not check_v3(phi, alpha, beta, u, [rand_monomial(field, rng) for _ in range(20)]):
                     v3_ok = False
-        alpha = system.position_root(1).idx
+        alpha = system.position_root(1)
         if not check_double_reflection(
-            phi, alpha, _rand_monomial(field, rng), field.one(),
-            [_rand_monomial(field, rng) for _ in range(20)],
+            phi, alpha, rand_monomial(field, rng), field.one(),
+            [rand_monomial(field, rng) for _ in range(20)],
         ):
             refl_ok = False
 
     f4 = ambient_system("F")
     phi4 = PhiAssignment("F", f4, nu, twisted_class=1)
-    f4_pairs = _interval_pairs(f4)
+    f4_pairs = f4.interval_pairs()
     field = fields["B"]
     f4_ok = True
     for _ in range(100):
         i, j = f4_pairs[rng.randrange(len(f4_pairs))]
-        sample = [(_rand_monomial(field, rng), _rand_monomial(field, rng)) for _ in range(n)]
+        sample = [(rand_monomial(field, rng), rand_monomial(field, rng)) for _ in range(n)]
         if not check_v2_pair(phi4, i, j, sample):
             f4_ok = False
             break
@@ -228,8 +223,8 @@ def test_criterion_5_valuation_axioms(capsys):
             case,
             nu,
             res,
-            [_rand_monomial(fields[case], rng) for _ in range(n)]
-            + [_rand_short(fields[case], rng, rng.randint(2, 3)) for _ in range(n)],
+            [rand_monomial(fields[case], rng) for _ in range(n)]
+            + [rand_short(fields[case], rng, rng.randint(2, 3)) for _ in range(n)],
         )
         for case, res in resolutions.items()
     }
@@ -251,15 +246,15 @@ def test_criterion_5_valuation_axioms(capsys):
 def test_criterion_6_embedding_words(capsys):
     rng = random.Random(6)
     f3 = TitsField(FieldCfg(char=3, mode="finite", m=1))
-    t_all = _finite_elems_t(f3)
+    t_all = finite_elems_t(f3)
     hom_f3 = all(check_embedding_hom("G", a, b).ok for a in t_all for b in t_all)
     flip_f3 = all(check_embedding_rho("G", a).ok for a in t_all)
-    hf3 = _hahn_field(_CFG, 3)
+    hf3 = hahn_field(3)
     hom_hahn = all(
-        check_embedding_hom("G", _rand_t(hf3, rng), _rand_t(hf3, rng)).ok
+        check_embedding_hom("G", rand_t(hf3, rng), rand_t(hf3, rng)).ok
         for _ in range(200)
     )
-    flip_hahn = all(check_embedding_rho("G", _rand_t(hf3, rng)).ok for _ in range(50))
+    flip_hahn = all(check_embedding_rho("G", rand_t(hf3, rng)).ok for _ in range(50))
     ok = hom_f3 and flip_f3 and hom_hahn and flip_hahn
     _report(capsys, 6, ok)
     assert hom_f3, "word image fails the homomorphism identity on the small field"
@@ -292,16 +287,16 @@ def test_criterion_8_phi_roundtrip_and_flip(capsys):
     nu = TAdicValuation()
     round_ok = True
     for case, char in (("G", 3), ("B", 2)):
-        field = _hahn_field(_CFG, char)
+        field = hahn_field(char)
         phi = moufang_phi(case, nu)
         for _ in range(100):
-            t = _rand_monomial(field, rng)
+            t = rand_monomial(field, rng)
             if nu_from_phi(case, phi, t) != nu.of(t):
                 round_ok = False
-    g_field = _hahn_field(_CFG, 3)
+    g_field = hahn_field(3)
     system = ambient_system("G")
     assignment = PhiAssignment("G", system, nu, twisted_class=1)
-    flip = check_rho_invariance(assignment, [_rand_monomial(g_field, rng) for _ in range(30)])
+    flip = check_rho_invariance(assignment, [rand_monomial(g_field, rng) for _ in range(30)])
     ok = round_ok and flip.ok
     _report(capsys, 8, ok)
     assert round_ok, "recovering the field valuation from phi on central elements failed"

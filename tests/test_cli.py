@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,24 @@ def test_run_deterministic_bytes(tmp_path):
     code_b, second = run_report(tmp_path, "b.json", args)
     assert code_a == 0 and code_b == 0
     assert first == second
+
+
+def test_run_matches_benchmark_reference_digest(tmp_path):
+    """The report bytes of `run --seed 0 --samples 5 --jobs 1` are pinned by
+    the srlab-run benchmark workload's reference digest."""
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    want = json.loads(reference.read_text())["srlab-run"]["0"]
+    code, raw = run_report(tmp_path, "ref.json", ["--seed", "0", "--samples", "5", "--jobs", "1"])
+    assert code == 0
+    assert hashlib.sha256(raw).hexdigest() == want
+
+
+def test_embedding_checks_a_series_pair_at_few_samples(tmp_path):
+    code, raw = run_report(tmp_path, "e.json", ["--suite", "embedding", "--samples", "4"])
+    assert code == 0
+    payload = json.loads(raw)["suites"]["embedding"]
+    assert payload["stats"]["g_hahn_pairs"] == 1
+    assert {"name": "G-word-homomorphism-hahn", "ok": True} in payload["checks"]
 
 
 def test_run_jobs_deterministic(tmp_path):

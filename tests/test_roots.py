@@ -3,14 +3,143 @@ from fractions import Fraction
 import pytest
 
 from srlab.errors import UnsupportedAngleError
-from srlab.roots import QuadExt, angle_from_cos, dot, get_system, vec_neg
+from srlab.roots import QuadExt, angle_from_gram, dot, get_system
+
+KINDS = ("A1", "B2", "G2", "F4")
+
+_ONE = QuadExt(1)
+_HALF = QuadExt(Fraction(1, 2))
+_HALF_R2 = QuadExt(0, Fraction(1, 2), 2)
+_HALF_R3 = QuadExt(0, Fraction(1, 2), 3)
+
+
+# --- reference: the tables recomputed from the exact unit vectors ---
+
+
+def ref_angle(c):
+    """Angle in degrees for an exact cosine between two roots."""
+    table = {_ONE: 0, _HALF_R3: 30, _HALF_R2: 45, _HALF: 60, QuadExt(0): 90}
+    for cos, angle in table.items():
+        if c == cos:
+            return angle
+        if c == -cos:
+            return 180 - angle
+    raise UnsupportedAngleError(f"no root-system angle has cosine {c}")
+
+
+def ref_index(system, v):
+    (idx,) = [k for k in range(system.count) if system.unit(k) == v]
+    return idx
+
+
+def ref_reflect(system, mirror, idx):
+    r, v = system.unit(mirror), system.unit(idx)
+    two_d = QuadExt(2) * dot(v, r)
+    return ref_index(system, tuple(x - two_d * y for x, y in zip(v, r)))
+
+
+def ref_solve(m, v):
+    """Exact solution x of m x = v by Gauss-Jordan elimination."""
+    n = len(m)
+    a = [list(row) + [b] for row, b in zip(m, v)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col].inv()
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n] for row in a]
+
+
+def ref_involution(system):
+    """Rank 2: root k goes to root 1 - k.  F4: the linear map reversing the
+    simple roots (0, c, -c, 0), (0, 0, c, -c), e_4, (1, -1, -1, -1)/2."""
+    if system.kind != "F4":
+        return [(1 - k) % system.count for k in range(system.count)]
+    c, h, z = _HALF_R2, _HALF, QuadExt(0)
+    simple = [(z, c, -c, z), (z, z, c, -c), (z, z, z, _ONE), (h, -h, -h, -h)]
+    cols = [[simple[j][i] for j in range(4)] for i in range(4)]
+    out = []
+    for k in range(system.count):
+        coords = ref_solve(cols, system.unit(k))
+        img = [z] * 4
+        for coef, col in zip(coords, reversed(simple)):
+            img = [x + coef * y for x, y in zip(img, col)]
+        out.append(ref_index(system, tuple(img)))
+    return out
+
+
+def ref_interval(system, i, j):
+    ui, uj = system.unit(i), system.unit(j)
+    c = dot(ui, uj)
+    denom = _ONE - c * c
+    out = []
+    for k in range(system.count):
+        if k in (i, j):
+            continue
+        uk = system.unit(k)
+        di, dj = dot(uk, ui), dot(uk, uj)
+        p = (di - dj * c) / denom
+        q = (dj - di * c) / denom
+        if p.sign() <= 0 or q.sign() <= 0:
+            continue
+        if tuple(p * x + q * y for x, y in zip(ui, uj)) != uk:
+            continue
+        out.append((k, p, q))
+    out.sort(key=lambda t: dot(system.unit(t[0]), ui), reverse=True)
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tables_match_exact_unit_vectors(kind):
+    system = get_system(kind)
+    n = system.count
+    for i in range(n):
+        assert dot(system.unit(i), system.unit(i)) == _ONE
+        neg = tuple(-x for x in system.unit(i))
+        assert system.negate_idx(i) == ref_index(system, neg)
+    assert [system.chamber_involution_idx(k) for k in range(n)] == ref_involution(system)
+    for i in range(n):
+        for j in range(n):
+            c = dot(system.unit(i), system.unit(j))
+            assert system.angle_deg(i, j) == ref_angle(c)
+            assert system.reflect_idx(i, j) == ref_reflect(system, i, j)
+            if c * c == _ONE:
+                with pytest.raises(ValueError):
+                    system.interval(i, j)
+                continue
+            got = system.interval(i, j)
+            want = ref_interval(system, i, j)
+            assert [k for k, _, _ in got] == [k for k, _, _ in want]
+            for (_, p, q), (_, rp, rq) in zip(got, want):
+                assert p == rp and p.triple == rp.triple and p.p == rp.p
+                assert q == rq and q.triple == rq.triple and q.p == rq.p
+
+
+def test_rank2_unit_vectors():
+    # root k of a rank-2 system sits at angle k*pi/n
+    b2, g2 = get_system("B2"), get_system("G2")
+    assert b2.unit(0) == (_ONE, QuadExt(0))
+    assert b2.unit(1) == (_HALF_R2, _HALF_R2)
+    assert g2.unit(1) == (_HALF_R3, _HALF)
+    for system in (get_system("A1"), b2, g2):
+        for k in range(system.count):
+            assert system.angle_deg(0, k) == min(k, system.count - k) * 180 // system.n
+            assert system.unit(k)[1].sign() >= 0 or k > system.n
 
 
 def test_angle_lookup():
-    assert angle_from_cos(QuadExt(0)) == 90
-    assert angle_from_cos(QuadExt(0, Fraction(-1, 2), 3)) == 150
+    assert angle_from_gram(0, 2, 6) == 90
+    # G2 hexagonal coordinates: (1, 0) and (-2, 1) under [[2, 1], [1, 2]]
+    assert angle_from_gram(-3, 2, 6) == 150
+    assert angle_from_gram(-4, 8, 8) == 120
     with pytest.raises(UnsupportedAngleError):
-        angle_from_cos(QuadExt(Fraction(1, 3)))
+        angle_from_gram(1, 3, 3)
+    with pytest.raises(UnsupportedAngleError):
+        angle_from_gram(1, 1, 7)
 
 
 def test_b2_reflection_examples():
@@ -23,7 +152,7 @@ def test_b2_reflection_examples():
 
 
 def test_reflection_weyl_properties():
-    for kind in ("A1", "B2", "G2", "F4"):
+    for kind in KINDS:
         system = get_system(kind)
         for i in range(system.count):
             assert system.reflect_idx(i, i) == system.negate_idx(i)
@@ -39,7 +168,7 @@ def test_negation_units():
     for kind in ("B2", "G2", "F4"):
         system = get_system(kind)
         for i in range(system.count):
-            assert system.unit(system.negate_idx(i)) == vec_neg(system.unit(i))
+            assert system.unit(system.negate_idx(i)) == tuple(-x for x in system.unit(i))
 
 
 def test_chamber_involution_swaps_classes():
@@ -52,11 +181,12 @@ def test_chamber_involution_swaps_classes():
 
 
 def test_involution_preserves_angles():
-    g2 = get_system("G2")
-    tau = g2.chamber_involution_idx
-    for i in range(g2.count):
-        for j in range(g2.count):
-            assert g2.angle_deg(tau(i), tau(j)) == g2.angle_deg(i, j)
+    for kind in ("G2", "F4"):
+        system = get_system(kind)
+        tau = system.chamber_involution_idx
+        for i in range(system.count):
+            for j in range(system.count):
+                assert system.angle_deg(tau(i), tau(j)) == system.angle_deg(i, j)
 
 
 def test_b2_interval():
@@ -88,12 +218,24 @@ def test_interval_empty_for_adjacent():
     assert g2.interval(0, 1) == []
 
 
+def test_interval_pairs():
+    for kind, want in (("B2", 32), ("G2", 96), ("F4", 960)):
+        system = get_system(kind)
+        pairs = system.interval_pairs()
+        assert len(pairs) == want
+        assert pairs == sorted(pairs)
+        for i in range(system.count):
+            for j in range(system.count):
+                if i != j and system.angle_deg(i, j) != 180:
+                    assert ((i, j) in pairs) == bool(system.interval(i, j))
+
+
 def test_position_maps():
     for kind in ("B2", "G2"):
         system = get_system(kind)
         seen = set()
         for pos in range(1, system.n + 1):
-            idx = system.position_root(pos).idx
+            idx = system.position_root(pos)
             assert system.root_position(idx) == pos
             seen.add(idx)
         assert len(seen) == system.n

@@ -5,7 +5,6 @@ import pytest
 from srlab.errors import MissingSignError, UnsupportedAngleError
 from srlab.field import FieldCfg, TitsField
 from srlab.groups import TElem
-from srlab.roots import get_system
 from srlab.scalar import ExtVal, QuadExt
 from srlab.valuation import (
     AssignmentResolution,
@@ -52,8 +51,8 @@ def test_commutator_trivial_for_narrow_angles():
     sys2 = g2()
     s = f.monomial(QuadExt(1), 1)
     t = f.monomial(QuadExt(2), 1)
-    i = sys2.position_root(1).idx
-    j = sys2.position_root(2).idx
+    i = sys2.position_root(1)
+    j = sys2.position_root(2)
     assert commutator_factors("G", sys2, i, s, j, t) == []
 
 
@@ -61,7 +60,7 @@ def test_commutator_opposite_raises():
     f = hahn(3)
     sys2 = g2()
     s = f.monomial(QuadExt(1), 1)
-    i = sys2.position_root(1).idx
+    i = sys2.position_root(1)
     with pytest.raises(UnsupportedAngleError):
         commutator_factors("G", sys2, i, s, sys2.negate_idx(i), s)
 
@@ -73,8 +72,8 @@ def test_hexagon_full_relation():
     sys2 = g2()
     s = f.monomial(QuadExt(1), 1)
     t = f.monomial(QuadExt(0, 1, 3), 1)
-    i1 = sys2.position_root(1).idx
-    i6 = sys2.position_root(6).idx
+    i1 = sys2.position_root(1)
+    i6 = sys2.position_root(6)
     got = collect("G", sys2, [(6, t), (1, s)])
     want = [
         (1, s),
@@ -138,8 +137,8 @@ def test_strict_signs_raise_on_unforced():
     sys2 = g2()
     s = f.monomial(QuadExt(1), 1)
     t = f.monomial(QuadExt(2), 1)
-    i1 = sys2.position_root(1).idx
-    i5 = sys2.position_root(5).idx
+    i1 = sys2.position_root(1)
+    i5 = sys2.position_root(5)
     # the printed entries cover (1,6); (1,5) has one printed factor, others default
     with pytest.raises(MissingSignError):
         for i, j in ((i1, i5), (i5, i1)):
@@ -151,7 +150,7 @@ def test_torus_reflection_shift():
     sys2 = g2()
     nu = TAdicValuation()
     phi = PhiAssignment("G", sys2, nu, twisted_class=1)
-    alpha = sys2.position_root(1).idx
+    alpha = sys2.position_root(1)
     u = f.monomial(QuadExt(1), 1)
     g = f.monomial(QuadExt(2), 2)
     image, gp = m_sigma_conj("G", sys2, alpha, u, alpha, g)
@@ -166,7 +165,7 @@ def test_double_reflection_positive_shift():
     f = hahn(3)
     sys2 = g2()
     phi = PhiAssignment("G", sys2, TAdicValuation(), twisted_class=1)
-    alpha = sys2.position_root(1).idx
+    alpha = sys2.position_root(1)
     u = f.monomial(QuadExt(3), 1)
     w = f.one()
     gs = [f.monomial(QuadExt(k), 1) for k in (-1, 0, 2)]
@@ -201,20 +200,11 @@ def rand_monomial(f, rng):
     return f.monomial(f.unlat((rng.randint(-3, 3), rng.randint(-1, 1))), rng.randrange(1, f.q))
 
 
-def interval_pairs(system):
-    return [
-        (i, j)
-        for i in range(system.count)
-        for j in range(system.count)
-        if i != j and system.angle_deg(i, j) != 180 and system.interval(i, j)
-    ]
-
-
 def resolve(case, f, nu, rng, npairs, nsamples):
     def sample_pairs(i, j):
         return [(rand_monomial(f, rng), rand_monomial(f, rng)) for _ in range(nsamples)]
 
-    return resolve_assignment(case, nu, sample_pairs, interval_pairs(ambient_system(case))[:npairs])
+    return resolve_assignment(case, nu, sample_pairs, ambient_system(case).interval_pairs()[:npairs])
 
 
 def test_both_assignments_pass_containment():
