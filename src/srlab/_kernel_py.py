@@ -83,12 +83,6 @@ def q_inv(x: tuple[int, int, int], p: int) -> tuple[int, int, int]:
     return q_make(d * a, -d * b, a * a - p * b * b)
 
 
-def q_mul_sqrtp(x: tuple[int, int, int], p: int) -> tuple[int, int, int]:
-    """Multiply by sqrt(p): (a + b sqrt p) sqrt p = p b + a sqrt p."""
-    a, b, d = x
-    return q_make(p * b, a, d)
-
-
 def irr_sign(a: int, b: int, p: int) -> int:
     """Exact sign of a + b*sqrt(p) for integers a, b."""
     if a == 0 and b == 0:
@@ -197,18 +191,6 @@ def ser_add(ta: dict, tb: dict, q: int, addf: list, bound, p: int) -> dict:
 
 def ser_neg(terms: dict, negf: list) -> dict:
     return {key: negf[c] for key, c in terms.items()}
-
-
-def ser_scale(terms: dict, c: int, q: int, mulf: list) -> dict:
-    """Multiply every coefficient by the field element with index c."""
-    if c == 0:
-        return {}
-    out = {}
-    for key, x in terms.items():
-        y = mulf[x * q + c]
-        if y:
-            out[key] = y
-    return out
 
 
 def ser_mul(ta: dict, tb: dict, q: int, addf: list, mulf: list, bound, p: int) -> dict:

@@ -31,10 +31,14 @@ _CONFIG_KEYS = {
     "field.precision",
     "field.support_cap",
 }
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments are skipped."""
+    """Flat key=value lines; blank lines and # comments are skipped.
+
+    Each key may appear once, and `timings` must be a boolean word.
+    """
     out: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -51,7 +55,14 @@ def parse_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = value.strip()
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice")
+        value = value.strip()
+        if key == "timings" and value.lower() not in _BOOLS:
+            raise ConfigError(
+                f"{path}:{lineno}: timings must be one of {', '.join(_BOOLS)}, got {value!r}"
+            )
+        out[key] = value
     return out
 
 
@@ -127,7 +138,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not suites and "suites" in file_cfg:
         suites = [s.strip() for s in file_cfg["suites"].split(",") if s.strip()]
     jobs = _count_opt(args.jobs, file_cfg, "jobs", 1)
-    timings = args.timings or file_cfg.get("timings", "").lower() in ("1", "true", "yes")
+    timings = args.timings or _BOOLS[file_cfg.get("timings", "0").lower()]
     out_path = args.out or file_cfg.get("out")
     cfg = RunConfig(
         case=case,
@@ -166,6 +177,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     m = {3: 1, 27: 3, 243: 5}.get(q)
     if m is None:
         raise ConfigError(f"q must be 3, 27 or 243, got {q}")
+    if args.max_order < 1:
+        raise ConfigError(f"max-order must be at least 1, got {args.max_order}")
     field = TitsField(FieldCfg(char=3, mode="finite", m=m))
     stats = enumerate_group(field, max_order=args.max_order)
     payload = {

@@ -35,9 +35,5 @@ class UnsupportedAngleError(SrlabError):
     """Raised when a commutator is requested for an angle the case lacks."""
 
 
-class MissingSignError(SrlabError):
-    """Raised when a reflection-conjugation sign entry is not available."""
-
-
 class ResourceBoundError(SrlabError):
     """Raised when an enumeration or expansion exceeds its configured bound."""

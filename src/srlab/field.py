@@ -239,9 +239,7 @@ class FieldCfg:
     m: int = 1
     denom: int = 2
     precision: int = 40
-    modulus: tuple[int, ...] | None = None
     support_cap: int = 64
-    inv_headroom: int | None = None
 
 
 def _lmin(a: Lat | None, b: Lat | None, p: int) -> Lat | None:
@@ -273,16 +271,12 @@ class TitsField:
         if cfg.support_cap < 8:
             raise ConfigError("support cap must be at least 8")
         self.cfg = cfg
-        self.coeff = CoeffField(cfg.char, cfg.m, cfg.modulus)
+        self.coeff = CoeffField(cfg.char, cfg.m)
         self.p = cfg.char
         self.q = self.coeff.q
         self.D = cfg.denom
         self.mode = cfg.mode
         self.prec_lat: Lat = (cfg.precision * cfg.denom, 0)
-        headroom = cfg.precision if cfg.inv_headroom is None else cfg.inv_headroom
-        if headroom <= 0:
-            raise ConfigError("inversion headroom must be positive")
-        self.headroom_lat: Lat = (headroom * cfg.denom, 0)
 
     # --- factories ---
 
@@ -563,7 +557,7 @@ class FieldElem:
                 continue
             neg_x[_ladd(key, _lneg(g))] = f.coeff.neg(f.coeff.mul(coef, cinv))
         if self.prec is None:
-            rel = f.headroom_lat
+            rel = f.prec_lat
         else:
             rel = _ladd(self.prec, _lneg(g))
         cap = f.cfg.support_cap

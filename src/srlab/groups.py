@@ -11,7 +11,6 @@ trivial, so the formulas read the same in both characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConfigError
 from .field import FieldElem, TitsField
@@ -151,10 +150,6 @@ class TElem:
         """N = r^(th+1) s^th - r t^th - r^(th+3) s - r^2 s^2 + s^(th+1) + t^2 - r^(2th+4)."""
         return self._norm(self._shared())
 
-    def uv_pair(self) -> tuple[FieldElem, FieldElem]:
-        """The pair (u, v) entering the inverting map."""
-        return self._uv(self._shared())
-
     def omega(self) -> "TElem":
         """The inverting involution a -> (-v/N, -u/N, -t/N)."""
         shared = self._shared()
@@ -201,12 +196,3 @@ def h_action_T(h: TElem, x: TElem) -> TElem:
         n.twisted_pow(-1, 1) * x.s,
         n * x.t,
     )
-
-
-def norm_val_constants(case: str) -> list[QuadExt]:
-    """The positive scalars weighting component valuations in the norm bound."""
-    if case == "G":
-        return [QuadExt(4, 2, 3), QuadExt(1, 1, 3), QuadExt(2)]
-    if case in ("B", "F"):
-        return [QuadExt(2, 1, 2), QuadExt(0, 1, 2)]
-    raise ConfigError(f"unknown case {case!r}")

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 from .errors import ConfigError, ResourceBoundError
 from .field import TitsField
 from .groups import TElem
+from .report import CheckResult
 from .samplers import finite_elems_t
-from .valuation import CheckResult
 
 Point = TElem | None  # None is the point at infinity
 

@@ -1,4 +1,4 @@
-"""Deterministic JSON rendering for suite runs.
+"""Check outcomes and deterministic JSON rendering for suite runs.
 
 Reports are plain dicts of JSON-safe values.  Keys are sorted at render
 time and timing data is kept out of the payload unless explicitly
@@ -8,8 +8,19 @@ requested, so two runs with the same seed produce identical bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 
-from .valuation import CheckResult
+
+@dataclass
+class CheckResult:
+    """Outcome of one check: pass/fail, a reason, and its witness data."""
+
+    ok: bool
+    detail: str = ""
+    data: dict = field(default_factory=dict)
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 def check_entry(name: str, result: CheckResult | bool) -> dict:

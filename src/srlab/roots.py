@@ -350,14 +350,6 @@ class FoldedSystem:
     def multiplicity(self, idx: int) -> int:
         return self.multiplicities[idx % self.count]
 
-    def length_class(self, idx: int) -> int:
-        """0 for doubled rays, 1 for quadrupled rays (single class when equal)."""
-        mults = sorted(set(self.multiplicities))
-        return mults.index(self.multiplicity(idx))
-
-    def negate_idx(self, idx: int) -> int:
-        return (idx + self.count // 2) % self.count
-
     def reflect_idx(self, mirror: int, idx: int) -> int:
         return (2 * mirror + self.count // 2 - idx) % self.count
 

@@ -136,23 +136,6 @@ class QuadExt:
     def inv(self) -> "QuadExt":
         return QuadExt._raw(kernel.q_inv(self.triple, self.p or 0), self.p)
 
-    def scale_sqrtp(self, p: int | None = None) -> "QuadExt":
-        """Multiply by sqrt(p); p may be omitted when the value already has one."""
-        rad = self.p if p is None else p
-        if rad not in _ALLOWED_RADICANDS:
-            raise ValueError("scale_sqrtp needs a radicand for rational values")
-        if self.p is not None and self.p != rad:
-            raise RadicandMismatchError(
-                f"cannot scale sqrt({self.p}) value by sqrt({rad})"
-            )
-        return QuadExt._raw(kernel.q_mul_sqrtp(self.triple, rad), rad)
-
-    def div_sqrtp(self, p: int | None = None) -> "QuadExt":
-        rad = self.p if p is None else p
-        if rad not in _ALLOWED_RADICANDS:
-            raise ValueError("div_sqrtp needs a radicand for rational values")
-        return self.scale_sqrtp(rad) / rad
-
     def sign(self) -> int:
         if self.b == 0:
             return (self.a > 0) - (self.a < 0)
@@ -313,9 +296,6 @@ class ExtVal:
         if self.q is None:
             return INFINITY
         return ExtVal(self.q * c)
-
-    def min_with(self, other: "ExtVal") -> "ExtVal":
-        return self if self <= other else other
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (QuadExt, int, Fraction, str)):

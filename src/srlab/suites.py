@@ -28,7 +28,7 @@ from .groups import (
     val_norm_exact_T,
 )
 from .moufang import enumerate_group, rho_identity_check, rho_scalar_check
-from .report import check_entry
+from .report import CheckResult, check_entry
 from .roots import FoldedSystem, get_system
 from .samplers import (
     finite_elems_s,
@@ -45,7 +45,6 @@ from .samplers import (
 )
 from .scalar import INFINITY, ExtVal, QuadExt, ext_min, parse_quad
 from .valuation import (
-    CheckResult,
     LatticeOrderValuation,
     PhiAssignment,
     TAdicValuation,
@@ -141,7 +140,7 @@ def _suite_scalars(cfg: RunConfig, rng: random.Random) -> dict:
             if (a + b).is_infinite != (a.is_infinite or b.is_infinite):
                 ok_ext = False
     checks.append(check_entry("extended-min-and-infinity", ok_ext))
-    return {"checks": checks, "ok": all(c["ok"] for c in checks)}
+    return {"checks": checks}
 
 
 # --- roots ---
@@ -213,7 +212,7 @@ def _suite_roots(cfg: RunConfig, rng: random.Random) -> dict:
     f4 = get_system("F4")
     per_class = [sum(1 for i in range(48) if f4.length_class(i) == c) for c in (0, 1)]
     checks.append(check_entry("F4-root-counts", per_class == [24, 24]))
-    return {"checks": checks, "ok": all(c["ok"] for c in checks)}
+    return {"checks": checks}
 
 
 # --- folding ---
@@ -253,7 +252,6 @@ def _suite_folding(cfg: RunConfig, rng: random.Random) -> dict:
     checks.append(check_entry("folded-reflections-involutive", ok_refl))
     return {
         "checks": checks,
-        "ok": all(c["ok"] for c in checks),
         "stats": {"direction_counts": counts},
         "timing": {"fold_seconds": round(elapsed, 4)},
     }
@@ -307,7 +305,7 @@ def _suite_field(cfg: RunConfig, rng: random.Random) -> dict:
         checks.append(check_entry(f"{tag}-twist-ring-map", ok_theta))
         checks.append(check_entry(f"{tag}-valuation-additive", ok_val))
         checks.append(check_entry(f"{tag}-parse-roundtrip", ok_parse))
-    return {"checks": checks, "ok": all(c["ok"] for c in checks)}
+    return {"checks": checks}
 
 
 # --- groups ---
@@ -383,7 +381,6 @@ def _suite_groups(cfg: RunConfig, rng: random.Random) -> dict:
 
     return {
         "checks": checks,
-        "ok": all(c["ok"] for c in checks),
         "stats": stats,
         "timing": timing,
     }
@@ -447,7 +444,7 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random) -> dict:
     checks.append(check_entry("S-norm-level-ultrametric", ok))
     stats["ultrametric_pairs"] = n_pairs
 
-    return {"checks": checks, "ok": all(c["ok"] for c in checks), "stats": stats}
+    return {"checks": checks, "stats": stats}
 
 
 # --- valuation axioms ---
@@ -551,7 +548,7 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
     res = check_rho_invariance(skew, params)
     checks.append(check_entry("G-flip-breaks-for-skew-order", not res.ok))
 
-    return {"checks": checks, "ok": all(c["ok"] for c in checks), "stats": stats}
+    return {"checks": checks, "stats": stats}
 
 
 # --- embedding ---
@@ -610,7 +607,7 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random) -> dict:
             break
     checks.append(check_entry("B-word-checks-hahn", ok))
 
-    return {"checks": checks, "ok": all(c["ok"] for c in checks), "stats": stats}
+    return {"checks": checks, "stats": stats}
 
 
 # --- moufang ---
@@ -703,7 +700,6 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random) -> dict:
 
     return {
         "checks": checks,
-        "ok": all(c["ok"] for c in checks),
         "stats": stats,
         "timing": timing,
     }
@@ -728,6 +724,7 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
     rng = random.Random(suite_seed(cfg.seed, name))
     t0 = time.perf_counter()
     payload = _SUITES[name](cfg, rng)
+    payload["ok"] = all(c["ok"] for c in payload["checks"])
     payload["seconds"] = round(time.perf_counter() - t0, 3)
     return payload
 

@@ -3,9 +3,10 @@
 The commutator of two root-group elements is supported on the roots between
 them; each factor's parameter is s^E(p) t^E(q) where (p, q) are the exact
 unit coefficients of the interval root and E maps 1, 2, sqrt(char) to the
-exponents 1, 2, theta.  Coefficient pairs outside that pattern belong to
-factors annihilated by the characteristic, so the same rule serves both the
-doubled systems (characteristic 2) and the hexagonal one (characteristic 3).
+exponents 1, 2, theta, negated where the printed hexagonal relations say so.
+Coefficient pairs outside that pattern belong to factors annihilated by the
+characteristic, so the same rule serves both the doubled systems
+(characteristic 2) and the hexagonal one (characteristic 3).
 
 On top of the word machinery sit the valuation maps phi: each root group is
 measured either directly by the field valuation or through the twisting
@@ -18,19 +19,20 @@ the same valuation of the root datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import (
     ConfigError,
     InsufficientPrecisionError,
-    MissingSignError,
     ResourceBoundError,
     UnsupportedAngleError,
 )
 from .field import FieldElem, TitsField
 from .groups import SElem, TElem
+from .report import CheckResult
 from .roots import Rank2System, RootSystem, get_system
 from .scalar import INFINITY, ExtVal, QuadExt, ext_min
 
@@ -56,68 +58,23 @@ def case_char(case: str) -> int:
 # --- commutator machinery ---
 
 
-class SignTable:
-    """Signs for commutator factors and reflection conjugation, case G.
-
-    Entries are keyed by root indices; a missing entry falls back to the
-    default sign, or raises when the table is strict.  Unforced lookups
-    (those that used the default) are recorded so reports can flag them.
-    """
-
-    def __init__(
-        self,
-        comm: dict[tuple[int, int, int], int] | None = None,
-        refl: dict[tuple[int, int], int] | None = None,
-        default: int | None = 1,
-    ) -> None:
-        self.comm = comm or {}
-        self.refl = refl or {}
-        self.default = default
-        self.unforced: set[tuple] = set()
-
-    def comm_sign(self, i: int, j: int, k: int) -> int:
-        s = self.comm.get((i, j, k))
-        if s is not None:
-            return s
-        if self.default is None:
-            raise MissingSignError(f"no commutator sign for roots ({i}, {j}, {k})")
-        self.unforced.add(("comm", i, j, k))
-        return self.default
-
-    def refl_sign(self, mirror: int, idx: int) -> int:
-        s = self.refl.get((mirror, idx))
-        if s is not None:
-            return s
-        if self.default is None:
-            raise MissingSignError(f"no reflection sign for roots ({mirror}, {idx})")
-        self.unforced.add(("refl", mirror, idx))
-        return self.default
+# printed relations on word positions 1..6 of the hexagonal system, stated
+# for the pair orientations (1,6), (1,5), (2,6); every other factor keeps +1
+_G2_PRINTED_SIGNS = {
+    (1, 6, 2): -1,
+    (1, 6, 3): -1,
+    (1, 6, 4): 1,
+    (1, 6, 5): 1,
+    (1, 5, 3): -1,
+    (2, 6, 4): 1,
+}
 
 
-def _hexagon_comm_signs() -> dict[tuple[int, int, int], int]:
-    # printed relations on word positions 1..6 of the hexagonal system,
-    # stated for the pair orientations (1,6), (1,5), (2,6)
-    g2 = get_system("G2")
-    assert isinstance(g2, Rank2System)
-    pos = {j: g2.position_root(j) for j in range(1, 7)}
-    table: dict[tuple[int, int, int], int] = {}
-    table[(pos[1], pos[6], pos[2])] = -1
-    table[(pos[1], pos[6], pos[3])] = -1
-    table[(pos[1], pos[6], pos[4])] = 1
-    table[(pos[1], pos[6], pos[5])] = 1
-    table[(pos[1], pos[5], pos[3])] = -1
-    table[(pos[2], pos[6], pos[4])] = 1
-    return table
-
-
-def default_signs(case: str, strict: bool = False) -> SignTable:
-    """Sign data for a case; strict tables refuse unforced lookups."""
-    if case_char(case) == 2:
-        return SignTable(default=1)
-    return SignTable(
-        comm=_hexagon_comm_signs(),
-        default=None if strict else 1,
-    )
+@functools.cache
+def _g2_comm_signs() -> dict[tuple[int, int, int], int]:
+    """The printed signs keyed by root indices (i, j, k), built on first use."""
+    pos = get_system("G2").position_root
+    return {(pos(a), pos(b), pos(c)): sign for (a, b, c), sign in _G2_PRINTED_SIGNS.items()}
 
 
 # interval coefficient -> twisted exponent (m, n): 1, 2, sqrt(p) -> 1, 2, theta
@@ -133,7 +90,6 @@ def commutator_factors(
     s: FieldElem,
     j: int,
     t: FieldElem,
-    signs: SignTable | None = None,
 ) -> list[tuple[int, FieldElem]]:
     """Factors of [x_i(s), x_j(t)] on the roots between i and j.
 
@@ -145,8 +101,7 @@ def commutator_factors(
         raise ConfigError(f"case {case} needs characteristic {p}")
     if system.angle_deg(i, j) == 180:
         raise UnsupportedAngleError("opposite root groups have no interval relation")
-    if signs is None:
-        signs = default_signs(case)
+    signs = _g2_comm_signs() if p == 3 else {}
     out: list[tuple[int, FieldElem]] = []
     for k, pc, qc in system.interval(i, j):
         ws = _WEIGHT_EXP[p].get(pc)
@@ -154,7 +109,7 @@ def commutator_factors(
         if ws is None or wt is None:
             continue
         param = s.twisted_pow(*ws) * t.twisted_pow(*wt)
-        if p == 3 and signs.comm_sign(i, j, k) < 0:
+        if signs.get((i, j, k), 1) < 0:
             param = -param
         out.append((k, param))
     return out
@@ -169,7 +124,6 @@ def collect(
     case: str,
     system: Rank2System,
     factors: Sequence[tuple[int, FieldElem]],
-    signs: SignTable | None = None,
     fuel: int = 200000,
 ) -> WordFactors:
     """Normal form of a word given as (position, parameter) factors.
@@ -199,7 +153,7 @@ def collect(
             elif pi > pj:
                 ri = system.position_root(pi)
                 rj = system.position_root(pj)
-                comm = commutator_factors(case, system, rj, tj, ri, si, signs)
+                comm = commutator_factors(case, system, rj, tj, ri, si)
                 tail: WordFactors = []
                 for k, c in comm:
                     neg = -c
@@ -257,23 +211,6 @@ def torus_conj(
     return beta, u.twisted_pow(*exps) * t
 
 
-def m_conj(
-    case: str,
-    system: RootSystem,
-    alpha: int,
-    beta: int,
-    t: FieldElem,
-    signs: SignTable | None = None,
-) -> tuple[int, FieldElem]:
-    """Conjugate x_beta(t) by the standard reflection element at alpha."""
-    if signs is None:
-        signs = default_signs(case)
-    image = system.reflect_idx(alpha, beta)
-    if case_char(case) == 3 and signs.refl_sign(alpha, beta) < 0:
-        t = -t
-    return image, t
-
-
 def m_sigma_conj(
     case: str,
     system: RootSystem,
@@ -281,13 +218,14 @@ def m_sigma_conj(
     u: FieldElem,
     beta: int,
     t: FieldElem,
-    signs: SignTable | None = None,
 ) -> tuple[int, FieldElem]:
-    """Conjugate x_beta(t) by m(x_alpha(u)): torus scaling, then reflection."""
+    """Conjugate x_beta(t) by m(x_alpha(u)): torus scaling, then the standard
+    reflection element at alpha, which reflects the root and keeps the
+    parameter."""
     if not u.is_nonzero():
         raise ConfigError("reflection element needs a nonzero parameter")
     beta1, t1 = torus_conj(case, system, alpha, u, beta, t)
-    return m_conj(case, system, alpha, beta1, t1, signs)
+    return system.reflect_idx(alpha, beta1), t1
 
 
 # --- valuations of the field and of root data ---
@@ -357,16 +295,6 @@ class PhiAssignment:
         return self.nu.of(param)
 
 
-@dataclass
-class CheckResult:
-    ok: bool
-    detail: str = ""
-    data: dict = dc_field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def check_v1(
     phi: PhiAssignment, root_idx: int, pairs: Sequence[tuple[FieldElem, FieldElem]]
 ) -> CheckResult:
@@ -390,7 +318,6 @@ def check_v2_pair(
     i: int,
     j: int,
     samples: Sequence[tuple[FieldElem, FieldElem]],
-    signs: SignTable | None = None,
 ) -> CheckResult:
     """Containment bound: each commutator factor on gamma = p*i + q*j has
     phi value at least p*phi_i(s) + q*phi_j(t)."""
@@ -399,7 +326,7 @@ def check_v2_pair(
     for s, t in samples:
         base_i = phi.phi(i, s)
         base_j = phi.phi(j, t)
-        for k, c in commutator_factors(phi.case, system, i, s, j, t, signs):
+        for k, c in commutator_factors(phi.case, system, i, s, j, t):
             pc, qc = coeffs[k]
             bound = base_i.scale(pc) + base_j.scale(qc)
             if phi.phi(k, c) < bound:
@@ -417,14 +344,13 @@ def check_v3(
     beta: int,
     u: FieldElem,
     g_params: Sequence[FieldElem],
-    signs: SignTable | None = None,
 ) -> CheckResult:
     """Conjugation by m(x_alpha(u)) shifts phi_beta by a constant independent
     of the conjugated element; at beta == alpha the constant is -2 phi_alpha(u)."""
     system = phi.system
     const: ExtVal | None = None
     for g in g_params:
-        image, gp = m_sigma_conj(phi.case, system, alpha, u, beta, g, signs)
+        image, gp = m_sigma_conj(phi.case, system, alpha, u, beta, g)
         before = phi.phi(beta, g)
         after = phi.phi(image, gp)
         diff = after - before
@@ -453,7 +379,6 @@ def check_double_reflection(
     u: FieldElem,
     w: FieldElem,
     g_params: Sequence[FieldElem],
-    signs: SignTable | None = None,
 ) -> CheckResult:
     """Conjugating by m(x_alpha(w)) with phi_alpha(w) = 0 and then by
     m(x_alpha(u)) raises phi_alpha by exactly 2 phi_alpha(u)."""
@@ -462,8 +387,8 @@ def check_double_reflection(
         raise ConfigError("base reflection parameter must have phi = 0")
     expected = ExtVal(phi.phi(alpha, u).finite * QuadExt(2))
     for g in g_params:
-        mid_root, mid = m_sigma_conj(phi.case, system, alpha, w, alpha, g, signs)
-        end_root, end = m_sigma_conj(phi.case, system, alpha, u, mid_root, mid, signs)
+        mid_root, mid = m_sigma_conj(phi.case, system, alpha, w, alpha, g)
+        end_root, end = m_sigma_conj(phi.case, system, alpha, u, mid_root, mid)
         if end_root != alpha:
             return CheckResult(False, "double reflection moved the root")
         if phi.phi(end_root, end) - phi.phi(alpha, g) != expected:
@@ -498,7 +423,6 @@ def check_rho_invariance(
 @dataclass
 class AssignmentResolution:
     passes: dict[int, bool]
-    details: dict[int, str]
     chosen: int | None
 
     @property
@@ -515,25 +439,13 @@ def resolve_assignment(
     """Run the containment bound under both class-to-rule assignments."""
     system = ambient_system(case)
     passes: dict[int, bool] = {}
-    details: dict[int, str] = {}
     for twisted_class in (0, 1):
         phi = PhiAssignment(case, system, nu, twisted_class)
-        ok = True
-        detail = ""
-        for i, j in pair_list:
-            res = check_v2_pair(phi, i, j, sample_pairs(i, j))
-            if not res:
-                ok = False
-                detail = res.detail
-                break
-        passes[twisted_class] = ok
-        details[twisted_class] = detail
-    chosen = None
-    for tc, ok in passes.items():
-        if ok:
-            chosen = tc
-            break
-    return AssignmentResolution(passes, details, chosen)
+        passes[twisted_class] = all(
+            check_v2_pair(phi, i, j, sample_pairs(i, j)) for i, j in pair_list
+        )
+    chosen = next((tc for tc, ok in passes.items() if ok), None)
+    return AssignmentResolution(passes, chosen)
 
 
 def check_unique_valuation(

@@ -102,6 +102,36 @@ def test_config_file_rejects_unknown_key(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+def test_config_file_rejects_non_boolean_timings(tmp_path):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("suites = scalars\nsamples = 5\ntimings = ture\n")
+    with pytest.raises(ConfigError, match="t.cfg:3"):
+        parse_config_file(str(cfg))
+    out = tmp_path / "x.json"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    for word, attached in (("Yes", True), ("0", False)):
+        cfg.write_text(f"suites = scalars\nsamples = 5\ntimings = {word}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert ("timings" in json.loads(out.read_text())) is attached
+
+
+def test_config_file_rejects_repeated_key(tmp_path):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("suites = scalars\nseed = 3\n# again\nseed = 4\n")
+    with pytest.raises(ConfigError, match="r.cfg:4: .*given twice"):
+        parse_config_file(str(cfg))
+    out = tmp_path / "x.json"
+    assert main(["run", "--config", str(cfg), "--samples", "5", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_enumerate_max_order_below_one_exits_two(tmp_path):
+    out = tmp_path / "enum.json"
+    assert main(["enumerate", "--q", "3", "--max-order", "-5", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_bad_values_exit_two(tmp_path):
     out = tmp_path / "x.json"
     assert main(["run", "--jobs", "0", "--out", str(out)]) == 2

@@ -9,7 +9,6 @@ from srlab.groups import (
     TElem,
     h_action_S,
     h_action_T,
-    norm_val_constants,
     val_norm_exact_S,
     val_norm_exact_T,
 )
@@ -145,13 +144,6 @@ def test_norm_val_formula_s():
     # min((2 + sqrt2)*1, sqrt2*3) = 2 + sqrt2
     assert val_norm_exact_S(a) == ExtVal.of(QuadExt(2, 1, 2))
     assert a.norm().val() == val_norm_exact_S(a)
-
-
-def test_norm_val_constants_shape():
-    cb = norm_val_constants("B")
-    cg = norm_val_constants("G")
-    assert cb == [QuadExt(2, 1, 2), QuadExt(0, 1, 2)]
-    assert cg == [QuadExt(4, 2, 3), QuadExt(1, 1, 3), QuadExt(2)]
 
 
 def test_h_action_automorphism_finite():

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from srlab.errors import MissingSignError, UnsupportedAngleError
+from srlab.errors import UnsupportedAngleError
 from srlab.field import FieldCfg, TitsField
 from srlab.groups import TElem
 from srlab.scalar import ExtVal, QuadExt
@@ -22,7 +23,6 @@ from srlab.valuation import (
     check_v3,
     collect,
     commutator_factors,
-    default_signs,
     embedding_word,
     m_sigma_conj,
     moufang_phi,
@@ -86,6 +86,79 @@ def test_hexagon_full_relation():
     assert words_agree(got, want)
 
 
+# Factors of [x_i(s), x_j(t)] in G2 for s = t^1 and t = t^(1/2), every
+# ordered pair of roots that are neither equal nor opposite; pairs not listed
+# commute.  Each parameter is s^E(p) t^E(q) up to the printed signs, which
+# show as the coefficient 2 = -1 on the pairs (10, 2) and (10, 3), that is
+# word positions (1, 5) and (1, 6).
+_G2_COMMUTATORS = {
+    (0, 4): [(2, '1*t^(3/2)')],
+    (0, 5): [(1, '1*t^(1/2+1r3)'), (2, '1*t^(2+1/2r3)'), (3, '1*t^(1+1r3)'), (4, '1*t^(1+1/2r3)')],
+    (0, 7): [(11, '1*t^(1/2+1r3)'), (10, '1*t^(2+1/2r3)'), (9, '1*t^(1+1r3)'), (8, '1*t^(1+1/2r3)')],
+    (0, 8): [(10, '1*t^(3/2)')],
+    (1, 5): [(3, '1*t^(3/2)')],
+    (1, 6): [(2, '1*t^(1/2+1r3)'), (3, '1*t^(2+1/2r3)'), (4, '1*t^(1+1r3)'), (5, '1*t^(1+1/2r3)')],
+    (1, 8): [(0, '1*t^(1/2+1r3)'), (11, '1*t^(2+1/2r3)'), (10, '1*t^(1+1r3)'), (9, '1*t^(1+1/2r3)')],
+    (1, 9): [(11, '1*t^(3/2)')],
+    (2, 6): [(4, '1*t^(3/2)')],
+    (2, 7): [(3, '1*t^(1/2+1r3)'), (4, '1*t^(2+1/2r3)'), (5, '1*t^(1+1r3)'), (6, '1*t^(1+1/2r3)')],
+    (2, 9): [(1, '1*t^(1/2+1r3)'), (0, '1*t^(2+1/2r3)'), (11, '1*t^(1+1r3)'), (10, '1*t^(1+1/2r3)')],
+    (2, 10): [(0, '1*t^(3/2)')],
+    (3, 7): [(5, '1*t^(3/2)')],
+    (3, 8): [(4, '1*t^(1/2+1r3)'), (5, '1*t^(2+1/2r3)'), (6, '1*t^(1+1r3)'), (7, '1*t^(1+1/2r3)')],
+    (3, 10): [(2, '1*t^(1/2+1r3)'), (1, '1*t^(2+1/2r3)'), (0, '1*t^(1+1r3)'), (11, '1*t^(1+1/2r3)')],
+    (3, 11): [(1, '1*t^(3/2)')],
+    (4, 0): [(2, '1*t^(3/2)')],
+    (4, 8): [(6, '1*t^(3/2)')],
+    (4, 9): [(5, '1*t^(1/2+1r3)'), (6, '1*t^(2+1/2r3)'), (7, '1*t^(1+1r3)'), (8, '1*t^(1+1/2r3)')],
+    (4, 11): [(3, '1*t^(1/2+1r3)'), (2, '1*t^(2+1/2r3)'), (1, '1*t^(1+1r3)'), (0, '1*t^(1+1/2r3)')],
+    (5, 0): [(4, '1*t^(1/2+1r3)'), (3, '1*t^(2+1/2r3)'), (2, '1*t^(1+1r3)'), (1, '1*t^(1+1/2r3)')],
+    (5, 1): [(3, '1*t^(3/2)')],
+    (5, 9): [(7, '1*t^(3/2)')],
+    (5, 10): [(6, '1*t^(1/2+1r3)'), (7, '1*t^(2+1/2r3)'), (8, '1*t^(1+1r3)'), (9, '1*t^(1+1/2r3)')],
+    (6, 1): [(5, '1*t^(1/2+1r3)'), (4, '1*t^(2+1/2r3)'), (3, '1*t^(1+1r3)'), (2, '1*t^(1+1/2r3)')],
+    (6, 2): [(4, '1*t^(3/2)')],
+    (6, 10): [(8, '1*t^(3/2)')],
+    (6, 11): [(7, '1*t^(1/2+1r3)'), (8, '1*t^(2+1/2r3)'), (9, '1*t^(1+1r3)'), (10, '1*t^(1+1/2r3)')],
+    (7, 0): [(8, '1*t^(1/2+1r3)'), (9, '1*t^(2+1/2r3)'), (10, '1*t^(1+1r3)'), (11, '1*t^(1+1/2r3)')],
+    (7, 2): [(6, '1*t^(1/2+1r3)'), (5, '1*t^(2+1/2r3)'), (4, '1*t^(1+1r3)'), (3, '1*t^(1+1/2r3)')],
+    (7, 3): [(5, '1*t^(3/2)')],
+    (7, 11): [(9, '1*t^(3/2)')],
+    (8, 0): [(10, '1*t^(3/2)')],
+    (8, 1): [(9, '1*t^(1/2+1r3)'), (10, '1*t^(2+1/2r3)'), (11, '1*t^(1+1r3)'), (0, '1*t^(1+1/2r3)')],
+    (8, 3): [(7, '1*t^(1/2+1r3)'), (6, '1*t^(2+1/2r3)'), (5, '1*t^(1+1r3)'), (4, '1*t^(1+1/2r3)')],
+    (8, 4): [(6, '1*t^(3/2)')],
+    (9, 1): [(11, '1*t^(3/2)')],
+    (9, 2): [(10, '1*t^(1/2+1r3)'), (11, '1*t^(2+1/2r3)'), (0, '1*t^(1+1r3)'), (1, '1*t^(1+1/2r3)')],
+    (9, 4): [(8, '1*t^(1/2+1r3)'), (7, '1*t^(2+1/2r3)'), (6, '1*t^(1+1r3)'), (5, '1*t^(1+1/2r3)')],
+    (9, 5): [(7, '1*t^(3/2)')],
+    (10, 2): [(0, '2*t^(3/2)')],
+    (10, 3): [(11, '2*t^(1/2+1r3)'), (0, '2*t^(2+1/2r3)'), (1, '1*t^(1+1r3)'), (2, '1*t^(1+1/2r3)')],
+    (10, 5): [(9, '1*t^(1/2+1r3)'), (8, '1*t^(2+1/2r3)'), (7, '1*t^(1+1r3)'), (6, '1*t^(1+1/2r3)')],
+    (10, 6): [(8, '1*t^(3/2)')],
+    (11, 3): [(1, '1*t^(3/2)')],
+    (11, 4): [(0, '1*t^(1/2+1r3)'), (1, '1*t^(2+1/2r3)'), (2, '1*t^(1+1r3)'), (3, '1*t^(1+1/2r3)')],
+    (11, 6): [(10, '1*t^(1/2+1r3)'), (9, '1*t^(2+1/2r3)'), (8, '1*t^(1+1r3)'), (7, '1*t^(1+1/2r3)')],
+    (11, 7): [(9, '1*t^(3/2)')],
+}
+
+
+def test_g2_commutator_signs_pinned():
+    f = hahn(3)
+    sys2 = g2()
+    s = f.monomial(QuadExt(1), 1)
+    t = f.monomial(QuadExt(Fraction(1, 2)), 1)
+    seen = 0
+    for i in range(sys2.count):
+        for j in range(sys2.count):
+            if i == j or sys2.angle_deg(i, j) == 180:
+                continue
+            seen += 1
+            got = [(k, c.emit()) for k, c in commutator_factors("G", sys2, i, s, j, t)]
+            assert got == _G2_COMMUTATORS.get((i, j), []), (i, j)
+    assert seen == 120
+
+
 def test_square_full_relation():
     f = hahn(2)
     sys4 = b2()
@@ -129,20 +202,6 @@ def test_collect_confluent_over_shuffles():
         alt = collect("G", sys2, got)
         assert words_agree(alt, got)
     assert words_agree(collect("G", sys2, base), base)
-
-
-def test_strict_signs_raise_on_unforced():
-    signs = default_signs("G", strict=True)
-    f = hahn(3)
-    sys2 = g2()
-    s = f.monomial(QuadExt(1), 1)
-    t = f.monomial(QuadExt(2), 1)
-    i1 = sys2.position_root(1)
-    i5 = sys2.position_root(5)
-    # the printed entries cover (1,6); (1,5) has one printed factor, others default
-    with pytest.raises(MissingSignError):
-        for i, j in ((i1, i5), (i5, i1)):
-            commutator_factors("G", sys2, i, s, j, t, signs)
 
 
 def test_torus_reflection_shift():
@@ -253,7 +312,7 @@ def test_unique_valuation_fails_when_survivors_differ():
 
 
 def test_unique_valuation_needs_a_survivor():
-    res = AssignmentResolution({0: False, 1: False}, {0: "", 1: ""}, None)
+    res = AssignmentResolution({0: False, 1: False}, None)
     check = check_unique_valuation("G", TAdicValuation(), res, [hahn(3).one()])
     assert not check.ok
     assert check.data["survivors"] == []
