@@ -31,13 +31,15 @@ _CONFIG_KEYS = {
     "field.precision",
     "field.support_cap",
 }
+_INT_KEYS = {"seed", "samples", "jobs", "field.denom", "field.precision", "field.support_cap"}
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments are skipped.
 
-    Each key may appear once, and `timings` must be a boolean word.
+    Each key may appear once, integer keys must hold integers and `timings`
+    must be a boolean word.
     """
     out: dict[str, str] = {}
     try:
@@ -58,6 +60,13 @@ def parse_config_file(path: str) -> dict[str, str]:
         if key in out:
             raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice")
         value = value.strip()
+        if key in _INT_KEYS:
+            try:
+                int(value)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{lineno}: {key} must be an integer, got {value!r}"
+                ) from None
         if key == "timings" and value.lower() not in _BOOLS:
             raise ConfigError(
                 f"{path}:{lineno}: timings must be one of {', '.join(_BOOLS)}, got {value!r}"

@@ -7,6 +7,11 @@ In hahn mode elements are finitely supported series sum c_i * t^{g_i} with
 exponents g_i in (1/D) Z[sqrt(p)] and coefficients in F_{p^m}; inexact
 elements carry an upper truncation exponent (their precision) and every
 operation propagates it honestly.
+
+Finite elements are interned per field: a finite TitsField builds its q
+elements once, as `elems`, and every factory and operation returns one of
+them by a table lookup, so finite arithmetic allocates nothing.  Elements of
+either mode are immutable and may be shared.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ _DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 _MAX_ORDER = 243
+
+# Marks a hahn element whose least support exponent is not computed yet.
+_UNSET = object()
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -277,12 +285,15 @@ class TitsField:
         self.D = cfg.denom
         self.mode = cfg.mode
         self.prec_lat: Lat = (cfg.precision * cfg.denom, 0)
+        self.elems: list[FieldElem] | None = (
+            [FieldElem(self, k=k) for k in range(self.q)] if self.mode == "finite" else None
+        )
 
     # --- factories ---
 
     def zero(self) -> "FieldElem":
-        if self.mode == "finite":
-            return FieldElem(self, k=0)
+        if self.elems is not None:
+            return self.elems[0]
         return FieldElem(self, terms={}, prec=None)
 
     def one(self) -> "FieldElem":
@@ -291,8 +302,8 @@ class TitsField:
     def from_coeff(self, k: int) -> "FieldElem":
         if not 0 <= k < self.q:
             raise ValueError(f"coefficient index out of range: {k}")
-        if self.mode == "finite":
-            return FieldElem(self, k=k)
+        if self.elems is not None:
+            return self.elems[k]
         return FieldElem(self, terms={(0, 0): k} if k else {}, prec=None)
 
     def lat(self, exp: QuadExt | Fraction | int) -> Lat:
@@ -323,8 +334,8 @@ class TitsField:
 
     def parse(self, text: str) -> "FieldElem":
         """Parse an element literal; hahn results are stamped with cfg.precision."""
-        if self.mode == "finite":
-            return FieldElem(self, k=self._parse_coeff(text.strip(), 0))
+        if self.elems is not None:
+            return self.elems[self._parse_coeff(text.strip(), 0)]
         s = text.strip()
         if not s:
             raise ParseError("empty element literal", 0)
@@ -415,7 +426,9 @@ class TitsField:
 class FieldElem:
     """An element of a TitsField in either mode."""
 
-    __slots__ = ("field", "k", "terms", "prec")
+    # _low caches the least support exponent of a hahn element (None when
+    # the support is empty); it is filled on first use.
+    __slots__ = ("field", "k", "terms", "prec", "_low")
 
     def __init__(
         self,
@@ -437,6 +450,7 @@ class FieldElem:
             self.k = None
             self.terms = terms
             self.prec = prec
+            self._low = _UNSET
 
     # --- helpers ---
 
@@ -444,9 +458,16 @@ class FieldElem:
         if self.field is not other.field:
             raise ValueError("elements belong to different fields")
 
+    def _min_exp(self) -> Lat | None:
+        """Least support exponent of a hahn element, None for empty support."""
+        low = self._low
+        if low is _UNSET:
+            low = self._low = kernel.ser_min(self.terms, self.field.p)
+        return low
+
     def _nu_low(self) -> Lat | None:
         """Least support exponent, falling back to the precision bound."""
-        m = kernel.ser_min(self.terms, self.field.p)
+        m = self._min_exp()
         return m if m is not None else self.prec
 
     def _capped(self, terms: dict[Lat, int], prec: Lat | None) -> "FieldElem":
@@ -461,28 +482,30 @@ class FieldElem:
     # --- arithmetic ---
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._require_same_field(other)
         f = self.field
-        if f.mode == "finite":
-            return FieldElem(f, k=f.coeff.add(self.k, other.k))
+        if other.field is not f:
+            raise ValueError("elements belong to different fields")
+        if f.elems is not None:
+            return f.elems[f.coeff.addf[self.k * f.q + other.k]]
         prec = _lmin(self.prec, other.prec, f.p)
         terms = kernel.ser_add(self.terms, other.terms, f.q, f.coeff.addf, prec, f.p)
         return self._capped(terms, prec)
 
     def __neg__(self) -> "FieldElem":
         f = self.field
-        if f.mode == "finite":
-            return FieldElem(f, k=f.coeff.neg(self.k))
+        if f.elems is not None:
+            return f.elems[f.coeff.negf[self.k]]
         return FieldElem(f, terms=kernel.ser_neg(self.terms, f.coeff.negf), prec=self.prec)
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         return self + (-other)
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._require_same_field(other)
         f = self.field
-        if f.mode == "finite":
-            return FieldElem(f, k=f.coeff.mul(self.k, other.k))
+        if other.field is not f:
+            raise ValueError("elements belong to different fields")
+        if f.elems is not None:
+            return f.elems[f.coeff.mulf[self.k * f.q + other.k]]
         prec = None
         if self.prec is not None:
             lo = other._nu_low()
@@ -498,7 +521,7 @@ class FieldElem:
         return self * other.inv()
 
     def __pow__(self, e: int) -> "FieldElem":
-        if self.field.mode == "finite":
+        if self.field.elems is not None:
             return self.twisted_pow(e, 0)
         if e == 0:
             return self.field.one()
@@ -513,8 +536,8 @@ class FieldElem:
     def theta(self) -> "FieldElem":
         """Apply the Tits endomorphism."""
         f = self.field
-        if f.mode == "finite":
-            return FieldElem(f, k=f.coeff.theta(self.k))
+        if f.elems is not None:
+            return f.elems[f.coeff.thetaf[self.k]]
         terms = kernel.ser_theta(self.terms, f.p, f.coeff.thetaf)
         prec = None if self.prec is None else (f.p * self.prec[1], self.prec[0])
         return FieldElem(f, terms=terms, prec=prec)
@@ -526,8 +549,8 @@ class FieldElem:
     def twisted_pow(self, em: int, en: int) -> "FieldElem":
         """Compute self^em * theta(self)^en for integer exponents."""
         f = self.field
-        if f.mode == "finite":
-            return FieldElem(f, k=f.coeff.twisted_pow(self.k, em, en))
+        if f.elems is not None:
+            return f.elems[f.coeff.twisted_pow(self.k, em, en)]
         if not en:
             return self**em
         twisted = self.theta() ** en
@@ -535,8 +558,8 @@ class FieldElem:
 
     def inv(self) -> "FieldElem":
         f = self.field
-        if f.mode == "finite":
-            return FieldElem(f, k=f.coeff.inv(self.k))
+        if f.elems is not None:
+            return f.elems[f.coeff.inv(self.k)]
         if not self.terms:
             if self.prec is None:
                 raise DivisionByZeroError("inverse of zero")
@@ -544,7 +567,7 @@ class FieldElem:
                 "cannot invert an element with empty certified support"
             )
         p, q = f.p, f.q
-        g = kernel.ser_min(self.terms, p)
+        g = self._min_exp()
         c = self.terms[g]
         cinv = f.coeff.inv(c)
         if len(self.terms) == 1:
@@ -605,7 +628,7 @@ class FieldElem:
         f = self.field
         if f.mode == "finite":
             return INFINITY if self.k == 0 else ExtVal.of(0)
-        m = kernel.ser_min(self.terms, f.p)
+        m = self._min_exp()
         if m is not None:
             return ExtVal(f.unlat(m))
         if self.prec is None:

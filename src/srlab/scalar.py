@@ -161,12 +161,6 @@ class QuadExt:
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.den, self.p))
 
-    def __float__(self) -> float:
-        # for display only; exact paths never round-trip through floats
-        if self.b == 0:
-            return self.a / self.den
-        return (self.a + self.b * float(self.p) ** 0.5) / self.den
-
     def __str__(self) -> str:
         ra = Fraction(self.a, self.den)
         if self.b == 0:

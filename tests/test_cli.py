@@ -126,6 +126,18 @@ def test_config_file_rejects_repeated_key(tmp_path):
     assert not out.exists()
 
 
+def test_config_file_rejects_non_integer_value(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    out = tmp_path / "x.json"
+    for key in ("seed", "samples", "jobs", "field.denom", "field.precision", "field.support_cap"):
+        cfg.write_text(f"suites = scalars\n{key} = x\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config_file(str(cfg))
+        assert str(err.value) == f"{cfg}:2: {key} must be an integer, got 'x'"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_enumerate_max_order_below_one_exits_two(tmp_path):
     out = tmp_path / "enum.json"
     assert main(["enumerate", "--q", "3", "--max-order", "-5", "--out", str(out)]) == 2

@@ -114,6 +114,48 @@ def test_theta_on_exponents():
     assert a.theta().theta().agrees(a.frob())
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 3), (3, 3), (3, 5)])
+def test_finite_results_are_interned(p, m):
+    f = finite(p, m)
+    cf, e = f.coeff, f.elems
+    assert len(e) == cf.q and all(x.k == k for k, x in enumerate(e))
+    assert f.zero() is e[0] and f.one() is e[1]
+    for x in range(cf.q):
+        a = f.from_coeff(x)
+        assert a is e[x]
+        assert f.parse(a.emit()) is a
+        assert -a is e[cf.negf[x]]
+        assert a.theta() is e[cf.thetaf[x]]
+        assert a.frob() is e[cf.frobf[x]]
+        assert a.twisted_pow(2, 1) is e[cf.twisted_pow(x, 2, 1)]
+        assert a**3 is e[cf.twisted_pow(x, 3, 0)]
+        if x:
+            assert a.inv() is e[cf.invf[x]]
+            assert a**-2 is e[cf.twisted_pow(x, -2, 0)]
+        for b in e:
+            y = b.k
+            assert a + b is e[cf.addf[x * cf.q + y]]
+            assert a - b is e[cf.addf[x * cf.q + cf.negf[y]]]
+            assert a * b is e[cf.mulf[x * cf.q + y]]
+            if y:
+                assert a / b is e[cf.mulf[x * cf.q + cf.invf[y]]]
+
+
+def test_distinct_fields_do_not_mix():
+    f, g = finite(3, 3), finite(3, 3)
+    a, b = f.from_coeff(5), g.from_coeff(5)
+    for op in (
+        lambda: a + b,
+        lambda: a - b,
+        lambda: a * b,
+        lambda: a / b,
+        lambda: a.agrees(b),
+    ):
+        with pytest.raises(ValueError, match="different fields"):
+            op()
+    assert hahn().elems is None
+
+
 def test_twisted_pow():
     f = hahn()
     a = f.parse("1*t^(1) + 2*t^(3/2)")
