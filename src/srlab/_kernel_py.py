@@ -1,11 +1,10 @@
-"""Low-level exact kernels, pure Python edition.
+"""Low-level exact series kernel, pure Python.
 
-Two data shapes live here.  A quadratic rational (a + b*sqrt(p)) / den is a
-normalized int triple (a, b, den) with den > 0 and gcd(a, b, den) == 1; the
-radicand p is passed to the operations that need it.  A series support is a
-dict mapping lattice exponent pairs (e, f), standing for (e + f*sqrt(p)) / D,
-to nonzero coefficient indices of a finite coefficient field whose add and
-multiply tables are passed in flat row-major lists.
+One data shape lives here: a series support, a dict mapping lattice exponent
+pairs (e, f), standing for (e + f*sqrt(p)) / D, to nonzero coefficient
+indices of a finite coefficient field whose add and multiply tables are
+passed in flat row-major lists.  `irr_sign`, the exact sign of
+a + b*sqrt(p), orders the exponents and is shared with `srlab.scalar`.
 
 This is the library's only kernel; the layers above reach it through
 `srlab.core.kernel`.
@@ -13,7 +12,7 @@ This is the library's only kernel; the layers above reach it through
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import ResourceBoundError
 
@@ -37,54 +36,8 @@ KEY_LIMIT = 1 << _KEY_G
 _ROOT_SHIFT = KEY_BITS + 2 * _KEY_G + 2
 
 
-def q_make(a: int, b: int, den: int) -> tuple[int, int, int]:
-    """Normalize an int triple to canonical form (den > 0, gcd one)."""
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        a, b, den = -a, -b, -den
-    g = gcd(gcd(abs(a), abs(b)), den)
-    if g > 1:
-        a //= g
-        b //= g
-        den //= g
-    return (a, b, den)
-
-
-def q_add(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
-    a1, b1, d1 = x
-    a2, b2, d2 = y
-    g = gcd(d1, d2)
-    m1 = d2 // g
-    m2 = d1 // g
-    return q_make(a1 * m1 + a2 * m2, b1 * m1 + b2 * m2, d1 * m1)
-
-
-def q_neg(x: tuple[int, int, int]) -> tuple[int, int, int]:
-    a, b, d = x
-    return (-a, -b, d)
-
-
-def q_sub(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
-    return q_add(x, q_neg(y))
-
-
-def q_mul(x: tuple[int, int, int], y: tuple[int, int, int], p: int) -> tuple[int, int, int]:
-    a1, b1, d1 = x
-    a2, b2, d2 = y
-    return q_make(a1 * a2 + p * b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
-
-
-def q_inv(x: tuple[int, int, int], p: int) -> tuple[int, int, int]:
-    a, b, d = x
-    if a == 0 and b == 0:
-        raise ZeroDivisionError("inverse of zero")
-    # 1 / ((a + b sqrt p)/d) = d (a - b sqrt p) / (a^2 - p b^2)
-    return q_make(d * a, -d * b, a * a - p * b * b)
-
-
-def irr_sign(a: int, b: int, p: int) -> int:
-    """Exact sign of a + b*sqrt(p) for integers a, b."""
+def irr_sign(a: int, b: int, p: int | None) -> int:
+    """Exact sign of a + b*sqrt(p) for integers a, b (p is unused when b == 0)."""
     if a == 0 and b == 0:
         return 0
     if a >= 0 and b >= 0:
@@ -96,15 +49,6 @@ def irr_sign(a: int, b: int, p: int) -> int:
     if a > 0:
         return 1 if s > 0 else -1
     return 1 if s < 0 else -1
-
-
-def q_sign(x: tuple[int, int, int], p: int) -> int:
-    a, b, _d = x
-    return irr_sign(a, b, p)
-
-
-def q_cmp(x: tuple[int, int, int], y: tuple[int, int, int], p: int) -> int:
-    return q_sign(q_sub(x, y), p)
 
 
 def lat_cmp(e1: int, f1: int, e2: int, f2: int, p: int) -> int:

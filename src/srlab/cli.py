@@ -32,14 +32,16 @@ _CONFIG_KEYS = {
     "field.support_cap",
 }
 _INT_KEYS = {"seed", "samples", "jobs", "field.denom", "field.precision", "field.support_cap"}
+_CASES = ("B", "F", "G")
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments are skipped.
 
-    Each key may appear once, integer keys must hold integers and `timings`
-    must be a boolean word.
+    Each key may appear once, integer keys must hold integers, `timings`
+    must be a boolean word, `case` one of B, F, G and `suites` a nonempty
+    comma-separated list of suite names.
     """
     out: dict[str, str] = {}
     try:
@@ -71,8 +73,23 @@ def parse_config_file(path: str) -> dict[str, str]:
             raise ConfigError(
                 f"{path}:{lineno}: timings must be one of {', '.join(_BOOLS)}, got {value!r}"
             )
+        if key == "case" and value not in _CASES:
+            raise ConfigError(
+                f"{path}:{lineno}: case must be one of {', '.join(_CASES)}, got {value!r}"
+            )
+        if key == "suites":
+            names = _suite_list(value)
+            if not names:
+                raise ConfigError(f"{path}:{lineno}: suites must name at least one suite")
+            for name in names:
+                if name not in SUITE_NAMES:
+                    raise ConfigError(f"{path}:{lineno}: unknown suite {name!r}")
         out[key] = value
     return out
+
+
+def _suite_list(value: str) -> list[str]:
+    return [s.strip() for s in value.split(",") if s.strip()]
 
 
 def _int_opt(raw: str | None, name: str) -> int | None:
@@ -103,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run check suites and emit a JSON report")
     run.add_argument("--suite", action="append", choices=SUITE_NAMES, help="suite to run (repeatable; default all)")
-    run.add_argument("--case", choices=["B", "F", "G"], help="ambient case for case-sensitive data (default G)")
+    run.add_argument("--case", choices=_CASES, help="ambient case for case-sensitive data (default G)")
     run.add_argument("--samples", type=int, help="override documented sample counts")
     run.add_argument("--seed", type=int, help="run seed (default SRLAB_SEED or 0)")
     run.add_argument("--out", help="write the report to this path instead of stdout")
@@ -141,11 +158,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed = 0
     samples = _count_opt(args.samples, file_cfg, "samples", None)
     case = args.case or file_cfg.get("case") or "G"
-    if case not in ("B", "F", "G"):
-        raise ConfigError(f"case must be one of B, F, G, got {case!r}")
     suites = args.suite
     if not suites and "suites" in file_cfg:
-        suites = [s.strip() for s in file_cfg["suites"].split(",") if s.strip()]
+        suites = _suite_list(file_cfg["suites"])
     jobs = _count_opt(args.jobs, file_cfg, "jobs", 1)
     timings = args.timings or _BOOLS[file_cfg.get("timings", "0").lower()]
     out_path = args.out or file_cfg.get("out")

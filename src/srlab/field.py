@@ -69,56 +69,6 @@ def _poly_mulmod(a: list[int], b: list[int], p: int, mod: tuple[int, ...]) -> li
     return _poly_trim(out)
 
 
-def _poly_powmod(a: list[int], e: int, p: int, mod: tuple[int, ...]) -> list[int]:
-    out = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _poly_mulmod(out, base, p, mod)
-        base = _poly_mulmod(base, base, p, mod)
-        e >>= 1
-    return out
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        while len(r) >= len(b):
-            c = (r[-1] * inv) % p
-            shift = len(r) - len(b)
-            for k in range(len(b)):
-                r[shift + k] = (r[shift + k] - c * b[k]) % p
-            _poly_trim(r)
-            if not r:
-                break
-        a, b = b, r
-    return a
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    m = len(mod) - 1
-    if m < 1 or mod[m] != 1:
-        return False
-    if m == 1:
-        return True
-    x = [0, 1]
-    # x^(p^m) must reduce to x mod the modulus
-    if _poly_sub(_poly_powmod(x, p**m, p, mod), x, p):
-        return False
-    # and no factor of proper degree: m odd <= 5 is prime, so one gcd suffices
-    diff = _poly_sub(_poly_powmod(x, p, p, mod), x, p)
-    return len(_poly_gcd(list(mod), diff, p)) == 1
-
-
 class CoeffField:
     """F_{p^m} with element indices encoding base-p digit polynomials."""
 
@@ -137,8 +87,6 @@ class CoeffField:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[m] != 1:
             raise ConfigError("modulus must be monic of degree m")
-        if not _is_irreducible(modulus, p):
-            raise ConfigError("modulus is reducible")
         self.p = p
         self.m = m
         self.q = q
@@ -167,34 +115,27 @@ class CoeffField:
                 self.addf[y * q + x] = s
         self.negf = [from_digits([(-a) % p for a in digs[x]]) for x in range(q)]
 
-        gen = None
+        # F_p[x]/(modulus) has an element of multiplicative order q - 1
+        # exactly when the modulus is irreducible, so the search for a
+        # generator also certifies the modulus; its walk fills exp and log.
         for cand in range(1, q):
-            if q == 2 and cand == 1:
-                gen = 1
-                break
-            power = [1]
-            seen = 1
             cp = _poly_trim(digs[cand][:])
+            power = [1]
+            walk = []
             for _ in range(q - 1):
+                walk.append(from_digits(power))
                 power = _poly_mulmod(power, cp, p, modulus)
                 if power == [1]:
                     break
-                seen += 1
-            if seen == q - 1:
-                gen = cand
+            if power == [1] and len(walk) == q - 1:
                 break
-        if gen is None:
-            raise ConfigError("no multiplicative generator found")
-        self.generator = gen
-        self.exp = [0] * (q - 1)
+        else:
+            raise ConfigError("modulus is reducible")
+        self.generator = cand
+        self.exp = walk
         self.log = [0] * q
-        power = [1]
-        cp = _poly_trim(digs[gen][:])
-        for k in range(q - 1):
-            val = from_digits(power + [0] * m)
-            self.exp[k] = val
+        for k, val in enumerate(walk):
             self.log[val] = k
-            power = _poly_mulmod(power, cp, p, modulus)
 
         self.mulf = [0] * (q * q)
         for x in range(1, q):
@@ -312,15 +253,14 @@ class TitsField:
             exp = QuadExt(exp)
         if exp.p is not None and exp.p != self.p:
             raise ConfigError(f"exponent over sqrt({exp.p}) in a sqrt({self.p}) field")
-        fa, fb = exp.as_fractions()
-        e = fa * self.D
-        f = fb * self.D
-        if e.denominator != 1 or f.denominator != 1:
+        e, re = divmod(exp.a * self.D, exp.den)
+        f, rf = divmod(exp.b * self.D, exp.den)
+        if re or rf:
             raise ConfigError(f"exponent {exp} is not a multiple of 1/{self.D}")
-        return (int(e), int(f))
+        return (e, f)
 
     def unlat(self, lat: Lat) -> QuadExt:
-        return QuadExt(Fraction(lat[0], self.D), Fraction(lat[1], self.D), self.p)
+        return QuadExt.from_ints(lat[0], lat[1], self.D, self.p)
 
     def monomial(self, exp: QuadExt | Fraction | int, coeff: int = 1) -> "FieldElem":
         if self.mode == "finite":

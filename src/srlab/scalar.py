@@ -10,15 +10,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 from .core import kernel
 from .errors import ParseError, RadicandMismatchError
 
-RationalLike = Union[int, Fraction, str]
+RationalLike = Union[int, Fraction]
 
 _ALLOWED_RADICANDS = (2, 3)
+
+_setattr = object.__setattr__
 
 
 def _to_fraction(x: RationalLike) -> Fraction:
@@ -26,42 +28,50 @@ def _to_fraction(x: RationalLike) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
 
 
 @total_ordering
 class QuadExt:
-    """Exact value (a + b*sqrt(p)) / den with a canonical int representation."""
+    """Exact value (a + b*sqrt(p)) / den with a canonical int representation.
+
+    Canonical means den > 0, gcd(a, b, den) == 1, and p is None exactly when
+    b == 0, so two values are equal exactly when their (a, b, den, p) are.
+    """
 
     __slots__ = ("a", "b", "den", "p")
 
     def __init__(self, a: RationalLike, b: RationalLike = 0, p: int | None = None) -> None:
         fa = _to_fraction(a)
         fb = _to_fraction(b)
-        if fb != 0:
-            if p not in _ALLOWED_RADICANDS:
-                raise ValueError(f"radicand must be one of {_ALLOWED_RADICANDS}, got {p!r}")
-        else:
-            p = None
-        den = fa.denominator * fb.denominator // gcd(fa.denominator, fb.denominator)
-        na = fa.numerator * (den // fa.denominator)
-        nb = fb.numerator * (den // fb.denominator)
-        na, nb, den = kernel.q_make(na, nb, den)
-        object.__setattr__(self, "a", na)
-        object.__setattr__(self, "b", nb)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "p", p if nb != 0 else None)
+        den = lcm(fa.denominator, fb.denominator)
+        self._fill(
+            fa.numerator * (den // fa.denominator), fb.numerator * (den // fb.denominator), den, p
+        )
 
     @classmethod
-    def _raw(cls, triple: tuple[int, int, int], p: int | None) -> "QuadExt":
-        self = object.__new__(cls)
-        a, b, den = triple
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "p", p if b != 0 else None)
+    def from_ints(cls, a: int, b: int, den: int, p: int | None) -> "QuadExt":
+        """The value (a + b*sqrt(p)) / den of integers, in canonical form."""
+        return object.__new__(cls)._fill(a, b, den, p)
+
+    def _fill(self, a: int, b: int, den: int, p: int | None) -> "QuadExt":
+        if den <= 0:
+            if den == 0:
+                raise ZeroDivisionError("zero denominator")
+            a, b, den = -a, -b, -den
+        g = gcd(a, b, den)
+        if g > 1:
+            a //= g
+            b //= g
+            den //= g
+        if not b:
+            p = None
+        elif p not in _ALLOWED_RADICANDS:
+            raise ValueError(f"radicand must be one of {_ALLOWED_RADICANDS}, got {p!r}")
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "den", den)
+        _setattr(self, "p", p)
         return self
 
     @classmethod
@@ -70,10 +80,6 @@ class QuadExt:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadExt is immutable")
-
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.den)
 
     @property
     def is_rational(self) -> bool:
@@ -101,62 +107,67 @@ class QuadExt:
     def __add__(self, other: "QuadExt | RationalLike") -> "QuadExt":
         other = self._coerce(other)
         p = self._join(other)
-        return QuadExt._raw(kernel.q_add(self.triple, other.triple), p)
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        return QuadExt.from_ints(self.a * m1 + other.a * m2, self.b * m1 + other.b * m2, d1 * m1, p)
 
     __radd__ = __add__
 
     def __sub__(self, other: "QuadExt | RationalLike") -> "QuadExt":
-        other = self._coerce(other)
-        p = self._join(other)
-        return QuadExt._raw(kernel.q_sub(self.triple, other.triple), p)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other: "QuadExt | RationalLike") -> "QuadExt":
         return self._coerce(other).__sub__(self)
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt._raw(kernel.q_neg(self.triple), self.p)
+        return QuadExt.from_ints(-self.a, -self.b, self.den, self.p)
 
     def __mul__(self, other: "QuadExt | RationalLike") -> "QuadExt":
         other = self._coerce(other)
         p = self._join(other)
-        return QuadExt._raw(kernel.q_mul(self.triple, other.triple, p or 0), p)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return QuadExt.from_ints(
+            a1 * a2 + (p or 0) * b1 * b2, a1 * b2 + b1 * a2, self.den * other.den, p
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "QuadExt | RationalLike") -> "QuadExt":
-        other = self._coerce(other)
-        p = self._join(other)
-        return QuadExt._raw(
-            kernel.q_mul(self.triple, kernel.q_inv(other.triple, p or 0), p or 0), p
-        )
+        return self * self._coerce(other).inv()
 
     def __rtruediv__(self, other: "QuadExt | RationalLike") -> "QuadExt":
         return self._coerce(other).__truediv__(self)
 
     def inv(self) -> "QuadExt":
-        return QuadExt._raw(kernel.q_inv(self.triple, self.p or 0), self.p)
+        a, b, p = self.a, self.b, self.p
+        if not (a or b):
+            raise ZeroDivisionError("inverse of zero")
+        # 1 / ((a + b sqrt p)/den) = den (a - b sqrt p) / (a^2 - p b^2)
+        return QuadExt.from_ints(self.den * a, -self.den * b, a * a - (p or 0) * b * b, p)
 
     def sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        return kernel.q_sign(self.triple, self.p)
+        return kernel.irr_sign(self.a, self.b, self.p)
 
     def __bool__(self) -> bool:
         return not (self.a == 0 and self.b == 0)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, str)):
+        if isinstance(other, (int, Fraction)):
             other = QuadExt(other)
         if not isinstance(other, QuadExt):
             return NotImplemented
-        if self.triple != other.triple:
-            return False
-        return self.b == 0 or self.p == other.p
+        return (
+            self.a == other.a and self.b == other.b
+            and self.den == other.den and self.p == other.p
+        )
 
     def __lt__(self, other: "QuadExt | RationalLike") -> bool:
         other = self._coerce(other)
         p = self._join(other)
-        return kernel.q_cmp(self.triple, other.triple, p or 0) < 0
+        d1, d2 = self.den, other.den
+        # both denominators are positive, so the sign of the cross difference decides
+        return kernel.irr_sign(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, p) < 0
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.den, self.p))
@@ -292,7 +303,7 @@ class ExtVal:
         return ExtVal(self.q * c)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (QuadExt, int, Fraction, str)):
+        if isinstance(other, (QuadExt, int, Fraction)):
             other = ExtVal.of(other)
         if not isinstance(other, ExtVal):
             return NotImplemented

@@ -525,15 +525,12 @@ def ree_word(a: TElem) -> WordFactors:
     return [(pos, c) for pos, c in factors if c.is_nonzero()]
 
 
-_SUZUKI_RECIPE: tuple[tuple[int, int], tuple[int, int]] | None = None
-
-
-def _suzuki_candidates(field: TitsField, a: SElem, lam: tuple[int, int], mu: tuple[int, int]) -> WordFactors:
+def _suzuki_candidates(a: SElem, lam: tuple[int, int], mu: tuple[int, int]) -> WordFactors:
     s, t = a.s, a.t
     sp = s.twisted_pow(1, 1)
 
     def combo(c: tuple[int, int]) -> FieldElem:
-        out = field.zero()
+        out = a.field.zero()
         if c[0]:
             out = out + t
         if c[1]:
@@ -544,6 +541,7 @@ def _suzuki_candidates(field: TitsField, a: SElem, lam: tuple[int, int], mu: tup
     return [(pos, c) for pos, c in factors if c.is_nonzero()]
 
 
+@functools.cache
 def solve_suzuki_word() -> tuple[tuple[int, int], tuple[int, int]]:
     """Determine the middle coefficients of the four-position word by search.
 
@@ -551,9 +549,6 @@ def solve_suzuki_word() -> tuple[tuple[int, int], tuple[int, int]]:
     s^(theta+1); the unique combination making the word multiplicative and
     flip-invariant over a small field with nontrivial twisting is returned.
     """
-    global _SUZUKI_RECIPE
-    if _SUZUKI_RECIPE is not None:
-        return _SUZUKI_RECIPE
     from .field import FieldCfg
 
     fld = TitsField(FieldCfg(char=2, mode="finite", m=3))
@@ -568,15 +563,15 @@ def solve_suzuki_word() -> tuple[tuple[int, int], tuple[int, int]]:
         for mu in ((0, 0), (1, 0), (0, 1), (1, 1)):
             ok = True
             for a in probes:
-                wa = _suzuki_candidates(fld, a, lam, mu)
+                wa = _suzuki_candidates(a, lam, mu)
                 flipped = collect("B", b2, word_rho(b2, wa))
                 if not words_agree(flipped, wa):
                     ok = False
                     break
                 for b in probes:
-                    wb = _suzuki_candidates(fld, b, lam, mu)
+                    wb = _suzuki_candidates(b, lam, mu)
                     prod = collect("B", b2, list(wa) + list(wb))
-                    direct = _suzuki_candidates(fld, a * b, lam, mu)
+                    direct = _suzuki_candidates(a * b, lam, mu)
                     if not words_agree(prod, collect("B", b2, direct)):
                         ok = False
                         break
@@ -586,14 +581,13 @@ def solve_suzuki_word() -> tuple[tuple[int, int], tuple[int, int]]:
                 winners.append((lam, mu))
     if len(winners) != 1:
         raise ConfigError(f"expected a unique word recipe, found {len(winners)}")
-    _SUZUKI_RECIPE = winners[0]
-    return _SUZUKI_RECIPE
+    return winners[0]
 
 
 def suzuki_word(a: SElem) -> WordFactors:
     """Positive-word image of a two-parameter element in the doubled span."""
     lam, mu = solve_suzuki_word()
-    return _suzuki_candidates(a.field, a, lam, mu)
+    return _suzuki_candidates(a, lam, mu)
 
 
 def embedding_word(case: str, a: object) -> WordFactors:

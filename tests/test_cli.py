@@ -174,6 +174,25 @@ def test_enumerate_output(tmp_path):
     assert payload["two_point_stab"] == 2
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("suites = ,", "suites must name at least one suite"),
+        ("suites =", "suites must name at least one suite"),
+        ("suites = scalars, rootz", "unknown suite 'rootz'"),
+        ("case = H", "case must be one of B, F, G, got 'H'"),
+    ],
+    ids=["suites-comma", "suites-blank", "suites-unknown", "case-unknown"],
+)
+def test_config_file_rejects_bad_suites_and_case(tmp_path, capsys, line, message):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"samples = 1\n{line}\n")
+    out = tmp_path / "x.json"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"srlab: {cfg}:2: {message}\n"
+    assert not out.exists()
+
+
 def test_enumerate_resource_bound(tmp_path):
     out = tmp_path / "enum.json"
     assert main(["enumerate", "--q", "3", "--max-order", "10", "--out", str(out)]) == 1

@@ -40,6 +40,37 @@ def test_generator_order():
     assert len(seen) == cf.q - 1
 
 
+def _has_low_degree_factor(mod, p):
+    """True when some monic polynomial of degree 1..m//2 divides mod, by trial division."""
+    m = len(mod) - 1
+    for d in range(1, m // 2 + 1):
+        for k in range(p**d):
+            div = [(k // p**i) % p for i in range(d)] + [1]
+            rem = list(mod)
+            for top in range(m, d - 1, -1):
+                c = rem[top]
+                for i in range(d + 1):
+                    rem[top - d + i] = (rem[top - d + i] - c * div[i]) % p
+            if not any(rem):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 3), (2, 5)])
+def test_coeff_field_accepts_exactly_irreducible_moduli(p, m):
+    accepted = 0
+    for k in range(p**m):
+        mod = tuple((k // p**i) % p for i in range(m)) + (1,)
+        if _has_low_degree_factor(mod, p):
+            with pytest.raises(ConfigError, match="modulus is reducible"):
+                CoeffField(p, m, mod)
+        else:
+            cf = CoeffField(p, m, mod)
+            assert sorted(cf.exp) == list(range(1, cf.q))
+            accepted += 1
+    assert accepted > 0
+
+
 def test_bad_modulus_rejected():
     with pytest.raises(ConfigError):
         CoeffField(2, 3, (1, 0, 0, 1))  # x^3 + 1 = (x + 1)(x^2 + x + 1)

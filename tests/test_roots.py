@@ -115,8 +115,8 @@ def test_tables_match_exact_unit_vectors(kind):
             want = ref_interval(system, i, j)
             assert [k for k, _, _ in got] == [k for k, _, _ in want]
             for (_, p, q), (_, rp, rq) in zip(got, want):
-                assert p == rp and p.triple == rp.triple and p.p == rp.p
-                assert q == rq and q.triple == rq.triple and q.p == rq.p
+                assert (p.a, p.b, p.den, p.p) == (rp.a, rp.b, rp.den, rp.p)
+                assert (q.a, q.b, q.den, q.p) == (rq.a, rq.b, rq.den, rq.p)
 
 
 def test_rank2_unit_vectors():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -110,3 +111,53 @@ def test_comparison_antisymmetric(a, b, c, d):
     y = QuadExt(c, d, 3)
     assert (x < y) == (y > x)
     assert (x == y) == (not (x < y) and not (y < x))
+
+
+def _reference(x):
+    """A value as the pair (rational part, sqrt part) of Fractions."""
+    return Fraction(x.a, x.den), Fraction(x.b, x.den)
+
+
+def _ref_sign(r, s, p):
+    """Sign of r + s*sqrt(p) by comparing squares of Fractions."""
+    if (r >= 0 and s >= 0) or (r <= 0 and s <= 0):
+        return (r + s > 0) - (r + s < 0)
+    # opposite signs: the part with the larger square decides
+    dominant = r if r * r > p * s * s else s
+    return 1 if dominant > 0 else -1
+
+
+def _assert_canonical(z):
+    assert z.den > 0
+    assert gcd(z.a, z.b, z.den) == 1
+    assert (z.p is None) == (z.b == 0)
+
+
+_PART = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+
+
+@given(st.sampled_from((2, 3)), _PART, _PART, _PART, _PART)
+def test_quadext_matches_fraction_pair_reference(p, r1, s1, r2, s2):
+    s1 = s1 or Fraction(1, 3)
+    x = QuadExt(r1, s1, p)
+    y = QuadExt(r2, s2, p)
+    assert _reference(x) == (r1, s1) and _reference(y) == (r2, s2)
+    for z in (x, y):
+        _assert_canonical(z)
+    n = r2 * r2 - p * s2 * s2
+    want = {
+        "+": (r1 + r2, s1 + s2),
+        "-": (r1 - r2, s1 - s2),
+        "*": (r1 * r2 + p * s1 * s2, r1 * s2 + s1 * r2),
+    }
+    got = {"+": x + y, "-": x - y, "*": x * y}
+    if r2 or s2:
+        want["/"] = ((r1 * r2 - p * s1 * s2) / n, (s1 * r2 - r1 * s2) / n)
+        want["inv"] = (r2 / n, -s2 / n)
+        got["/"] = x / y
+        got["inv"] = y.inv()
+    for op, z in got.items():
+        _assert_canonical(z)
+        assert _reference(z) == want[op], op
+    assert (x < y) == (_ref_sign(r1 - r2, s1 - s2, p) < 0)
+    assert x.sign() == _ref_sign(r1, s1, p)
