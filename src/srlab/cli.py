@@ -32,18 +32,21 @@ _CONFIG_KEYS = {
     "field.support_cap",
 }
 _INT_KEYS = {"seed", "samples", "jobs", "field.denom", "field.precision", "field.support_cap"}
+_COUNT_KEYS = _INT_KEYS - {"seed"}
 _CASES = ("B", "F", "G")
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
+ConfigValue = int | bool | str | list[str]
 
-def parse_config_file(path: str) -> dict[str, str]:
+
+def parse_config_file(path: str) -> dict[str, ConfigValue]:
     """Flat key=value lines; blank lines and # comments are skipped.
 
-    Each key may appear once, integer keys must hold integers, `timings`
-    must be a boolean word, `case` one of B, F, G and `suites` a nonempty
-    comma-separated list of suite names.
+    Each key may appear once.  Integer keys hold integers (counts at least
+    1), `timings` a boolean word, `case` one of B, F, G and `suites` a
+    nonempty comma-separated list of suite names.  Values come back typed.
     """
-    out: dict[str, str] = {}
+    out: dict[str, ConfigValue] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -61,56 +64,45 @@ def parse_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in out:
             raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice")
-        value = value.strip()
-        if key in _INT_KEYS:
-            try:
-                int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: {key} must be an integer, got {value!r}"
-                ) from None
-        if key == "timings" and value.lower() not in _BOOLS:
-            raise ConfigError(
-                f"{path}:{lineno}: timings must be one of {', '.join(_BOOLS)}, got {value!r}"
-            )
-        if key == "case" and value not in _CASES:
-            raise ConfigError(
-                f"{path}:{lineno}: case must be one of {', '.join(_CASES)}, got {value!r}"
-            )
-        if key == "suites":
-            names = _suite_list(value)
-            if not names:
-                raise ConfigError(f"{path}:{lineno}: suites must name at least one suite")
-            for name in names:
-                if name not in SUITE_NAMES:
-                    raise ConfigError(f"{path}:{lineno}: unknown suite {name!r}")
-        out[key] = value
+        try:
+            out[key] = _config_value(key, value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
-def _suite_list(value: str) -> list[str]:
-    return [s.strip() for s in value.split(",") if s.strip()]
+def _config_value(key: str, value: str) -> ConfigValue:
+    if key in _INT_KEYS:
+        number = _int(value, key)
+        return _count(number, key) if key in _COUNT_KEYS else number
+    if key == "timings":
+        if value.lower() not in _BOOLS:
+            raise ConfigError(f"timings must be one of {', '.join(_BOOLS)}, got {value!r}")
+        return _BOOLS[value.lower()]
+    if key == "case" and value not in _CASES:
+        raise ConfigError(f"case must be one of {', '.join(_CASES)}, got {value!r}")
+    if key == "suites":
+        names = [s.strip() for s in value.split(",") if s.strip()]
+        if not names:
+            raise ConfigError("suites must name at least one suite")
+        for name in names:
+            if name not in SUITE_NAMES:
+                raise ConfigError(f"unknown suite {name!r}")
+        return names
+    return value
 
 
-def _int_opt(raw: str | None, name: str) -> int | None:
-    if raw is None:
-        return None
+def _int(raw: str, name: str) -> int:
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _count_opt(flag: int | None, file_cfg: dict[str, str], key: str, default: int | None) -> int | None:
-    """A count setting: the flag, then the config file, then the default.
-
-    A given value below 1 is rejected rather than replaced by the default.
-    """
-    value = flag if flag is not None else _int_opt(file_cfg.get(key), key)
-    if value is None:
-        return default
-    if value < 1:
-        raise ConfigError(f"{key} must be at least 1, got {value}")
+def _count(value: int | None, name: str) -> int | None:
+    """A count setting is rejected below 1 rather than replaced by a default."""
+    if value is not None and value < 1:
+        raise ConfigError(f"{name} must be at least 1, got {value}")
     return value
 
 
@@ -149,32 +141,26 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     file_cfg = parse_config_file(args.config) if args.config else {}
-    seed = args.seed
+
+    def pick(flag, key: str, default=None):
+        """The flag, then the config file, then the default."""
+        return flag if flag is not None else file_cfg.get(key, default)
+
+    seed = pick(args.seed, "seed")
     if seed is None:
-        seed = _int_opt(file_cfg.get("seed"), "seed")
-    if seed is None:
-        seed = _int_opt(os.environ.get("SRLAB_SEED"), "SRLAB_SEED")
-    if seed is None:
-        seed = 0
-    samples = _count_opt(args.samples, file_cfg, "samples", None)
-    case = args.case or file_cfg.get("case") or "G"
-    suites = args.suite
-    if not suites and "suites" in file_cfg:
-        suites = _suite_list(file_cfg["suites"])
-    jobs = _count_opt(args.jobs, file_cfg, "jobs", 1)
-    timings = args.timings or _BOOLS[file_cfg.get("timings", "0").lower()]
-    out_path = args.out or file_cfg.get("out")
+        seed = _int(os.environ.get("SRLAB_SEED", "0"), "SRLAB_SEED")
     cfg = RunConfig(
-        case=case,
-        samples=samples,
+        case=pick(args.case, "case", "G"),
+        samples=pick(_count(args.samples, "samples"), "samples"),
         seed=seed,
-        precision=_count_opt(None, file_cfg, "field.precision", 40),
-        denom=_count_opt(None, file_cfg, "field.denom", 2),
-        support_cap=_count_opt(None, file_cfg, "field.support_cap", 64),
-        timings=timings,
+        precision=file_cfg.get("field.precision", 40),
+        denom=file_cfg.get("field.denom", 2),
+        support_cap=file_cfg.get("field.support_cap", 64),
+        timings=args.timings or file_cfg.get("timings", False),
     )
-    report = run_all(cfg, suites, jobs=jobs)
-    _emit(render_report(report), out_path)
+    jobs = pick(_count(args.jobs, "jobs"), "jobs", 1)
+    report = run_all(cfg, args.suite or file_cfg.get("suites"), jobs=jobs)
+    _emit(render_report(report), args.out or file_cfg.get("out"))
     return 0 if report["ok"] else 1
 
 

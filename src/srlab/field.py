@@ -357,11 +357,6 @@ class TitsField:
         lg = self.coeff.log[k]
         return "g" if lg == 1 else f"g^{lg}"
 
-    # --- ordering helper ---
-
-    def lat_sorted(self, terms: dict[Lat, int]) -> list[tuple[Lat, int]]:
-        return kernel.ser_sorted(terms, self.p)
-
 
 class FieldElem:
     """An element of a TitsField in either mode."""
@@ -413,7 +408,7 @@ class FieldElem:
     def _capped(self, terms: dict[Lat, int], prec: Lat | None) -> "FieldElem":
         cap = self.field.cfg.support_cap
         if prec is not None and len(terms) > cap:
-            ordered = self.field.lat_sorted(terms)
+            ordered = kernel.ser_sorted(terms, self.field.p)
             cut = ordered[cap][0]
             prec = _lmin(prec, cut, self.field.p)
             terms = kernel.ser_trunc(terms, prec, self.field.p)
@@ -530,7 +525,7 @@ class FieldElem:
         while power:
             acc = kernel.ser_add(acc, power, q, f.coeff.addf, rel, p)
             if len(acc) > cap:
-                ordered = f.lat_sorted(acc)
+                ordered = kernel.ser_sorted(acc, f.p)
                 rel = ordered[cap][0]
                 acc = kernel.ser_trunc(acc, rel, p)
                 power = kernel.ser_trunc(power, rel, p)
@@ -607,7 +602,7 @@ class FieldElem:
         if not self.terms:
             return "0"
         parts = []
-        for lat, c in f.lat_sorted(self.terms):
+        for lat, c in kernel.ser_sorted(self.terms, f.p):
             parts.append(f"{f.coeff_str(c)}*t^({f.unlat(lat)})")
         return "+".join(parts)
 

@@ -90,19 +90,6 @@ def rho_scalar_check(a: TElem, sample_points: Sequence[TElem]) -> CheckResult:
     return CheckResult(True, data={"z": str(z)})
 
 
-def rho_identity_check(field: TitsField, sample_points: Sequence[TElem]) -> CheckResult:
-    """rho at the central unit parameter is the identity map."""
-    one = TElem.center(field.one())
-    act = rho_map(one)
-    if act(None) is not None:
-        return CheckResult(False, "infinity moved under the unit scaling map")
-    for x in sample_points:
-        img = act(x)
-        if img is None or not img.agrees(x):
-            return CheckResult(False, "unit scaling map moved a point", {"x": repr(x)})
-    return CheckResult(True)
-
-
 @dataclass(frozen=True)
 class PermGroupStats:
     """Summary of an enumerated permutation group."""

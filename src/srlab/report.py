@@ -1,8 +1,10 @@
-"""Check outcomes and deterministic JSON rendering for suite runs.
+"""Check outcomes, the per-suite report, and deterministic JSON rendering.
 
-Reports are plain dicts of JSON-safe values.  Keys are sorted at render
-time and timing data is kept out of the payload unless explicitly
-requested, so two runs with the same seed produce identical bytes.
+Every suite states its checks through one `SuiteReport`, which turns each
+outcome into a JSON-safe entry.  Reports are plain dicts of JSON-safe
+values.  Keys are sorted at render time and timing data is kept out of the
+payload unless explicitly requested, so two runs with the same seed produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -23,16 +25,31 @@ class CheckResult:
         return self.ok
 
 
-def check_entry(name: str, result: CheckResult | bool) -> dict:
-    """Flatten a check outcome into a JSON-safe dict."""
-    if isinstance(result, CheckResult):
+class SuiteReport:
+    """The check entries, stats and timings one suite run collects."""
+
+    def __init__(self) -> None:
+        self.checks: list[dict] = []
+        self.stats: dict = {}
+        self.timing: dict = {}
+
+    def check(self, name: str, result: CheckResult | bool) -> None:
+        """Record one named outcome; a bool is a result without detail or data."""
+        if not isinstance(result, CheckResult):
+            result = CheckResult(bool(result))
         entry: dict = {"name": name, "ok": result.ok}
         if result.detail:
             entry["detail"] = result.detail
         if result.data:
             entry["data"] = {k: str(v) for k, v in sorted(result.data.items())}
-        return entry
-    return {"name": name, "ok": bool(result)}
+        self.checks.append(entry)
+
+    def payload(self) -> dict:
+        """The suite's report block: its checks, whether all pass, and any stats."""
+        out: dict = {"checks": self.checks, "ok": all(c["ok"] for c in self.checks)}
+        if self.stats:
+            out["stats"] = self.stats
+        return out
 
 
 def render_report(payload: dict) -> str:

@@ -216,7 +216,7 @@ class RootSystem:
             else:
                 projection[k] = len(rays)
                 rays.append(w)
-        return FoldedSystem._build(self, rays, projection)
+        return FoldedSystem(self, rays, projection)
 
 
 class Rank2System(RootSystem):
@@ -300,18 +300,10 @@ def _cyclic_cmp_key(coords: Sequence[tuple[QuadExt, QuadExt]]):
 class FoldedSystem:
     """Rays obtained by gluing roots along the chamber involution."""
 
-    def __init__(self) -> None:
-        raise TypeError("use RootSystem.fold()")
-
-    @classmethod
-    def _build(
-        cls, parent: RootSystem, rays: list[Vec], projection: dict[int, int]
-    ) -> "FoldedSystem":
-        self = object.__new__(cls)
-        self.parent = parent
+    def __init__(self, parent: RootSystem, rays: list[Vec], projection: dict[int, int]) -> None:
         # order the rays by angle within the fixed plane of the involution
-        basis = cls._fixed_basis(parent)
-        coords = [cls._plane_coords(w, basis) for w in rays]
+        basis = self._fixed_basis(parent)
+        coords = [self._plane_coords(w, basis) for w in rays]
         order = sorted(range(len(rays)), key=_cyclic_cmp_key(coords))
         rank = {old: new for new, old in enumerate(order)}
         self.rays = [rays[k] for k in order]
@@ -324,7 +316,6 @@ class FoldedSystem:
         self.kind = "I8" if self.count == 16 else "A1"
         if self.kind == "A1" and self.count != 2:
             raise ConfigError(f"unexpected folded ray count {self.count}")
-        return self
 
     @staticmethod
     def _fixed_basis(parent: RootSystem) -> tuple[Vec, Vec]:

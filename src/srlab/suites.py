@@ -1,10 +1,11 @@
 """Named check suites behind the command line runner.
 
 Each suite draws from its own deterministic random stream (derived from
-the run seed and the suite name), builds its fields and samples, runs a
-batch of exact checks and returns a JSON-safe payload.  Sample counts
-follow the documented defaults unless the run configuration overrides
-them.
+the run seed and the suite name), builds its fields and samples, and states
+each exact check, stat and timing on the `SuiteReport` it is handed;
+`run_suite` turns that report into the suite's JSON-safe payload.  Sample
+counts follow the documented defaults unless the run configuration
+overrides them.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .groups import (
     val_norm_exact_S,
     val_norm_exact_T,
 )
-from .moufang import enumerate_group, rho_identity_check, rho_scalar_check
-from .report import CheckResult, check_entry
+from .moufang import enumerate_group, rho_scalar_check
+from .report import CheckResult, SuiteReport
 from .roots import FoldedSystem, get_system
 from .samplers import (
     finite_elems_s,
@@ -62,19 +63,6 @@ from .valuation import (
     solve_suzuki_word,
 )
 
-SUITE_NAMES = [
-    "scalars",
-    "roots",
-    "folding",
-    "field",
-    "groups",
-    "appendix",
-    "valuation-axioms",
-    "embedding",
-    "moufang",
-]
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs shared by all suites; None keeps a suite's documented default."""
@@ -100,8 +88,7 @@ def suite_seed(seed: int, suite: str) -> int:
 # --- scalars ---
 
 
-def _suite_scalars(cfg: RunConfig, rng: random.Random) -> dict:
-    checks: list[dict] = []
+def _suite_scalars(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     n = cfg.samples or 200
     for p in (None, 2, 3):
         ok_ring = True
@@ -119,18 +106,18 @@ def _suite_scalars(cfg: RunConfig, rng: random.Random) -> dict:
             if x != QuadExt(0) and (x * x.inv()) != QuadExt(1):
                 ok_inv = False
         tag = "rational" if p is None else f"sqrt{p}"
-        checks.append(check_entry(f"ring-laws-{tag}", ok_ring))
-        checks.append(check_entry(f"ordering-vs-sign-{tag}", ok_ord))
-        checks.append(check_entry(f"inverse-roundtrip-{tag}", ok_inv))
+        rep.check(f"ring-laws-{tag}", ok_ring)
+        rep.check(f"ordering-vs-sign-{tag}", ok_ord)
+        rep.check(f"inverse-roundtrip-{tag}", ok_inv)
     for p in (2, 3):
         r = QuadExt.sqrt(p)
-        checks.append(check_entry(f"sqrt{p}-squares", r * r == QuadExt(p)))
+        rep.check(f"sqrt{p}-squares", r * r == QuadExt(p))
         ok_parse = True
         for _ in range(n // 2):
             q = rand_quad(rng, p)
             if parse_quad(str(q), radicand=p) != q:
                 ok_parse = False
-        checks.append(check_entry(f"parse-roundtrip-sqrt{p}", ok_parse))
+        rep.check(f"parse-roundtrip-sqrt{p}", ok_parse)
     ok_ext = True
     vals = [ExtVal.of(rand_quad(rng, 3)) for _ in range(20)] + [INFINITY]
     for a in vals:
@@ -139,8 +126,7 @@ def _suite_scalars(cfg: RunConfig, rng: random.Random) -> dict:
                 ok_ext = False
             if (a + b).is_infinite != (a.is_infinite or b.is_infinite):
                 ok_ext = False
-    checks.append(check_entry("extended-min-and-infinity", ok_ext))
-    return {"checks": checks}
+    rep.check("extended-min-and-infinity", ok_ext)
 
 
 # --- roots ---
@@ -160,8 +146,7 @@ def _interval_shape(system, i: int, j: int) -> list[tuple[int, str, str]]:
     ]
 
 
-def _suite_roots(cfg: RunConfig, rng: random.Random) -> dict:
-    checks: list[dict] = []
+def _suite_roots(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     for kind in ("A1", "B2", "G2", "F4"):
         system = get_system(kind)
         ok_reflect = True
@@ -175,9 +160,9 @@ def _suite_roots(cfg: RunConfig, rng: random.Random) -> dict:
                     ok_perp = False
                 if system.reflect_idx(i, system.reflect_idx(i, j)) != j:
                     ok_invol = False
-        checks.append(check_entry(f"{kind}-reflection-negates-mirror", ok_reflect))
-        checks.append(check_entry(f"{kind}-reflection-fixes-perpendicular", ok_perp))
-        checks.append(check_entry(f"{kind}-reflection-involutive", ok_invol))
+        rep.check(f"{kind}-reflection-negates-mirror", ok_reflect)
+        rep.check(f"{kind}-reflection-fixes-perpendicular", ok_perp)
+        rep.check(f"{kind}-reflection-involutive", ok_invol)
         ok_tau = True
         swaps = 0
         for i in range(system.count):
@@ -187,81 +172,68 @@ def _suite_roots(cfg: RunConfig, rng: random.Random) -> dict:
             if kind != "A1" and system.length_class(ti) != system.length_class(i):
                 swaps += 1
         want_swaps = 0 if kind == "A1" else system.count
-        checks.append(
-            check_entry(f"{kind}-involution-swaps-length-classes", ok_tau and swaps == want_swaps)
-        )
+        rep.check(f"{kind}-involution-swaps-length-classes", ok_tau and swaps == want_swaps)
     b2 = get_system("B2")
     i, j = 0, 3
     assert b2.angle_deg(i, j) == 135
-    checks.append(
-        check_entry("B2-interval-coefficients", _interval_shape(b2, i, j) == _B2_INTERVAL)
-    )
+    rep.check("B2-interval-coefficients", _interval_shape(b2, i, j) == _B2_INTERVAL)
     g2 = get_system("G2")
     i, j = 0, 5
     assert g2.angle_deg(i, j) == 150
-    checks.append(
-        check_entry("G2-interval-coefficients", _interval_shape(g2, i, j) == _G2_INTERVAL)
-    )
+    rep.check("G2-interval-coefficients", _interval_shape(g2, i, j) == _G2_INTERVAL)
     ok_pos = True
     for kind in ("B2", "G2"):
         system = get_system(kind)
         for pos in range(1, system.n + 1):
             if system.root_position(system.position_root(pos)) != pos:
                 ok_pos = False
-    checks.append(check_entry("position-map-roundtrip", ok_pos))
+    rep.check("position-map-roundtrip", ok_pos)
     f4 = get_system("F4")
     per_class = [sum(1 for i in range(48) if f4.length_class(i) == c) for c in (0, 1)]
-    checks.append(check_entry("F4-root-counts", per_class == [24, 24]))
-    return {"checks": checks}
+    rep.check("F4-root-counts", per_class == [24, 24])
 
 
 # --- folding ---
 
 
-def _suite_folding(cfg: RunConfig, rng: random.Random) -> dict:
-    checks: list[dict] = []
+def _suite_folding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     t0 = time.perf_counter()
     folded: dict[str, FoldedSystem] = {k: get_system(k).fold() for k in ("B2", "G2", "F4")}
-    elapsed = time.perf_counter() - t0
+    rep.timing["fold_seconds"] = round(time.perf_counter() - t0, 4)
     counts = {k: f.count for k, f in folded.items()}
-    checks.append(check_entry("B2-direction-count", counts["B2"] == 2))
-    checks.append(check_entry("G2-direction-count", counts["G2"] == 2))
-    checks.append(check_entry("F4-direction-count", counts["F4"] == 16))
+    rep.stats["direction_counts"] = counts
+    rep.check("B2-direction-count", counts["B2"] == 2)
+    rep.check("G2-direction-count", counts["G2"] == 2)
+    rep.check("F4-direction-count", counts["F4"] == 16)
     f4f = folded["F4"]
     want = QuadExt(Fraction(1, 2), Fraction(1, 4), 2)
     ok_cos = all(
         f4f.cos2_between(k, (k + 1) % f4f.count) == want for k in range(f4f.count)
     )
-    checks.append(check_entry("F4-consecutive-cos2", ok_cos))
+    rep.check("F4-consecutive-cos2", ok_cos)
     mults = [f4f.multiplicity(k) for k in range(f4f.count)]
     ok_mult = sorted(set(mults)) == [2, 4] and all(
         mults[k] != mults[(k + 1) % f4f.count] for k in range(f4f.count)
     )
-    checks.append(check_entry("F4-multiplicities-alternate", ok_mult))
+    rep.check("F4-multiplicities-alternate", ok_mult)
     ok_pre = all(
         sum(len(f.preimages(k)) for k in range(f.count)) == get_system(kind).count
         for kind, f in folded.items()
     )
-    checks.append(check_entry("preimages-partition-roots", ok_pre))
+    rep.check("preimages-partition-roots", ok_pre)
     ok_refl = True
     for f in folded.values():
         for i in range(f.count):
             for j in range(f.count):
                 if f.reflect_idx(i, f.reflect_idx(i, j)) != j:
                     ok_refl = False
-    checks.append(check_entry("folded-reflections-involutive", ok_refl))
-    return {
-        "checks": checks,
-        "stats": {"direction_counts": counts},
-        "timing": {"fold_seconds": round(elapsed, 4)},
-    }
+    rep.check("folded-reflections-involutive", ok_refl)
 
 
 # --- field ---
 
 
-def _suite_field(cfg: RunConfig, rng: random.Random) -> dict:
-    checks: list[dict] = []
+def _suite_field(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     for char, m in ((2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (3, 5)):
         field = TitsField(FieldCfg(char=char, mode="finite", m=m))
         cf = field.coeff
@@ -271,8 +243,8 @@ def _suite_field(cfg: RunConfig, rng: random.Random) -> dict:
             for x in range(field.q)
             for y in range(field.q)
         )
-        checks.append(check_entry(f"F{field.q}-twist-squares-to-frobenius", ok_theta))
-        checks.append(check_entry(f"F{field.q}-twist-multiplicative", ok_mul))
+        rep.check(f"F{field.q}-twist-squares-to-frobenius", ok_theta)
+        rep.check(f"F{field.q}-twist-multiplicative", ok_mul)
     n = cfg.samples or 120
     for char in (2, 3):
         field = cfg.hahn_field(char)
@@ -300,27 +272,22 @@ def _suite_field(cfg: RunConfig, rng: random.Random) -> dict:
             if not field.parse(a.emit()).agrees(a):
                 ok_parse = False
         tag = f"hahn-char{char}"
-        checks.append(check_entry(f"{tag}-ring-laws", ok_ring))
-        checks.append(check_entry(f"{tag}-inverse-roundtrip", ok_inv))
-        checks.append(check_entry(f"{tag}-twist-ring-map", ok_theta))
-        checks.append(check_entry(f"{tag}-valuation-additive", ok_val))
-        checks.append(check_entry(f"{tag}-parse-roundtrip", ok_parse))
-    return {"checks": checks}
+        rep.check(f"{tag}-ring-laws", ok_ring)
+        rep.check(f"{tag}-inverse-roundtrip", ok_inv)
+        rep.check(f"{tag}-twist-ring-map", ok_theta)
+        rep.check(f"{tag}-valuation-additive", ok_val)
+        rep.check(f"{tag}-parse-roundtrip", ok_parse)
 
 
 # --- groups ---
 
 
-def _suite_groups(cfg: RunConfig, rng: random.Random) -> dict:
-    checks: list[dict] = []
-    stats: dict = {}
-    timing: dict = {}
-
+def _suite_groups(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     f2 = TitsField(FieldCfg(char=2, mode="finite", m=1))
     s_all = finite_elems_s(f2)
     ok = all(((a * b) * c).agrees(a * (b * c)) for a in s_all for b in s_all for c in s_all)
     ok = ok and all((a * a.inverse()).is_identity() for a in s_all)
-    checks.append(check_entry("S-F2-group-laws", ok))
+    rep.check("S-F2-group-laws", ok)
 
     f3 = TitsField(FieldCfg(char=3, mode="finite", m=1))
     t_all = finite_elems_t(f3)
@@ -328,16 +295,16 @@ def _suite_groups(cfg: RunConfig, rng: random.Random) -> dict:
     ok = ok and all((a * a.inverse()).is_identity() for a in t_all)
     cz = TElem.center(f3.one())
     ok = ok and all((a * cz).agrees(cz * a) for a in t_all)
-    checks.append(check_entry("T-F3-group-laws-and-center", ok))
+    rep.check("T-F3-group-laws-and-center", ok)
 
     t0 = time.perf_counter()
     ok = all(a.omega().omega().agrees(a) for a in t_all if not a.is_identity())
-    checks.append(check_entry("omega-squared-F3", ok))
+    rep.check("omega-squared-F3", ok)
     f27 = TitsField(FieldCfg(char=3, mode="finite", m=3))
     t27 = finite_elems_t(f27)
     ok = all(a.omega().omega().agrees(a) for a in t27 if not a.is_identity())
-    checks.append(check_entry("omega-squared-F27", ok))
-    timing["omega_finite_seconds"] = round(time.perf_counter() - t0, 3)
+    rep.check("omega-squared-F27", ok)
+    rep.timing["omega_finite_seconds"] = round(time.perf_counter() - t0, 3)
 
     n = cfg.samples or 1000
     hf = cfg.hahn_field(3)
@@ -348,51 +315,36 @@ def _suite_groups(cfg: RunConfig, rng: random.Random) -> dict:
         if not a.omega().omega().agrees(a):
             ok = False
             break
-    checks.append(check_entry("omega-squared-hahn", ok))
-    timing["omega_hahn_seconds"] = round(time.perf_counter() - t0, 3)
-    stats["omega_hahn_samples"] = n
+    rep.check("omega-squared-hahn", ok)
+    rep.timing["omega_hahn_seconds"] = round(time.perf_counter() - t0, 3)
+    rep.stats["omega_hahn_samples"] = n
 
     ok = all(a.norm().is_zero() == a.is_identity() for a in t_all)
     ok = ok and all(a.norm().is_zero() == a.is_identity() for a in t27)
-    checks.append(check_entry("T-norm-anisotropic", ok))
+    rep.check("T-norm-anisotropic", ok)
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
     ok = all(a.norm().is_zero() == a.is_identity() for a in finite_elems_s(f8))
-    checks.append(check_entry("S-norm-anisotropic", ok))
+    rep.check("S-norm-anisotropic", ok)
 
-    ok = True
-    for _ in range(40):
-        h = rand_t(hf, rng)
-        if h.norm().is_zero():
-            continue
-        x, y = rand_t(hf, rng), rand_t(hf, rng)
-        if not h_action_T(h, x * y).agrees(h_action_T(h, x) * h_action_T(h, y)):
-            ok = False
-    checks.append(check_entry("T-scaling-action-automorphism", ok))
-    hf2 = cfg.hahn_field(2)
-    ok = True
-    for _ in range(40):
-        h = rand_s(hf2, rng)
-        if h.norm().is_zero():
-            continue
-        x, y = rand_s(hf2, rng), rand_s(hf2, rng)
-        if not h_action_S(h, x * y).agrees(h_action_S(h, x) * h_action_S(h, y)):
-            ok = False
-    checks.append(check_entry("S-scaling-action-automorphism", ok))
-
-    return {
-        "checks": checks,
-        "stats": stats,
-        "timing": timing,
-    }
+    for tag, field, rand, act in (
+        ("T", hf, rand_t, h_action_T),
+        ("S", cfg.hahn_field(2), rand_s, h_action_S),
+    ):
+        ok = True
+        for _ in range(40):
+            h = rand(field, rng)
+            if h.norm().is_zero():
+                continue
+            x, y = rand(field, rng), rand(field, rng)
+            if not act(h, x * y).agrees(act(h, x) * act(h, y)):
+                ok = False
+        rep.check(f"{tag}-scaling-action-automorphism", ok)
 
 
 # --- appendix ---
 
 
-def _suite_appendix(cfg: RunConfig, rng: random.Random) -> dict:
-    checks: list[dict] = []
-    stats: dict = {}
-
+def _suite_appendix(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     hf2 = cfg.hahn_field(2)
     n_pre = (cfg.samples or 1000) * 10
     ok = True
@@ -408,9 +360,9 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random) -> dict:
         if a.norm().val() != val_norm_exact_S(a):
             ok = False
             break
-    checks.append(check_entry("S-norm-level-prevalidation", ok))
-    stats["s_prevalidation_samples"] = n_pre
-    stats["s_prevalidation_ties"] = ties
+    rep.check("S-norm-level-prevalidation", ok)
+    rep.stats["s_prevalidation_samples"] = n_pre
+    rep.stats["s_prevalidation_ties"] = ties
 
     hf3 = cfg.hahn_field(3)
     n = cfg.samples or 1000
@@ -423,36 +375,26 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random) -> dict:
         if a.norm().val() != val_norm_exact_T(a):
             ok = False
             break
-    checks.append(check_entry("T-norm-level-formula", ok))
-    stats["t_formula_samples"] = len(samples)
-    stats["t_formula_ties"] = tie_count
+    rep.check("T-norm-level-formula", ok)
+    rep.stats["t_formula_samples"] = len(samples)
+    rep.stats["t_formula_ties"] = tie_count
 
     n_pairs = cfg.samples or 1000
-    ok = True
-    for _ in range(n_pairs):
-        a, b = rand_t(hf3, rng), rand_t(hf3, rng)
-        if (a * b).norm().val() < ext_min(a.norm().val(), b.norm().val()):
-            ok = False
-            break
-    checks.append(check_entry("T-norm-level-ultrametric", ok))
-    ok = True
-    for _ in range(n_pairs):
-        a, b = rand_s(hf2, rng), rand_s(hf2, rng)
-        if (a * b).norm().val() < ext_min(a.norm().val(), b.norm().val()):
-            ok = False
-            break
-    checks.append(check_entry("S-norm-level-ultrametric", ok))
-    stats["ultrametric_pairs"] = n_pairs
-
-    return {"checks": checks, "stats": stats}
+    for tag, field, rand in (("T", hf3, rand_t), ("S", hf2, rand_s)):
+        ok = True
+        for _ in range(n_pairs):
+            a, b = rand(field, rng), rand(field, rng)
+            if (a * b).norm().val() < ext_min(a.norm().val(), b.norm().val()):
+                ok = False
+                break
+        rep.check(f"{tag}-norm-level-ultrametric", ok)
+    rep.stats["ultrametric_pairs"] = n_pairs
 
 
 # --- valuation axioms ---
 
 
-def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
-    checks: list[dict] = []
-    stats: dict = {}
+def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     n = cfg.samples or 100
 
     fields = {"B": cfg.hahn_field(2), "G": cfg.hahn_field(3)}
@@ -466,7 +408,7 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
             for _ in range(n)
         ] + [(field.zero(), field.one())]
         ok = all(check_v1(phi, idx, pairs).ok for idx in range(system.count))
-        checks.append(check_entry(f"{case}-one-root-valuation", ok))
+        rep.check(f"{case}-one-root-valuation", ok)
 
         def sample_pairs(
             i: int, j: int, field: TitsField = field
@@ -478,17 +420,15 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
 
         pair_list = system.interval_pairs()
         res = resolve_assignment(case, nu, sample_pairs, pair_list)
-        checks.append(
-            check_entry(
-                f"{case}-containment-all-pairs",
-                CheckResult(
-                    res.chosen is not None,
-                    data={"passes": res.passes, "exactly_one": res.exactly_one},
-                ),
-            )
+        rep.check(
+            f"{case}-containment-all-pairs",
+            CheckResult(
+                res.chosen is not None,
+                data={"passes": res.passes, "exactly_one": res.exactly_one},
+            ),
         )
-        stats[f"{case}_interval_pairs"] = len(pair_list)
-        stats[f"{case}_assignment_passes"] = {str(k): v for k, v in res.passes.items()}
+        rep.stats[f"{case}_interval_pairs"] = len(pair_list)
+        rep.stats[f"{case}_assignment_passes"] = {str(k): v for k, v in res.passes.items()}
 
     f4 = ambient_system("F")
     field = fields["B"]
@@ -504,8 +444,8 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
         if not res:
             ok = False
             break
-    checks.append(check_entry("F-containment-sampled-pairs", ok))
-    stats["F_pairs_checked"] = len(chosen)
+    rep.check("F-containment-sampled-pairs", ok)
+    rep.stats["F_pairs_checked"] = len(chosen)
 
     for case in ("B", "G"):
         field = fields[case]
@@ -524,8 +464,8 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
                     ok_const = False
                 if beta == alpha and not res:
                     ok_self = False
-        checks.append(check_entry(f"{case}-conjugation-shift-constant", ok_const))
-        checks.append(check_entry(f"{case}-self-shift-minus-twice", ok_self))
+        rep.check(f"{case}-conjugation-shift-constant", ok_const)
+        rep.check(f"{case}-self-shift-minus-twice", ok_self)
 
         alpha = system.position_root(1)
         w = field.one()
@@ -533,37 +473,30 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random) -> dict:
         res = check_double_reflection(
             phi, alpha, u, w, [rand_monomial(field, rng) for _ in range(20)]
         )
-        checks.append(check_entry(f"{case}-double-reflection-shift", res))
+        rep.check(f"{case}-double-reflection-shift", res)
 
     g_field = fields["G"]
     system = ambient_system("G")
     params = [rand_monomial(g_field, rng) for _ in range(30)]
     phi = PhiAssignment("G", system, TAdicValuation(), twisted_class=1)
-    checks.append(
-        check_entry("G-flip-invariance-tadic", check_rho_invariance(phi, params))
-    )
+    rep.check("G-flip-invariance-tadic", check_rho_invariance(phi, params))
     skew = PhiAssignment(
         "G", system, LatticeOrderValuation(QuadExt(0, 2, 3)), twisted_class=1
     )
     res = check_rho_invariance(skew, params)
-    checks.append(check_entry("G-flip-breaks-for-skew-order", not res.ok))
-
-    return {"checks": checks, "stats": stats}
+    rep.check("G-flip-breaks-for-skew-order", not res.ok)
 
 
 # --- embedding ---
 
 
-def _suite_embedding(cfg: RunConfig, rng: random.Random) -> dict:
-    checks: list[dict] = []
-    stats: dict = {}
-
+def _suite_embedding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     f3 = TitsField(FieldCfg(char=3, mode="finite", m=1))
     t_all = finite_elems_t(f3)
     ok = all(check_embedding_hom("G", a, b).ok for a in t_all for b in t_all)
-    checks.append(check_entry("G-word-homomorphism-F3", ok))
+    rep.check("G-word-homomorphism-F3", ok)
     ok = all(check_embedding_rho("G", a).ok for a in t_all)
-    checks.append(check_entry("G-word-flip-invariance-F3", ok))
+    rep.check("G-word-flip-invariance-F3", ok)
 
     hf3 = cfg.hahn_field(3)
     n = max(1, (cfg.samples or 1000) // 5)  # never pass on zero pairs
@@ -573,22 +506,17 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random) -> dict:
         if not check_embedding_hom("G", a, b).ok:
             ok = False
             break
-    checks.append(check_entry("G-word-homomorphism-hahn", ok))
-    stats["g_hahn_pairs"] = n
+    rep.check("G-word-homomorphism-hahn", ok)
+    rep.stats["g_hahn_pairs"] = n
     ok = all(check_embedding_rho("G", rand_t(hf3, rng)).ok for _ in range(50))
-    checks.append(check_entry("G-word-flip-invariance-hahn", ok))
+    rep.check("G-word-flip-invariance-hahn", ok)
 
     lam, mu = solve_suzuki_word()
-    checks.append(
-        check_entry(
-            "B-word-recipe-resolved",
-            CheckResult(True, data={"c2": str(lam), "c3": str(mu)}),
-        )
-    )
+    rep.check("B-word-recipe-resolved", CheckResult(True, data={"c2": str(lam), "c3": str(mu)}))
     f2 = TitsField(FieldCfg(char=2, mode="finite", m=1))
     s_all = finite_elems_s(f2)
     ok = all(check_embedding_hom("B", a, b).ok for a in s_all for b in s_all)
-    checks.append(check_entry("B-word-homomorphism-F2", ok))
+    rep.check("B-word-homomorphism-F2", ok)
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
     s8 = finite_elems_s(f8)
     pick = [s8[rng.randrange(len(s8))] for _ in range(100)]
@@ -597,7 +525,7 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random) -> dict:
         for a, b in zip(pick[::2], pick[1::2])
     )
     ok = ok and all(check_embedding_rho("B", a).ok for a in pick[:50])
-    checks.append(check_entry("B-word-checks-F8", ok))
+    rep.check("B-word-checks-F8", ok)
     hf2 = cfg.hahn_field(2)
     ok = True
     for _ in range(100):
@@ -605,39 +533,31 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random) -> dict:
         if not check_embedding_hom("B", a, b).ok or not check_embedding_rho("B", a).ok:
             ok = False
             break
-    checks.append(check_entry("B-word-checks-hahn", ok))
-
-    return {"checks": checks, "stats": stats}
+    rep.check("B-word-checks-hahn", ok)
 
 
 # --- moufang ---
 
 
-def _suite_moufang(cfg: RunConfig, rng: random.Random) -> dict:
-    checks: list[dict] = []
-    stats: dict = {}
-    timing: dict = {}
-
+def _suite_moufang(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     f3 = TitsField(FieldCfg(char=3, mode="finite", m=1))
     t0 = time.perf_counter()
     g = enumerate_group(f3)
-    timing["enumerate_seconds"] = round(time.perf_counter() - t0, 3)
-    stats["group"] = {
+    rep.timing["enumerate_seconds"] = round(time.perf_counter() - t0, 3)
+    rep.stats["group"] = {
         "npoints": g.npoints,
         "order": g.order,
         "transitivity": g.transitivity,
         "point_stab": g.point_stab,
         "two_point_stab": g.two_point_stab,
     }
-    checks.append(
-        check_entry(
-            "finite-group-shape",
-            g.order == 1512
-            and g.npoints == 28
-            and g.transitivity == 2
-            and g.point_stab == 54
-            and g.two_point_stab == 2,
-        )
+    rep.check(
+        "finite-group-shape",
+        g.order == 1512
+        and g.npoints == 28
+        and g.transitivity == 2
+        and g.point_stab == 54
+        and g.two_point_stab == 2,
     )
 
     f27 = TitsField(FieldCfg(char=3, mode="finite", m=3))
@@ -646,8 +566,8 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random) -> dict:
     ok = all(
         rho_scalar_check(t27[rng.randrange(1, len(t27))], sample).ok for _ in range(10)
     )
-    checks.append(check_entry("scaling-map-diagonal-F27", ok))
-    checks.append(check_entry("unit-scaling-identity-F27", rho_identity_check(f27, sample)))
+    rep.check("scaling-map-diagonal-F27", ok)
+    rep.check("unit-scaling-identity-F27", rho_scalar_check(TElem.center(f27.one()), sample).ok)
 
     # In series mode a general point drives the certified range to zero
     # after two norm inversions, so the diagonal shape is spot checked on
@@ -669,43 +589,27 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random) -> dict:
         a = TElem(hf3.zero(), hf3.zero(), c)
         if not rho_scalar_check(a, hs).ok:
             ok = False
-    checks.append(check_entry("scaling-map-diagonal-hahn", ok))
+    rep.check("scaling-map-diagonal-hahn", ok)
 
     n = cfg.samples or 100
     nu = TAdicValuation()
-    phi_g = moufang_phi("G", nu)
-    ok = True
-    for _ in range(n):
-        t = rand_monomial(hf3, rng)
-        if nu_from_phi("G", phi_g, t) != nu.of(t):
-            ok = False
-            break
-    checks.append(check_entry("G-round-trip-on-monomials", ok))
-    hf2 = cfg.hahn_field(2)
-    phi_b = moufang_phi("B", nu)
-    ok = True
-    for _ in range(n // 2):
-        t = rand_monomial(hf2, rng)
-        if nu_from_phi("B", phi_b, t) != nu.of(t):
-            ok = False
-            break
-    checks.append(check_entry("B-round-trip-on-monomials", ok))
+    for case, field, count in (("G", hf3, n), ("B", cfg.hahn_field(2), n // 2)):
+        phi_case = moufang_phi(case, nu)
+        ok = True
+        for _ in range(count):
+            t = rand_monomial(field, rng)
+            if nu_from_phi(case, phi_case, t) != nu.of(t):
+                ok = False
+                break
+        rep.check(f"{case}-round-trip-on-monomials", ok)
 
     system = ambient_system("G")
     phi = PhiAssignment("G", system, nu, twisted_class=1)
     params = [rand_monomial(hf3, rng) for _ in range(30)]
-    checks.append(
-        check_entry("flip-invariance-positive-direction", check_rho_invariance(phi, params))
-    )
-
-    return {
-        "checks": checks,
-        "stats": stats,
-        "timing": timing,
-    }
+    rep.check("flip-invariance-positive-direction", check_rho_invariance(phi, params))
 
 
-_SUITES: dict[str, Callable[[RunConfig, random.Random], dict]] = {
+_SUITES: dict[str, Callable[[RunConfig, random.Random, SuiteReport], None]] = {
     "scalars": _suite_scalars,
     "roots": _suite_roots,
     "folding": _suite_folding,
@@ -716,15 +620,18 @@ _SUITES: dict[str, Callable[[RunConfig, random.Random], dict]] = {
     "embedding": _suite_embedding,
     "moufang": _suite_moufang,
 }
+SUITE_NAMES = list(_SUITES)
 
 
 def run_suite(name: str, cfg: RunConfig) -> dict:
     if name not in _SUITES:
         raise ConfigError(f"unknown suite: {name}")
     rng = random.Random(suite_seed(cfg.seed, name))
+    rep = SuiteReport()
     t0 = time.perf_counter()
-    payload = _SUITES[name](cfg, rng)
-    payload["ok"] = all(c["ok"] for c in payload["checks"])
+    _SUITES[name](cfg, rng, rep)
+    payload = rep.payload()
+    payload["timing"] = rep.timing
     payload["seconds"] = round(time.perf_counter() - t0, 3)
     return payload
 
@@ -745,7 +652,7 @@ def run_all(
     timing: dict[str, dict] = {}
     for name, payload in suites.items():
         entry = {"seconds": payload.pop("seconds")}
-        entry.update(payload.pop("timing", {}))
+        entry.update(payload.pop("timing"))
         timing[name] = entry
     out = {
         "seed": cfg.seed,

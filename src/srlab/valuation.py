@@ -400,13 +400,10 @@ def check_double_reflection(
     return CheckResult(True, data={"shift": str(expected)})
 
 
-def check_rho_invariance(
-    phi: PhiAssignment, params: Sequence[FieldElem], roots: Sequence[int] | None = None
-) -> CheckResult:
+def check_rho_invariance(phi: PhiAssignment, params: Sequence[FieldElem]) -> CheckResult:
     """The chamber involution preserves phi values parameterwise."""
     system = phi.system
-    idxs = list(roots) if roots is not None else range(system.count)
-    for k in idxs:
+    for k in range(system.count):
         kk = system.chamber_involution_idx(k)
         for t in params:
             a = phi.phi(k, t)

@@ -220,6 +220,28 @@ def test_count_settings_below_one_exit_two(tmp_path, flags, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, flags",
+    [
+        ("samples", []),
+        ("samples", ["--samples", "3"]),
+        ("jobs", ["--jobs", "1"]),
+        ("field.precision", []),
+        ("field.denom", []),
+        ("field.support_cap", []),
+    ],
+    ids=["samples", "samples-flag-given", "jobs-flag-given", "precision", "denom",
+         "support-cap"],
+)
+def test_config_count_below_one_names_file_and_line(tmp_path, capsys, key, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"suites = scalars\n{key} = 0\n")
+    out = tmp_path / "x.json"
+    assert main(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"srlab: {cfg}:2: {key} must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 def test_explicit_jobs_one_wins_over_config(tmp_path, monkeypatch):
     seen = []
 

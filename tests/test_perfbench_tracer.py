@@ -3,8 +3,9 @@
 `perfbench/tracer.py` wraps srlab's public functions and methods by name
 and reads some positional arguments; a rename, deletion or signature change
 in srlab shows up in its `absent` list or breaks a counting hook, and the
-scalar layer must still report calls.  The tracer patches the process, so
-it runs in a child interpreter.
+scalar layer must still report calls.  The per-suite metrics are keyed by
+the tracer's own copy of the suite names, so that copy must match srlab's.
+The tracer patches the process, so it runs in a child interpreter.
 """
 
 import json
@@ -23,6 +24,7 @@ from srlab.groups import TElem
 from srlab.scalar import QuadExt
 from srlab.roots import get_system
 from srlab.valuation import PhiAssignment, TAdicValuation, check_embedding_hom, check_v2_pair
+import srlab.suites
 
 t = tracer.Tracer()
 tracer.install(t)
@@ -37,8 +39,10 @@ inv_ok = ((x * y) * x.inv()).agrees(y)
 g2 = get_system("G2")
 phi = PhiAssignment("G", g2, TAdicValuation(), twisted_class=1)
 v2 = check_v2_pair(phi, g2.position_root(1), g2.position_root(6), [(x, y)]).ok
+folding = srlab.suites.run_suite("folding", srlab.suites.RunConfig(samples=1))["ok"]
 print(json.dumps({"absent": t.absent, "counts": dict(t.counts), "metrics": t.metrics(),
-                  "ok": [hom, inv_ok, v2]}))
+                  "ok": [hom, inv_ok, v2, folding],
+                  "names": [list(tracer.SUITE_NAMES), srlab.suites.SUITE_NAMES]}))
 """
 
 
@@ -52,10 +56,16 @@ def test_tracer_installs_every_name_and_counts():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["absent"] == []
-    assert result["ok"] == [True, True, True]
+    assert result["ok"] == [True, True, True, True]
     assert result["counts"]["collect.factors_in"] > 0
     assert result["counts"]["ser_mul.calls"] > 0
     # the tracer skips a scalar operation that is no longer a method without
     # listing it as absent, so an emptied scalar layer shows only here
     assert result["metrics"].get("scalar.quad.calls", 0) > 0
     assert result["metrics"].get("scalar.extval.calls", 0) > 0
+    # suites.<name>.s is read under the tracer's fixed copy of the names, so
+    # a renamed suite would read 0 instead of showing as absent
+    tracer_names, srlab_names = result["names"]
+    assert tracer_names == srlab_names
+    assert result["metrics"]["suites.run_suite.calls"] == 1
+    assert result["metrics"]["suites.folding.s"] > 0
