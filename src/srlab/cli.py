@@ -43,8 +43,9 @@ def parse_config_file(path: str) -> dict[str, ConfigValue]:
     """Flat key=value lines; blank lines and # comments are skipped.
 
     Each key may appear once.  Integer keys hold integers (counts at least
-    1), `timings` a boolean word, `case` one of B, F, G and `suites` a
-    nonempty comma-separated list of suite names.  Values come back typed.
+    1), `timings` a boolean word, `case` one of B, F, G, `out` a nonempty
+    path and `suites` a nonempty comma-separated list of distinct suite
+    names.  Values come back typed.
     """
     out: dict[str, ConfigValue] = {}
     try:
@@ -88,8 +89,18 @@ def _config_value(key: str, value: str) -> ConfigValue:
         for name in names:
             if name not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {name!r}")
-        return names
+        return _distinct(names)
+    if key == "out" and not value:
+        raise ConfigError("out must name a file")
     return value
+
+
+def _distinct(names: list[str]) -> list[str]:
+    """A suite list names each suite at most once."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"suite {name!r} named twice")
+    return names
 
 
 def _int(raw: str, name: str) -> int:
@@ -159,7 +170,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         timings=args.timings or file_cfg.get("timings", False),
     )
     jobs = pick(_count(args.jobs, "jobs"), "jobs", 1)
-    report = run_all(cfg, args.suite or file_cfg.get("suites"), jobs=jobs)
+    suites = _distinct(args.suite) if args.suite else file_cfg.get("suites")
+    report = run_all(cfg, suites, jobs=jobs)
     _emit(render_report(report), args.out or file_cfg.get("out"))
     return 0 if report["ok"] else 1
 

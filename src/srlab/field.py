@@ -1,17 +1,15 @@
 """Fields of characteristic 2 or 3 carrying a Tits endomorphism.
 
-Two modes share one element interface.  In finite mode the field is
-F_{p^m} with m odd, presented through exp/log tables, and the twisting
-endomorphism is x -> x^{p^{n+1}} where m = 2n + 1; the valuation is trivial.
-In hahn mode elements are finitely supported series sum c_i * t^{g_i} with
+Each of the two modes has its own element class under the FieldElem
+interface.  In finite mode the field is F_{p^m} with m odd, presented through
+exp/log tables, with twisting endomorphism x -> x^{p^{n+1}} where m = 2n + 1
+and the trivial valuation; it builds its q FiniteElem once, as `elems`, and
+every factory and operation returns one of them by a table lookup.  In hahn
+mode a SeriesElem is a finitely supported series sum c_i * t^{g_i} with
 exponents g_i in (1/D) Z[sqrt(p)] and coefficients in F_{p^m}; inexact
 elements carry an upper truncation exponent (their precision) and every
-operation propagates it honestly.
-
-Finite elements are interned per field: a finite TitsField builds its q
-elements once, as `elems`, and every factory and operation returns one of
-them by a table lookup, so finite arithmetic allocates nothing.  Elements of
-either mode are immutable and may be shared.
+operation propagates it honestly.  Only the field's factories choose the
+class.  Elements are immutable and may be shared.
 """
 
 from __future__ import annotations
@@ -226,8 +224,8 @@ class TitsField:
         self.D = cfg.denom
         self.mode = cfg.mode
         self.prec_lat: Lat = (cfg.precision * cfg.denom, 0)
-        self.elems: list[FieldElem] | None = (
-            [FieldElem(self, k=k) for k in range(self.q)] if self.mode == "finite" else None
+        self.elems: list[FiniteElem] | None = (
+            [FiniteElem(self, k) for k in range(self.q)] if self.mode == "finite" else None
         )
 
     # --- factories ---
@@ -235,7 +233,7 @@ class TitsField:
     def zero(self) -> "FieldElem":
         if self.elems is not None:
             return self.elems[0]
-        return FieldElem(self, terms={}, prec=None)
+        return SeriesElem(self, {})
 
     def one(self) -> "FieldElem":
         return self.from_coeff(1)
@@ -245,7 +243,7 @@ class TitsField:
             raise ValueError(f"coefficient index out of range: {k}")
         if self.elems is not None:
             return self.elems[k]
-        return FieldElem(self, terms={(0, 0): k} if k else {}, prec=None)
+        return SeriesElem(self, {(0, 0): k} if k else {})
 
     def lat(self, exp: QuadExt | Fraction | int) -> Lat:
         """Lattice pair of an exponent, validating membership in (1/D)Z[sqrt p]."""
@@ -267,8 +265,7 @@ class TitsField:
             raise ConfigError("monomials exist only in hahn mode")
         if not 0 <= coeff < self.q:
             raise ValueError(f"coefficient index out of range: {coeff}")
-        terms = {self.lat(exp): coeff} if coeff else {}
-        return FieldElem(self, terms=terms, prec=None)
+        return SeriesElem(self, {self.lat(exp): coeff} if coeff else {})
 
     # --- parsing and emission ---
 
@@ -280,7 +277,7 @@ class TitsField:
         if not s:
             raise ParseError("empty element literal", 0)
         if s == "0":
-            return FieldElem(self, terms={}, prec=self.prec_lat)
+            return SeriesElem(self, {}, self.prec_lat)
         terms: dict[Lat, int] = {}
         pos = 0
         depth = 0
@@ -308,7 +305,7 @@ class TitsField:
             else:
                 terms.pop(lat, None)
         terms = kernel.ser_trunc(terms, self.prec_lat, self.p)
-        return FieldElem(self, terms=terms, prec=self.prec_lat)
+        return SeriesElem(self, terms, self.prec_lat)
 
     def _parse_term(self, chunk: str, off: int) -> tuple[Lat, int]:
         t = chunk.strip()
@@ -359,42 +356,123 @@ class TitsField:
 
 
 class FieldElem:
-    """An element of a TitsField in either mode."""
+    """An element of a TitsField: a FiniteElem or a SeriesElem.
 
-    # _low caches the least support exponent of a hahn element (None when
-    # the support is empty); it is filled on first use.
-    __slots__ = ("field", "k", "terms", "prec", "_low")
+    The base holds what both modes share; each subclass does its own
+    arithmetic, so no operation asks for the field's mode.
+    """
 
-    def __init__(
-        self,
-        field: TitsField,
-        k: int | None = None,
-        terms: dict[Lat, int] | None = None,
-        prec: Lat | None = None,
-    ) -> None:
-        self.field = field
-        if field.mode == "finite":
-            if k is None:
-                raise ValueError("finite-mode element needs a coefficient index")
-            self.k = k
-            self.terms = None
-            self.prec = None
-        else:
-            if terms is None:
-                raise ValueError("hahn-mode element needs a term dict")
-            self.k = None
-            self.terms = terms
-            self.prec = prec
-            self._low = _UNSET
-
-    # --- helpers ---
+    __slots__ = ("field",)
 
     def _require_same_field(self, other: "FieldElem") -> None:
         if self.field is not other.field:
             raise ValueError("elements belong to different fields")
 
+    def __sub__(self, other: "FieldElem") -> "FieldElem":
+        return self + (-other)
+
+    def __truediv__(self, other: "FieldElem") -> "FieldElem":
+        return self * other.inv()
+
+    def frob(self) -> "FieldElem":
+        """Apply the Frobenius, the square of the Tits endomorphism."""
+        return self.theta().theta()
+
+    def __str__(self) -> str:
+        return self.emit()
+
+    def __repr__(self) -> str:
+        tag = "" if self.prec is None else f" +O(t^{self.field.unlat(self.prec)})"
+        return f"<{self.emit()}{tag}>"
+
+
+class FiniteElem(FieldElem):
+    """An element of a finite field, held as its coefficient index k.
+
+    A finite field builds each of its elements once (`TitsField.elems`), so
+    equality is identity and every operation is a table lookup.
+    """
+
+    __slots__ = ("k",)
+    # read alike on both element classes (precision, support-cap counters)
+    terms = prec = None
+
+    def __init__(self, field: TitsField, k: int) -> None:
+        self.field = field
+        self.k = k
+
+    def __add__(self, other: "FieldElem") -> "FieldElem":
+        f = self.field
+        if other.field is not f:
+            raise ValueError("elements belong to different fields")
+        return f.elems[f.coeff.addf[self.k * f.q + other.k]]
+
+    def __neg__(self) -> "FieldElem":
+        f = self.field
+        return f.elems[f.coeff.negf[self.k]]
+
+    def __mul__(self, other: "FieldElem") -> "FieldElem":
+        f = self.field
+        if other.field is not f:
+            raise ValueError("elements belong to different fields")
+        return f.elems[f.coeff.mulf[self.k * f.q + other.k]]
+
+    def __pow__(self, e: int) -> "FieldElem":
+        return self.twisted_pow(e, 0)
+
+    def theta(self) -> "FieldElem":
+        """Apply the Tits endomorphism."""
+        f = self.field
+        return f.elems[f.coeff.thetaf[self.k]]
+
+    def twisted_pow(self, em: int, en: int) -> "FieldElem":
+        """Compute self^em * theta(self)^en for integer exponents."""
+        f = self.field
+        return f.elems[f.coeff.twisted_pow(self.k, em, en)]
+
+    def inv(self) -> "FieldElem":
+        f = self.field
+        return f.elems[f.coeff.inv(self.k)]
+
+    def is_zero(self) -> bool:
+        return self.k == 0
+
+    def is_nonzero(self) -> bool:
+        return self.k != 0
+
+    def val(self) -> ExtVal:
+        """The trivial valuation: infinity at zero, 0 elsewhere."""
+        return INFINITY if self.k == 0 else ExtVal.of(0)
+
+    def agrees(self, other: "FieldElem") -> bool:
+        self._require_same_field(other)
+        return self is other
+
+    def emit(self) -> str:
+        return self.field.coeff_str(self.k)
+
+
+class SeriesElem(FieldElem):
+    """A finitely supported series {exponent: coefficient index} of a hahn field.
+
+    `prec` is the upper truncation exponent of an inexact element and None
+    for an exact one; every operation propagates it.
+    """
+
+    # _low caches the least support exponent (None when the support is
+    # empty); it is filled on first use.
+    __slots__ = ("terms", "prec", "_low")
+
+    def __init__(self, field: TitsField, terms: dict[Lat, int], prec: Lat | None = None) -> None:
+        self.field = field
+        self.terms = terms
+        self.prec = prec
+        self._low = _UNSET
+
+    # --- helpers ---
+
     def _min_exp(self) -> Lat | None:
-        """Least support exponent of a hahn element, None for empty support."""
+        """Least support exponent, None for empty support."""
         low = self._low
         if low is _UNSET:
             low = self._low = kernel.ser_min(self.terms, self.field.p)
@@ -405,14 +483,14 @@ class FieldElem:
         m = self._min_exp()
         return m if m is not None else self.prec
 
-    def _capped(self, terms: dict[Lat, int], prec: Lat | None) -> "FieldElem":
+    def _capped(self, terms: dict[Lat, int], prec: Lat | None) -> "SeriesElem":
         cap = self.field.cfg.support_cap
         if prec is not None and len(terms) > cap:
             ordered = kernel.ser_sorted(terms, self.field.p)
             cut = ordered[cap][0]
             prec = _lmin(prec, cut, self.field.p)
             terms = kernel.ser_trunc(terms, prec, self.field.p)
-        return FieldElem(self.field, terms=terms, prec=prec)
+        return SeriesElem(self.field, terms, prec)
 
     # --- arithmetic ---
 
@@ -420,27 +498,18 @@ class FieldElem:
         f = self.field
         if other.field is not f:
             raise ValueError("elements belong to different fields")
-        if f.elems is not None:
-            return f.elems[f.coeff.addf[self.k * f.q + other.k]]
         prec = _lmin(self.prec, other.prec, f.p)
         terms = kernel.ser_add(self.terms, other.terms, f.q, f.coeff.addf, prec, f.p)
         return self._capped(terms, prec)
 
     def __neg__(self) -> "FieldElem":
         f = self.field
-        if f.elems is not None:
-            return f.elems[f.coeff.negf[self.k]]
-        return FieldElem(f, terms=kernel.ser_neg(self.terms, f.coeff.negf), prec=self.prec)
-
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        return self + (-other)
+        return SeriesElem(f, kernel.ser_neg(self.terms, f.coeff.negf), self.prec)
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
         f = self.field
         if other.field is not f:
             raise ValueError("elements belong to different fields")
-        if f.elems is not None:
-            return f.elems[f.coeff.mulf[self.k * f.q + other.k]]
         prec = None
         if self.prec is not None:
             lo = other._nu_low()
@@ -452,12 +521,7 @@ class FieldElem:
         terms = kernel.ser_mul(self.terms, other.terms, f.q, f.coeff.addf, f.coeff.mulf, prec, f.p)
         return self._capped(terms, prec)
 
-    def __truediv__(self, other: "FieldElem") -> "FieldElem":
-        return self * other.inv()
-
     def __pow__(self, e: int) -> "FieldElem":
-        if self.field.elems is not None:
-            return self.twisted_pow(e, 0)
         if e == 0:
             return self.field.one()
         # the product starts from the first factor: a leading one * x would
@@ -471,21 +535,12 @@ class FieldElem:
     def theta(self) -> "FieldElem":
         """Apply the Tits endomorphism."""
         f = self.field
-        if f.elems is not None:
-            return f.elems[f.coeff.thetaf[self.k]]
         terms = kernel.ser_theta(self.terms, f.p, f.coeff.thetaf)
         prec = None if self.prec is None else (f.p * self.prec[1], self.prec[0])
-        return FieldElem(f, terms=terms, prec=prec)
-
-    def frob(self) -> "FieldElem":
-        """Apply the Frobenius, the square of the Tits endomorphism."""
-        return self.theta().theta()
+        return SeriesElem(f, terms, prec)
 
     def twisted_pow(self, em: int, en: int) -> "FieldElem":
         """Compute self^em * theta(self)^en for integer exponents."""
-        f = self.field
-        if f.elems is not None:
-            return f.elems[f.coeff.twisted_pow(self.k, em, en)]
         if not en:
             return self**em
         twisted = self.theta() ** en
@@ -493,8 +548,6 @@ class FieldElem:
 
     def inv(self) -> "FieldElem":
         f = self.field
-        if f.elems is not None:
-            return f.elems[f.coeff.inv(self.k)]
         if not self.terms:
             if self.prec is None:
                 raise DivisionByZeroError("inverse of zero")
@@ -507,7 +560,7 @@ class FieldElem:
         cinv = f.coeff.inv(c)
         if len(self.terms) == 1:
             prec = None if self.prec is None else _ladd(self.prec, _lneg(_ladd(g, g)))
-            return FieldElem(f, terms={_lneg(g): cinv}, prec=prec)
+            return SeriesElem(f, {_lneg(g): cinv}, prec)
         # self = c t^g (1 + x); invert the unit by a geometric series
         neg_x: dict[Lat, int] = {}
         for key, coef in self.terms.items():
@@ -537,14 +590,12 @@ class FieldElem:
         terms = {}
         for key, coef in acc.items():
             terms[_ladd(key, shift)] = f.coeff.mul(coef, cinv)
-        return FieldElem(f, terms=terms, prec=_ladd(rel, shift))
+        return SeriesElem(f, terms, _ladd(rel, shift))
 
     # --- predicates and views ---
 
     def is_zero(self) -> bool:
         """True for certified zero; raises when truncation hides the answer."""
-        if self.field.mode == "finite":
-            return self.k == 0
         if self.terms:
             return False
         if self.prec is None:
@@ -554,18 +605,13 @@ class FieldElem:
         )
 
     def is_nonzero(self) -> bool:
-        if self.field.mode == "finite":
-            return self.k != 0
         return bool(self.terms)
 
     def val(self) -> ExtVal:
         """The t-adic valuation as an extended exact value."""
-        f = self.field
-        if f.mode == "finite":
-            return INFINITY if self.k == 0 else ExtVal.of(0)
         m = self._min_exp()
         if m is not None:
-            return ExtVal(f.unlat(m))
+            return ExtVal(self.field.unlat(m))
         if self.prec is None:
             return INFINITY
         raise InsufficientPrecisionError("valuation of an uncertified zero")
@@ -574,8 +620,6 @@ class FieldElem:
         """Equality up to the common certified precision."""
         self._require_same_field(other)
         f = self.field
-        if f.mode == "finite":
-            return self.k == other.k
         prec = _lmin(self.prec, other.prec, f.p)
         if prec is None:
             return self.terms == other.terms
@@ -584,31 +628,15 @@ class FieldElem:
         )
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldElem) or self.field is not other.field:
+        if not isinstance(other, SeriesElem) or self.field is not other.field:
             return NotImplemented
-        if self.field.mode == "finite":
-            return self.k == other.k
         return self.terms == other.terms and self.prec == other.prec
-
-    def __hash__(self) -> int:
-        if self.field.mode == "finite":
-            return hash((id(self.field), self.k))
-        raise TypeError("hahn elements are unhashable")
 
     def emit(self) -> str:
         f = self.field
-        if f.mode == "finite":
-            return f.coeff_str(self.k)
         if not self.terms:
             return "0"
         parts = []
         for lat, c in kernel.ser_sorted(self.terms, f.p):
             parts.append(f"{f.coeff_str(c)}*t^({f.unlat(lat)})")
         return "+".join(parts)
-
-    def __str__(self) -> str:
-        return self.emit()
-
-    def __repr__(self) -> str:
-        tag = "" if self.prec is None else f" +O(t^{self.field.unlat(self.prec)})"
-        return f"<{self.emit()}{tag}>"

@@ -3,7 +3,8 @@
 QuadExt is an immutable quadratic rational over a squarefree radicand p in
 {2, 3}; purely rational values carry no radicand and mix freely with either.
 ExtVal adjoins a positive infinity that absorbs under addition and is the
-neutral element of min; valuations take values here.
+neutral element of min; valuations take values here.  Each combines only with
+its own kind: ints and Fractions enter through the constructors and ExtVal.of.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ class QuadExt:
         return Fraction(self.a, self.den), Fraction(self.b, self.den)
 
     def _join(self, other: "QuadExt") -> int | None:
-        """Common radicand of two values, or RadicandMismatchError."""
+        """Common radicand of two values; TypeError unless both are QuadExt."""
+        if not isinstance(other, QuadExt):
+            raise TypeError(f"cannot combine a QuadExt with {type(other).__name__}")
         if self.p is None:
             return other.p
         if other.p is None or other.p == self.p:
@@ -98,46 +101,28 @@ class QuadExt:
             f"cannot combine sqrt({self.p}) value with sqrt({other.p}) value"
         )
 
-    @staticmethod
-    def _coerce(x: "QuadExt | RationalLike") -> "QuadExt":
-        if isinstance(x, QuadExt):
-            return x
-        return QuadExt(x)
-
-    def __add__(self, other: "QuadExt | RationalLike") -> "QuadExt":
-        other = self._coerce(other)
+    def __add__(self, other: "QuadExt") -> "QuadExt":
         p = self._join(other)
         d1, d2 = self.den, other.den
         g = gcd(d1, d2)
         m1, m2 = d2 // g, d1 // g
         return QuadExt.from_ints(self.a * m1 + other.a * m2, self.b * m1 + other.b * m2, d1 * m1, p)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "QuadExt | RationalLike") -> "QuadExt":
-        return self + -self._coerce(other)
-
-    def __rsub__(self, other: "QuadExt | RationalLike") -> "QuadExt":
-        return self._coerce(other).__sub__(self)
+    def __sub__(self, other: "QuadExt") -> "QuadExt":
+        return self + -other
 
     def __neg__(self) -> "QuadExt":
         return QuadExt.from_ints(-self.a, -self.b, self.den, self.p)
 
-    def __mul__(self, other: "QuadExt | RationalLike") -> "QuadExt":
-        other = self._coerce(other)
+    def __mul__(self, other: "QuadExt") -> "QuadExt":
         p = self._join(other)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return QuadExt.from_ints(
             a1 * a2 + (p or 0) * b1 * b2, a1 * b2 + b1 * a2, self.den * other.den, p
         )
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "QuadExt | RationalLike") -> "QuadExt":
-        return self * self._coerce(other).inv()
-
-    def __rtruediv__(self, other: "QuadExt | RationalLike") -> "QuadExt":
-        return self._coerce(other).__truediv__(self)
+    def __truediv__(self, other: "QuadExt") -> "QuadExt":
+        return self * other.inv() if isinstance(other, QuadExt) else NotImplemented
 
     def inv(self) -> "QuadExt":
         a, b, p = self.a, self.b, self.p
@@ -153,8 +138,6 @@ class QuadExt:
         return not (self.a == 0 and self.b == 0)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QuadExt(other)
         if not isinstance(other, QuadExt):
             return NotImplemented
         return (
@@ -162,8 +145,7 @@ class QuadExt:
             and self.den == other.den and self.p == other.p
         )
 
-    def __lt__(self, other: "QuadExt | RationalLike") -> bool:
-        other = self._coerce(other)
+    def __lt__(self, other: "QuadExt") -> bool:
         p = self._join(other)
         d1, d2 = self.den, other.den
         # both denominators are positive, so the sign of the cross difference decides
@@ -272,30 +254,25 @@ class ExtVal:
             raise ValueError("value is infinite")
         return self.q
 
-    def __add__(self, other: "ExtVal | QuadExt | RationalLike") -> "ExtVal":
-        other = ExtVal.of(other)
+    def __add__(self, other: "ExtVal") -> "ExtVal":
         if self.q is None or other.q is None:
             return INFINITY
         return ExtVal(self.q + other.q)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "ExtVal":
         if self.q is None:
             raise ValueError("cannot negate an infinite value")
         return ExtVal(-self.q)
 
-    def __sub__(self, other: "ExtVal | QuadExt | RationalLike") -> "ExtVal":
-        other = ExtVal.of(other)
+    def __sub__(self, other: "ExtVal") -> "ExtVal":
         if other.q is None:
             raise ValueError("cannot subtract an infinite value")
         if self.q is None:
             return INFINITY
         return ExtVal(self.q - other.q)
 
-    def scale(self, c: "QuadExt | RationalLike") -> "ExtVal":
+    def scale(self, c: QuadExt) -> "ExtVal":
         """Multiply by a positive exact scalar (infinity is fixed)."""
-        c = QuadExt._coerce(c)
         if c.sign() <= 0:
             raise ValueError("scaling factor must be positive")
         if self.q is None:
@@ -303,16 +280,13 @@ class ExtVal:
         return ExtVal(self.q * c)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (QuadExt, int, Fraction)):
-            other = ExtVal.of(other)
         if not isinstance(other, ExtVal):
             return NotImplemented
         if self.q is None or other.q is None:
             return self.q is None and other.q is None
         return self.q == other.q
 
-    def __lt__(self, other: "ExtVal | QuadExt | RationalLike") -> bool:
-        other = ExtVal.of(other)
+    def __lt__(self, other: "ExtVal") -> bool:
         if self.q is None:
             return False
         if other.q is None:

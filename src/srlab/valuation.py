@@ -132,44 +132,41 @@ def collect(
     swapped through the commutator relation until positions ascend.
     """
     w: WordFactors = [(pos, param) for pos, param in factors if param.is_nonzero()]
-    changed = True
-    while changed:
-        changed = False
-        idx = 0
-        while idx < len(w) - 1:
-            (pi, si), (pj, tj) = w[idx], w[idx + 1]
-            if pi == pj:
-                merged = si + tj
-                if merged.is_nonzero():
-                    w[idx : idx + 2] = [(pi, merged)]
-                else:
-                    if merged.prec is not None:
-                        raise InsufficientPrecisionError(
-                            "word parameter cancels below its certified precision"
-                        )
-                    w[idx : idx + 2] = []
-                changed = True
-                idx = max(idx - 1, 0)
-            elif pi > pj:
-                ri = system.position_root(pi)
-                rj = system.position_root(pj)
-                comm = commutator_factors(case, system, rj, tj, ri, si)
-                tail: WordFactors = []
-                for k, c in comm:
-                    neg = -c
-                    if neg.is_nonzero():
-                        kpos = system.root_position(k)
-                        if kpos is None:
-                            raise ConfigError("commutator factor left the positive span")
-                        tail.append((kpos, neg))
-                w[idx : idx + 2] = [(pj, tj), (pi, si)] + tail
-                changed = True
-                idx = max(idx - 1, 0)
+    # one pass suffices: w[:idx + 1] always ascends strictly, and every merge
+    # or swap touches only w[idx:] and steps back by one
+    idx = 0
+    while idx < len(w) - 1:
+        (pi, si), (pj, tj) = w[idx], w[idx + 1]
+        if pi == pj:
+            merged = si + tj
+            if merged.is_nonzero():
+                w[idx : idx + 2] = [(pi, merged)]
             else:
-                idx += 1
-            fuel -= 1
-            if fuel <= 0:
-                raise ResourceBoundError("collection fuel exhausted")
+                if merged.prec is not None:
+                    raise InsufficientPrecisionError(
+                        "word parameter cancels below its certified precision"
+                    )
+                w[idx : idx + 2] = []
+            idx = max(idx - 1, 0)
+        elif pi > pj:
+            ri = system.position_root(pi)
+            rj = system.position_root(pj)
+            comm = commutator_factors(case, system, rj, tj, ri, si)
+            tail: WordFactors = []
+            for k, c in comm:
+                neg = -c
+                if neg.is_nonzero():
+                    kpos = system.root_position(k)
+                    if kpos is None:
+                        raise ConfigError("commutator factor left the positive span")
+                    tail.append((kpos, neg))
+            w[idx : idx + 2] = [(pj, tj), (pi, si)] + tail
+            idx = max(idx - 1, 0)
+        else:
+            idx += 1
+        fuel -= 1
+        if fuel <= 0:
+            raise ResourceBoundError("collection fuel exhausted")
     return w
 
 
@@ -264,7 +261,7 @@ class LatticeOrderValuation(Valuation):
             return x.val()
         best: ExtVal | None = None
         for (e, fo) in x.terms:
-            v = ExtVal.of((QuadExt(e) + QuadExt(fo) * self.lam) / f.D)
+            v = ExtVal((QuadExt(e) + QuadExt(fo) * self.lam) / QuadExt(f.D))
             if best is None or v < best:
                 best = v
         if best is not None:

@@ -180,9 +180,12 @@ def test_enumerate_output(tmp_path):
         ("suites = ,", "suites must name at least one suite"),
         ("suites =", "suites must name at least one suite"),
         ("suites = scalars, rootz", "unknown suite 'rootz'"),
+        ("suites = folding, scalars, folding", "suite 'folding' named twice"),
         ("case = H", "case must be one of B, F, G, got 'H'"),
+        ("out =", "out must name a file"),
     ],
-    ids=["suites-comma", "suites-blank", "suites-unknown", "case-unknown"],
+    ids=["suites-comma", "suites-blank", "suites-unknown", "suites-repeated", "case-unknown",
+         "out-empty"],
 )
 def test_config_file_rejects_bad_suites_and_case(tmp_path, capsys, line, message):
     cfg = tmp_path / "s.cfg"
@@ -190,6 +193,14 @@ def test_config_file_rejects_bad_suites_and_case(tmp_path, capsys, line, message
     out = tmp_path / "x.json"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"srlab: {cfg}:2: {message}\n"
+    assert not out.exists()
+
+
+def test_suite_flag_named_twice_exits_two(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    argv = ["run", "--suite", "folding", "--suite", "folding", "--samples", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "srlab: suite 'folding' named twice\n"
     assert not out.exists()
 
 

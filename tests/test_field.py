@@ -174,16 +174,17 @@ def test_finite_results_are_interned(p, m):
 
 def test_distinct_fields_do_not_mix():
     f, g = finite(3, 3), finite(3, 3)
-    a, b = f.from_coeff(5), g.from_coeff(5)
-    for op in (
-        lambda: a + b,
-        lambda: a - b,
-        lambda: a * b,
-        lambda: a / b,
-        lambda: a.agrees(b),
-    ):
-        with pytest.raises(ValueError, match="different fields"):
-            op()
+    x = hahn().monomial(QuadExt(1), 1)
+    for a, b in ((f.from_coeff(5), g.from_coeff(5)), (f.from_coeff(5), x), (x, f.from_coeff(5))):
+        for op in (
+            lambda: a + b,
+            lambda: a - b,
+            lambda: a * b,
+            lambda: a / b,
+            lambda: a.agrees(b),
+        ):
+            with pytest.raises(ValueError, match="different fields"):
+                op()
     assert hahn().elems is None
 
 

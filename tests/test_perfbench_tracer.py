@@ -36,12 +36,16 @@ hf = TitsField(FieldCfg(char=3, mode="hahn"))
 x = hf.monomial(QuadExt(0), 1) + hf.monomial(QuadExt(1), 1)
 y = hf.monomial(QuadExt(0, 1, 3), 2) + hf.monomial(QuadExt(2), 1)
 inv_ok = ((x * y) * x.inv()).agrees(y)
+before = t.stats["field.mul"][0]
+f3.from_coeff(2) * f3.from_coeff(2)
+x * y
+mul_calls = t.stats["field.mul"][0] - before
 g2 = get_system("G2")
 phi = PhiAssignment("G", g2, TAdicValuation(), twisted_class=1)
 v2 = check_v2_pair(phi, g2.position_root(1), g2.position_root(6), [(x, y)]).ok
 folding = srlab.suites.run_suite("folding", srlab.suites.RunConfig(samples=1))["ok"]
 print(json.dumps({"absent": t.absent, "counts": dict(t.counts), "metrics": t.metrics(),
-                  "ok": [hom, inv_ok, v2, folding],
+                  "ok": [hom, inv_ok, v2, folding], "mul_calls": mul_calls,
                   "names": [list(tracer.SUITE_NAMES), srlab.suites.SUITE_NAMES]}))
 """
 
@@ -59,6 +63,8 @@ def test_tracer_installs_every_name_and_counts():
     assert result["ok"] == [True, True, True, True]
     assert result["counts"]["collect.factors_in"] > 0
     assert result["counts"]["ser_mul.calls"] > 0
+    # one finite and one series product: both element classes stay wrapped
+    assert result["mul_calls"] == 2
     # the tracer skips a scalar operation that is no longer a method without
     # listing it as absent, so an emptied scalar layer shows only here
     assert result["metrics"].get("scalar.quad.calls", 0) > 0

@@ -33,6 +33,23 @@ def test_radicand_mixing():
     assert QuadExt(1) * QuadExt(0, 1, 3) == QuadExt(0, 1, 3)
 
 
+def test_scalars_combine_only_with_scalars():
+    # equal values must hash alike, so a QuadExt is not equal to an int
+    assert QuadExt(3) != 3
+    assert {3: "x"}.get(QuadExt(3)) is None
+    assert ExtVal.of(3) != 3 and ExtVal.of(3) != QuadExt(3)
+    for op in (
+        lambda: QuadExt(1) + 1,
+        lambda: 1 + QuadExt(1),
+        lambda: QuadExt(1) - Fraction(1, 2),
+        lambda: QuadExt(1) * 2,
+        lambda: QuadExt(1) / 2,
+        lambda: QuadExt(1) < 2,
+    ):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_sign_near_zero():
     # -7 + 4*sqrt(3) is about -0.07
     assert QuadExt(-7, 4, 3).sign() == -1
