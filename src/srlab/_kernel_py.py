@@ -24,16 +24,17 @@ BACKEND = "python"
 # implies x1 < x2 at any magnitude.  While |e| and |f| stay below KEY_LIMIT,
 # distinct exponents get distinct keys: |de + df*sqrt(p)| is at least
 # 1/(|de| + |df|*sqrt(p)) > 2^-KEY_BITS.  Past that limit a key raises.
-#
-# floor(f*sqrt(p)*2^KEY_BITS) is (f * root) >> _ROOT_SHIFT with root =
-# floor(sqrt(p) * 2^(KEY_BITS + _ROOT_SHIFT)).  The product misses the true
-# value y by less than |f| * 2^-_ROOT_SHIFT <= 2^-(KEY_BITS + _KEY_G + 2),
-# while y lies more than 1/(2|y| + 1/2) from every integer (y^2 is an integer
-# and not a square), so the shift lands on the exact floor.
 KEY_BITS = 32
 _KEY_G = 29
 KEY_LIMIT = 1 << _KEY_G
 _ROOT_SHIFT = KEY_BITS + 2 * _KEY_G + 2
+# floor(f*sqrt(p)*2^KEY_BITS) is (f * root) >> _ROOT_SHIFT with root =
+# floor(sqrt(p) * 2^(KEY_BITS + _ROOT_SHIFT)), computed once per radicand.
+# The product misses the true value y by less than |f| * 2^-_ROOT_SHIFT <=
+# 2^-(KEY_BITS + _KEY_G + 2), while y lies more than 1/(2|y| + 1/2) from
+# every integer (y^2 is an integer and not a square), so the shift lands on
+# the exact floor.
+_ROOTS = {p: isqrt(p << 2 * (KEY_BITS + _ROOT_SHIFT)) for p in (2, 3)}
 
 
 def irr_sign(a: int, b: int, p: int | None) -> int:
@@ -56,11 +57,6 @@ def lat_cmp(e1: int, f1: int, e2: int, f2: int, p: int) -> int:
     return irr_sign(e1 - e2, f1 - f2, p)
 
 
-def _root(p: int) -> int:
-    """floor(sqrt(p) * 2^(KEY_BITS + _ROOT_SHIFT))."""
-    return isqrt(p << 2 * (KEY_BITS + _ROOT_SHIFT))
-
-
 def _beyond(e: int, f: int):
     raise ResourceBoundError(
         f"lattice exponent ({e}, {f}) is beyond the exact order key's limit 2^{_KEY_G}"
@@ -75,13 +71,13 @@ def lat_key(e: int, f: int, p: int) -> int:
     """
     if not (-KEY_LIMIT < e < KEY_LIMIT and -KEY_LIMIT < f < KEY_LIMIT):
         _beyond(e, f)
-    return (e << KEY_BITS) + ((f * _root(p)) >> _ROOT_SHIFT)
+    return (e << KEY_BITS) + ((f * _ROOTS[p]) >> _ROOT_SHIFT)
 
 
 def _key_rows(terms: dict, p: int) -> list:
     """(key, e, f, coefficient) for every term, in support order; the
     guard condition calls _beyond, which raises, on an exponent past the limit."""
-    root = _root(p)
+    root = _ROOTS[p]
     lim = KEY_LIMIT
     return [
         ((e << KEY_BITS) + ((f * root) >> _ROOT_SHIFT), e, f, c)

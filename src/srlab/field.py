@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     ResourceBoundError,
 )
-from .scalar import INFINITY, ExtVal, QuadExt, parse_quad
+from .scalar import INFINITY, ExtVal, QuadExt, parse_quad, quad_str
 
 Lat = tuple[int, int]
 
@@ -224,6 +224,13 @@ class TitsField:
         self.D = cfg.denom
         self.mode = cfg.mode
         self.prec_lat: Lat = (cfg.precision * cfg.denom, 0)
+        # the text of each coefficient index: prime-subfield digits as
+        # themselves, the rest as powers of the generator
+        log = self.coeff.log
+        self.coeff_names = [
+            str(k) if k < self.p else ("g" if log[k] == 1 else f"g^{log[k]}")
+            for k in range(self.q)
+        ]
         self.elems: list[FiniteElem] | None = (
             [FiniteElem(self, k) for k in range(self.q)] if self.mode == "finite" else None
         )
@@ -348,12 +355,6 @@ class TitsField:
             raise ParseError(f"prime-subfield coefficient must be in 0..{self.p - 1}", off)
         return v
 
-    def coeff_str(self, k: int) -> str:
-        if k < self.p:
-            return str(k)
-        lg = self.coeff.log[k]
-        return "g" if lg == 1 else f"g^{lg}"
-
 
 class FieldElem:
     """An element of a TitsField: a FiniteElem or a SeriesElem.
@@ -449,7 +450,7 @@ class FiniteElem(FieldElem):
         return self is other
 
     def emit(self) -> str:
-        return self.field.coeff_str(self.k)
+        return self.field.coeff_names[self.k]
 
 
 class SeriesElem(FieldElem):
@@ -636,7 +637,8 @@ class SeriesElem(FieldElem):
         f = self.field
         if not self.terms:
             return "0"
-        parts = []
-        for lat, c in kernel.ser_sorted(self.terms, f.p):
-            parts.append(f"{f.coeff_str(c)}*t^({f.unlat(lat)})")
-        return "+".join(parts)
+        names, D, p = f.coeff_names, f.D, f.p
+        return "+".join([
+            f"{names[c]}*t^({quad_str(e, g, D, p)})"
+            for (e, g), c in kernel.ser_sorted(self.terms, p)
+        ])

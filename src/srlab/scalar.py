@@ -155,20 +155,25 @@ class QuadExt:
         return hash((self.a, self.b, self.den, self.p))
 
     def __str__(self) -> str:
-        ra = Fraction(self.a, self.den)
-        if self.b == 0:
-            return _frac_str(ra)
-        rb = Fraction(self.b, self.den)
-        return f"{_frac_str(ra)}+{_frac_str(rb)}r{self.p}"
+        return quad_str(self.a, self.b, self.den, self.p)
 
     def __repr__(self) -> str:
         return f"QuadExt({self})"
 
 
-def _frac_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def quad_str(a: int, b: int, den: int, p: int | None) -> str:
+    """Text of (a + b*sqrt(p))/den for den > 0, as parse_quad reads it back.
+
+    Each part is written n/d in lowest terms, or n alone when d reduces to 1;
+    the radicand part is left out when b == 0.
+    """
+    g = gcd(a, den)
+    ra = str(a // g) if g == den else f"{a // g}/{den // g}"
+    if not b:
+        return ra
+    g = gcd(b, den)
+    rb = str(b // g) if g == den else f"{b // g}/{den // g}"
+    return f"{ra}+{rb}r{p}"
 
 
 def parse_quad(text: str, offset: int = 0, radicand: int | None = None) -> QuadExt:
@@ -179,12 +184,12 @@ def parse_quad(text: str, offset: int = 0, radicand: int | None = None) -> QuadE
     """
     s = text.strip()
     shift = offset + (len(text) - len(text.lstrip()))
-    ra, i = _scan_rational(s, 0, shift)
+    na, da, i = _scan_rational(s, 0, shift)
     if i == len(s):
-        return QuadExt(ra)
+        return QuadExt.from_ints(na, 0, da, None)
     if s[i] != "+":
         raise ParseError(f"expected '+' or end of value, found {s[i]!r}", shift + i)
-    rb, j = _scan_rational(s, i + 1, shift)
+    nb, db, j = _scan_rational(s, i + 1, shift)
     if j >= len(s) or s[j] != "r":
         raise ParseError("expected 'r' radicand marker", shift + j)
     j += 1
@@ -193,14 +198,15 @@ def parse_quad(text: str, offset: int = 0, radicand: int | None = None) -> QuadE
     p = int(s[j])
     if j + 1 != len(s):
         raise ParseError(f"trailing input {s[j + 1:]!r}", shift + j + 1)
-    if radicand is not None and rb != 0 and p != radicand:
+    if radicand is not None and nb != 0 and p != radicand:
         raise RadicandMismatchError(
             f"value written over sqrt({p}) in a sqrt({radicand}) context"
         )
-    return QuadExt(ra, rb, p)
+    return QuadExt.from_ints(na * db, nb * da, da * db, p)
 
 
-def _scan_rational(s: str, i: int, shift: int) -> tuple[Fraction, int]:
+def _scan_rational(s: str, i: int, shift: int) -> tuple[int, int, int]:
+    """Numerator, positive denominator and end index of the rational at s[i:]."""
     start = i
     if i < len(s) and s[i] in "+-":
         i += 1
@@ -220,8 +226,8 @@ def _scan_rational(s: str, i: int, shift: int) -> tuple[Fraction, int]:
         den = int(s[d1:i])
         if den == 0:
             raise ParseError("zero denominator", shift + d1)
-        return Fraction(num, den), i
-    return Fraction(num), i
+        return num, den, i
+    return num, 1, i
 
 
 @total_ordering
@@ -255,6 +261,8 @@ class ExtVal:
         return self.q
 
     def __add__(self, other: "ExtVal") -> "ExtVal":
+        if not isinstance(other, ExtVal):
+            return NotImplemented
         if self.q is None or other.q is None:
             return INFINITY
         return ExtVal(self.q + other.q)
@@ -265,6 +273,8 @@ class ExtVal:
         return ExtVal(-self.q)
 
     def __sub__(self, other: "ExtVal") -> "ExtVal":
+        if not isinstance(other, ExtVal):
+            return NotImplemented
         if other.q is None:
             raise ValueError("cannot subtract an infinite value")
         if self.q is None:
@@ -273,6 +283,8 @@ class ExtVal:
 
     def scale(self, c: QuadExt) -> "ExtVal":
         """Multiply by a positive exact scalar (infinity is fixed)."""
+        if not isinstance(c, QuadExt):
+            raise TypeError(f"cannot scale an ExtVal by {type(c).__name__}")
         if c.sign() <= 0:
             raise ValueError("scaling factor must be positive")
         if self.q is None:
@@ -287,6 +299,8 @@ class ExtVal:
         return self.q == other.q
 
     def __lt__(self, other: "ExtVal") -> bool:
+        if not isinstance(other, ExtVal):
+            return NotImplemented
         if self.q is None:
             return False
         if other.q is None:

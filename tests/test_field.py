@@ -117,6 +117,48 @@ def test_parse_and_emit():
         f.parse("3*t^(0)")  # coefficient outside the prime field
 
 
+def test_emitted_text_is_pinned():
+    # F8 series: generator-power coefficients and irrational exponents
+    f8 = TitsField(FieldCfg(char=2, mode="hahn", m=3, denom=2))
+    g = f8.coeff.exp
+    x = (
+        f8.monomial(QuadExt(1, 1, 2), g[1])
+        + f8.monomial(QuadExt(Fraction(1, 2), Fraction(-1, 2), 2), g[3])
+        + f8.monomial(QuadExt(0, 1, 2), g[6])
+        + f8.monomial(QuadExt(Fraction(-3, 2)), 1)
+        + f8.monomial(QuadExt(Fraction(5, 2), -2, 2), g[5])
+    )
+    assert x.emit() == (
+        "1*t^(-3/2)+g^5*t^(5/2+-2r2)+g^3*t^(1/2+-1/2r2)+g^6*t^(0+1r2)+g*t^(1+1r2)"
+    )
+    assert f8.parse(x.emit()).agrees(x)
+    # denom 6: each part of an exponent prints in lowest terms, so the
+    # lattice pair (3, 0), which is 3/6, prints 1/2
+    f6 = hahn(denom=6)
+    y = f6.zero()
+    for lat, c in (((3, 0), 1), ((2, 3), 2), ((-4, 0), 2), ((6, -6), 1), ((0, 2), 1)):
+        y = y + f6.monomial(f6.unlat(lat), c)
+    assert y.emit() == "1*t^(1+-1r3)+2*t^(-2/3)+1*t^(1/2)+1*t^(0+1/3r3)+2*t^(1/3+1/2r3)"
+    assert f6.parse(y.emit()).agrees(y)
+
+
+@pytest.mark.parametrize(
+    "text, pos, message",
+    [
+        ("1*t^(1/0)", 7, "zero denominator"),
+        ("1*t^(0) + g*t^(1/0)", 17, "zero denominator"),
+        ("1*t^(1/2+1/3r5)", 13, "radicand must be 2 or 3"),
+        ("1*t^(0) +  g*t^( 1/2+1/3r5)", 25, "radicand must be 2 or 3"),
+    ],
+)
+def test_malformed_exponent_error_position(text, pos, message):
+    f8 = TitsField(FieldCfg(char=2, mode="hahn", m=3, denom=2))
+    with pytest.raises(ParseError) as exc:
+        f8.parse(text)
+    assert exc.value.pos == pos
+    assert str(exc.value).startswith(message)
+
+
 def test_parse_extension_coeffs():
     f = TitsField(FieldCfg(char=3, mode="hahn", m=3))
     a = f.parse("g^5*t^(0) + g*t^(1)")

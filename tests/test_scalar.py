@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srlab.errors import ParseError, RadicandMismatchError
-from srlab.scalar import INFINITY, ExtVal, QuadExt, ext_min, parse_quad
+from srlab.scalar import INFINITY, ExtVal, QuadExt, ext_min, parse_quad, quad_str
 
 
 def test_normalization():
@@ -81,6 +82,31 @@ def test_str_roundtrip():
         assert parse_quad(str(x), radicand=x.p or 3) == x
 
 
+def _fraction_text(a, b, den, p):
+    """The text of (a + b*sqrt(p))/den written through Fractions."""
+
+    def part(x):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    ra = part(Fraction(a, den))
+    return ra if b == 0 else f"{ra}+{part(Fraction(b, den))}r{p}"
+
+
+def test_quad_str_matches_fraction_text():
+    rng = random.Random(20)
+    for _ in range(4000):
+        a = rng.choice((0, rng.randint(-60, 60)))
+        b = rng.choice((0, rng.randint(-60, 60)))
+        den = rng.choice((1, 2, 3, 6, 12))
+        p = rng.choice((2, 3))
+        text = quad_str(a, b, den, p)
+        assert text == _fraction_text(a, b, den, p)
+        x = QuadExt.from_ints(a, b, den, p)
+        assert str(x) == text
+        assert parse_quad(text) == x
+        assert parse_quad(text, radicand=p) == x
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_quad("1/2+zr3")
@@ -104,6 +130,22 @@ def test_extval_basics():
         a.scale(QuadExt(-1))
     with pytest.raises(ValueError):
         INFINITY.finite
+
+
+def test_extval_rejects_other_types():
+    one = ExtVal.of(1)
+    for op in (
+        lambda: one + QuadExt(1),
+        lambda: one - QuadExt(1),
+        lambda: one + 1,
+        lambda: one < 2,
+        lambda: one >= QuadExt(2),
+        lambda: INFINITY < QuadExt(2),
+        lambda: one.scale(2),
+        lambda: INFINITY.scale(Fraction(1, 2)),
+    ):
+        with pytest.raises(TypeError, match="ExtVal"):
+            op()
 
 
 @given(
