@@ -1,10 +1,28 @@
 """Low-level exact series kernel, pure Python.
 
-One data shape lives here: a series support, a dict mapping lattice exponent
-pairs (e, f), standing for (e + f*sqrt(p)) / D, to nonzero coefficient
-indices of a finite coefficient field whose add and multiply tables are
-passed in flat row-major lists.  `irr_sign`, the exact sign of
-a + b*sqrt(p), orders the exponents and is shared with `srlab.scalar`.
+One data shape lives here: a series support, a dict mapping exponent keys to
+nonzero coefficient indices of a finite coefficient field whose add and
+multiply tables are passed in flat row-major lists.  The exponent
+(e + f*sqrt(p)) / D of a term is stored as one integer, its key
+
+    K(e, f) = ((e * 2^64 + f * R_p) << 32) + f,   R_p = floor(sqrt(p) * 2^64),
+
+which packs the exponent in the sense of Monagan & Pearce ("Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007), carried over to Z[sqrt p]:
+
+* K is linear, K(x + y) = K(x) + K(y), so a product adds keys;
+* K / 2^96 is e + f*sqrt(p) up to less than |f| * 2^-64, while a nonzero
+  e + f*sqrt(p) with |e|, |f| <= N is at least 1/(N*(1 + sqrt p)) from 0
+  (e^2 - p f^2 is a nonzero integer).  For N < 2^31 the error is smaller,
+  so keys of exponents with |e|, |f| < 2^30, sums of two stored exponents
+  included, are distinct and ordered exactly as the exponents are;
+* the low 32 bits hold f, so `key_lat` decodes a key back to (e, f).
+
+Every stored exponent, precisions included, keeps |e| and |f| below
+KEY_LIMIT = 2^29; the layer above enforces it and raises ResourceBoundError
+past it.  `irr_sign`, the exact sign of a + b*sqrt(p), is shared with
+`srlab.scalar`.
 
 This is the library's only kernel; the layers above reach it through
 `srlab.core.kernel`.
@@ -18,23 +36,15 @@ from .errors import ResourceBoundError
 
 BACKEND = "python"
 
-# Exact order keys for lattice exponents: packed exponents in the sense of
-# Monagan & Pearce (CASC 2007), carried over to Z[sqrt p].  The key of
-# x = e + f*sqrt(p) is floor(x * 2^KEY_BITS).  Floor is monotone, so k1 < k2
-# implies x1 < x2 at any magnitude.  While |e| and |f| stay below KEY_LIMIT,
-# distinct exponents get distinct keys: |de + df*sqrt(p)| is at least
-# 1/(|de| + |df|*sqrt(p)) > 2^-KEY_BITS.  Past that limit a key raises.
-KEY_BITS = 32
 _KEY_G = 29
 KEY_LIMIT = 1 << _KEY_G
-_ROOT_SHIFT = KEY_BITS + 2 * _KEY_G + 2
-# floor(f*sqrt(p)*2^KEY_BITS) is (f * root) >> _ROOT_SHIFT with root =
-# floor(sqrt(p) * 2^(KEY_BITS + _ROOT_SHIFT)), computed once per radicand.
-# The product misses the true value y by less than |f| * 2^-_ROOT_SHIFT <=
-# 2^-(KEY_BITS + _KEY_G + 2), while y lies more than 1/(2|y| + 1/2) from
-# every integer (y^2 is an integer and not a square), so the shift lands on
-# the exact floor.
-_ROOTS = {p: isqrt(p << 2 * (KEY_BITS + _ROOT_SHIFT)) for p in (2, 3)}
+_E_SHIFT = 96
+_F_HALF = 1 << 31
+_F_MASK = (1 << 32) - 1
+# the key of the exponent sqrt(p): (R_p << 32) + 1
+_F_UNIT = {p: (isqrt(p << 128) << 32) + 1 for p in (2, 3)}
+# K(e, f) = e * e_unit + f * f_unit, per radicand
+KEY_UNITS = {p: (1 << _E_SHIFT, u) for p, u in _F_UNIT.items()}
 
 
 def irr_sign(a: int, b: int, p: int | None) -> int:
@@ -52,67 +62,55 @@ def irr_sign(a: int, b: int, p: int | None) -> int:
     return 1 if s < 0 else -1
 
 
-def lat_cmp(e1: int, f1: int, e2: int, f2: int, p: int) -> int:
-    """Compare lattice exponents (e + f*sqrt(p)) by real value."""
-    return irr_sign(e1 - e2, f1 - f2, p)
+def lat_span(e: int, f: int) -> int:
+    """max(|e|, |f|), raising ResourceBoundError at KEY_LIMIT and beyond."""
+    span = -e if e < 0 else e
+    if -f > span or f > span:
+        span = -f if f < 0 else f
+    if span >= KEY_LIMIT:
+        raise ResourceBoundError(
+            f"lattice exponent ({e}, {f}) is beyond the exact order key's limit 2^{_KEY_G}"
+        )
+    return span
 
 
-def _beyond(e: int, f: int):
-    raise ResourceBoundError(
-        f"lattice exponent ({e}, {f}) is beyond the exact order key's limit 2^{_KEY_G}"
-    )
+def exp_key(e: int, f: int, p: int) -> int:
+    """The key of the exponent (e + f*sqrt(p)) / D (no limit check)."""
+    return (e << _E_SHIFT) + f * _F_UNIT[p]
 
 
-def lat_key(e: int, f: int, p: int) -> int:
-    """Exact order key floor((e + f*sqrt(p)) * 2^KEY_BITS) of an exponent.
-
-    Keys of distinct exponents below KEY_LIMIT are distinct and ordered as
-    the exponents are; beyond it ResourceBoundError is raised.
-    """
-    if not (-KEY_LIMIT < e < KEY_LIMIT and -KEY_LIMIT < f < KEY_LIMIT):
-        _beyond(e, f)
-    return (e << KEY_BITS) + ((f * _ROOTS[p]) >> _ROOT_SHIFT)
+def key_lat(k: int, p: int) -> tuple[int, int]:
+    """The lattice pair (e, f) of a key of an exponent with |f| < 2^31."""
+    f = ((k + _F_HALF) & _F_MASK) - _F_HALF
+    return (k - f * _F_UNIT[p]) >> _E_SHIFT, f
 
 
-def _key_rows(terms: dict, p: int) -> list:
-    """(key, e, f, coefficient) for every term, in support order; the
-    guard condition calls _beyond, which raises, on an exponent past the limit."""
-    root = _ROOTS[p]
-    lim = KEY_LIMIT
-    return [
-        ((e << KEY_BITS) + ((f * root) >> _ROOT_SHIFT), e, f, c)
-        for (e, f), c in terms.items()
-        if (-lim < e < lim and -lim < f < lim) or _beyond(e, f)
-    ]
+def key_theta(k: int, p: int) -> int:
+    """The key of sqrt(p) times the exponent keyed k: (e, f) -> (p*f, e)."""
+    unit = _F_UNIT[p]
+    f = ((k + _F_HALF) & _F_MASK) - _F_HALF
+    return (p * f << _E_SHIFT) + ((k - f * unit) >> _E_SHIFT) * unit
 
 
-def ser_sorted(terms: dict, p: int) -> list:
-    """The (exponent, coefficient) items of a support in increasing exponent order."""
-    return [((e, f), c) for _k, e, f, c in sorted(_key_rows(terms, p))]
+def key_span(keys, p: int) -> int:
+    """max(|e|, |f|) over the exponents of an iterable of keys (0 when
+    empty), raising ResourceBoundError when it reaches KEY_LIMIT."""
+    return max((lat_span(*key_lat(k, p)) for k in keys), default=0)
 
 
 def ser_min(terms: dict, p: int):
-    """Smallest exponent key of a support, or None when empty."""
-    best = None
-    for key in terms:
-        if best is None or lat_cmp(key[0], key[1], best[0], best[1], p) < 0:
-            best = key
-    return best
+    """Least exponent of a support as a lattice pair, or None when empty."""
+    return key_lat(min(terms), p) if terms else None
 
 
-def ser_trunc(terms: dict, bound, p: int) -> dict:
-    """Drop every term whose exponent is >= bound (bound None keeps all)."""
+def ser_trunc(terms: dict, bound) -> dict:
+    """Drop every term whose exponent key is >= bound (bound None keeps all)."""
     if bound is None:
         return dict(terms)
-    be, bf = bound
-    out = {}
-    for key, c in terms.items():
-        if lat_cmp(key[0], key[1], be, bf, p) < 0:
-            out[key] = c
-    return out
+    return {k: c for k, c in terms.items() if k < bound}
 
 
-def ser_add(ta: dict, tb: dict, q: int, addf: list, bound, p: int) -> dict:
+def ser_add(ta: dict, tb: dict, q: int, addf: list, bound) -> dict:
     out = dict(ta)
     for key, c in tb.items():
         prev = out.get(key)
@@ -125,7 +123,7 @@ def ser_add(ta: dict, tb: dict, q: int, addf: list, bound, p: int) -> dict:
             else:
                 del out[key]
     if bound is not None:
-        out = ser_trunc(out, bound, p)
+        out = ser_trunc(out, bound)
     return out
 
 
@@ -133,58 +131,74 @@ def ser_neg(terms: dict, negf: list) -> dict:
     return {key: negf[c] for key, c in terms.items()}
 
 
-def ser_mul(ta: dict, tb: dict, q: int, addf: list, mulf: list, bound, p: int) -> dict:
+def ser_mul(ta, tb, q: int, addf: list, mulf: list, bound) -> dict:
+    """Product of two supports given as (key, coefficient) item sequences.
+
+    With a bound, only terms keyed below it are formed, and both item
+    sequences must be in increasing key order: each row stops at the first
+    term whose key sum reaches the bound, and the rows stop once the least
+    term of `tb` does.
+    """
     out: dict = {}
+    get = out.get
     if bound is None:
-        for (e1, f1), c1 in ta.items():
+        for k1, c1 in ta:
             row = c1 * q
-            for (e2, f2), c2 in tb.items():
+            for k2, c2 in tb:
+                k = k1 + k2
                 c = mulf[row + c2]
-                if not c:
-                    continue
-                key = (e1 + e2, f1 + f2)
-                prev = out.get(key)
+                prev = get(k)
                 if prev is None:
-                    out[key] = c
+                    out[k] = c
                 else:
                     s = addf[prev * q + c]
                     if s:
-                        out[key] = s
+                        out[k] = s
                     else:
-                        del out[key]
+                        del out[k]
         return out
     if not ta or not tb:
         return out
-    # Walk both supports in exponent order and stop each row at the first
-    # term reaching the bound.  Two keys add up to the key of the sum or to
-    # one less, so with lim = key(bound) - key(a) a term b keyed below
-    # lim - 1 is certainly below the bound and one keyed above lim is not;
-    # only keys lim - 1 and lim need the exact sign.  A coefficient that
-    # cancels to zero stays in `out` until the end.
-    kb = lat_key(bound[0], bound[1], p)
-    be, bf = bound
-    rows_b = sorted(_key_rows(tb, p))
-    first_b = rows_b[0][0]
-    get = out.get
-    for ka, e1, f1, c1 in sorted(_key_rows(ta, p)):
-        lim = kb - ka
-        if first_b > lim:
+    first_b = tb[0][0]
+    for k1, c1 in ta:
+        lim = bound - k1
+        if first_b >= lim:
             break
-        near = lim - 1
         row = c1 * q
-        for k2, e2, f2, c2 in rows_b:
-            if k2 >= near and (k2 > lim or irr_sign(e1 + e2 - be, f1 + f2 - bf, p) >= 0):
+        for k2, c2 in tb:
+            if k2 >= lim:
                 break
-            key = (e1 + e2, f1 + f2)
-            out[key] = addf[get(key, 0) * q + mulf[row + c2]]
-    return {key: c for key, c in out.items() if c}
+            k = k1 + k2
+            c = mulf[row + c2]
+            prev = get(k)
+            if prev is None:
+                out[k] = c
+            else:
+                s = addf[prev * q + c]
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
 
 
 def ser_theta(terms: dict, p: int, thetaf: list) -> dict:
-    """Apply the twisting endomorphism: exponent scaling plus coefficient map."""
+    """Apply the twisting endomorphism: the exponent e + f*sqrt(p) goes to
+    sqrt(p) times itself, p*f + e*sqrt(p), and each coefficient through
+    thetaf.  Multiplying by sqrt(p) keeps the order of the exponents."""
+    unit = _F_UNIT[p]
+    p_unit = p << _E_SHIFT
     out = {}
-    for (e, f), c in terms.items():
-        y = thetaf[c]
-        if y:
-            out[(p * f, e)] = y
+    for k, c in terms.items():
+        f = ((k + _F_HALF) & _F_MASK) - _F_HALF
+        out[((k - f * unit) >> _E_SHIFT) * unit + f * p_unit] = thetaf[c]
     return out
+
+
+def ser_lats(items, p: int) -> list:
+    """(e, f, coefficient) for each (key, coefficient) item, in order."""
+    unit = _F_UNIT[p]
+    return [
+        ((k - (f := ((k + _F_HALF) & _F_MASK) - _F_HALF) * unit) >> _E_SHIFT, f, c)
+        for k, c in items
+    ]

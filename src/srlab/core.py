@@ -3,8 +3,11 @@
 Every layer above the kernel imports `kernel` from here rather than the
 kernel module itself, so the kernel functions they call can be wrapped in a
 single place (the benchmark's tracer patches `srlab.core.kernel`).  The
-kernel holds only series supports; `QuadExt` does its own arithmetic and
-borrows the kernel's exact sign `irr_sign`.
+kernel holds only series supports, dicts from exponent keys to coefficient
+indices: one integer per exponent that adds as the exponents add and
+orders exactly as they do while their lattice coordinates stay below 2^29
+(see `srlab._kernel_py`).  `QuadExt` does its own arithmetic and borrows
+the kernel's exact sign `irr_sign`.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ class.  Elements are immutable and may be shared.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from .errors import (
     ParseError,
     ResourceBoundError,
 )
-from .scalar import INFINITY, ExtVal, QuadExt, parse_quad, quad_str
+from .scalar import INFINITY, ExtVal, QuadExt, quad_str, scan_quad
 
 Lat = tuple[int, int]
 
@@ -40,8 +41,18 @@ _DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 
 _MAX_ORDER = 243
 
+# the characters that delimit the terms of an element literal
+_STRUCTURE = re.compile(r"[()+]")
+# one well-formed term and the '+' or end after it: a prime-field digit or a
+# generator power, then the exponent n[/d][+n[/d]rP]
+_TERM = re.compile(
+    r"\s*(?:([0-9]+)|g(?:\^([+-]?[0-9]+))?)\s*\*t\^\(\s*([+-]?[0-9]+)(?:/([0-9]+))?"
+    r"(?:\+([+-]?[0-9]+)(?:/([0-9]+))?r([23]))?\s*\)\s*(?:(\+)|$)"
+)
+
 # Marks a hahn element whose least support exponent is not computed yet.
 _UNSET = object()
+_KEY_LIMIT = kernel.KEY_LIMIT
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -189,22 +200,6 @@ class FieldCfg:
     support_cap: int = 64
 
 
-def _lmin(a: Lat | None, b: Lat | None, p: int) -> Lat | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if kernel.lat_cmp(a[0], a[1], b[0], b[1], p) <= 0 else b
-
-
-def _ladd(a: Lat, b: Lat) -> Lat:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _lneg(a: Lat) -> Lat:
-    return (-a[0], -a[1])
-
-
 class TitsField:
     """A field in one of the two modes, with element factories and parsing."""
 
@@ -223,7 +218,13 @@ class TitsField:
         self.q = self.coeff.q
         self.D = cfg.denom
         self.mode = cfg.mode
-        self.prec_lat: Lat = (cfg.precision * cfg.denom, 0)
+        # the key of the exponent (e + f*sqrt(p))/D is e*e_unit + f*f_unit,
+        # and that of its image p*f + e*sqrt(p) under theta is f*(p*e_unit) + e*f_unit
+        self.key_units = e_unit, f_unit = kernel.KEY_UNITS[self.p]
+        self.theta_units = (self.p * e_unit, f_unit)
+        # the precision stamped on parsed elements, as an exponent key
+        self.prec_span = kernel.lat_span(cfg.precision * cfg.denom, 0)
+        self.prec_key = kernel.exp_key(self.prec_span, 0, self.p)
         # the text of each coefficient index: prime-subfield digits as
         # themselves, the rest as powers of the generator
         log = self.coeff.log
@@ -250,7 +251,7 @@ class TitsField:
             raise ValueError(f"coefficient index out of range: {k}")
         if self.elems is not None:
             return self.elems[k]
-        return SeriesElem(self, {(0, 0): k} if k else {})
+        return SeriesElem(self, {0: k}, low=(0, 0)) if k else SeriesElem(self, {})
 
     def lat(self, exp: QuadExt | Fraction | int) -> Lat:
         """Lattice pair of an exponent, validating membership in (1/D)Z[sqrt p]."""
@@ -267,12 +268,20 @@ class TitsField:
     def unlat(self, lat: Lat) -> QuadExt:
         return QuadExt.from_ints(lat[0], lat[1], self.D, self.p)
 
+    def unkey(self, key: int) -> Lat:
+        """Lattice pair of an exponent key (a support key or a precision)."""
+        return kernel.key_lat(key, self.p)
+
     def monomial(self, exp: QuadExt | Fraction | int, coeff: int = 1) -> "FieldElem":
         if self.mode == "finite":
             raise ConfigError("monomials exist only in hahn mode")
         if not 0 <= coeff < self.q:
             raise ValueError(f"coefficient index out of range: {coeff}")
-        return SeriesElem(self, {self.lat(exp): coeff} if coeff else {})
+        e, g = lat = self.lat(exp)
+        if not coeff:
+            return SeriesElem(self, {})
+        e_unit, f_unit = self.key_units
+        return SeriesElem(self, {e * e_unit + g * f_unit: coeff}, None, kernel.lat_span(e, g), lat)
 
     # --- parsing and emission ---
 
@@ -284,35 +293,82 @@ class TitsField:
         if not s:
             raise ParseError("empty element literal", 0)
         if s == "0":
-            return SeriesElem(self, {}, self.prec_lat)
-        terms: dict[Lat, int] = {}
+            return SeriesElem(self, {}, self.prec_key, self.prec_span)
+        # a text the term pattern does not cover is malformed or needs a
+        # check the pattern leaves out; the term-by-term reading names the
+        # error and its position
+        lats = self._match_terms(s)
+        if lats is None:
+            lats = self._scan_terms(s)
+        terms: dict[int, int] = {}
+        span = self.prec_span
+        addf, q = self.coeff.addf, self.q
+        for (e, g), c in lats:
+            term_span = kernel.lat_span(e, g)
+            if term_span > span:
+                span = term_span
+            key = kernel.exp_key(e, g, self.p)
+            summed = addf[terms.get(key, 0) * q + c]
+            if summed:
+                terms[key] = summed
+            else:
+                terms.pop(key, None)
+        return SeriesElem(self, kernel.ser_trunc(terms, self.prec_key), self.prec_key, span)
+
+    def _match_terms(self, s: str) -> list[tuple[Lat, int]] | None:
+        """The (lattice pair, coefficient) of each term, read by one pattern
+        match per term; None when the pattern does not cover the text."""
+        out = []
+        D, p, coeff = self.D, self.p, self.coeff
         pos = 0
+        while True:
+            m = _TERM.match(s, pos)
+            if m is None:
+                return None
+            digit, power, na, da, nb, db, rad, more = m.groups()
+            if digit is not None:
+                c = int(digit)
+                if c >= p:
+                    return None
+            elif coeff.m == 1:
+                return None
+            else:
+                c = coeff.exp[int(power or 1) % (self.q - 1)]
+            da, db = int(da or 1), int(db or 1)
+            if not da or not db or (nb is not None and int(rad) != p):
+                return None
+            e, re_ = divmod(int(na) * D, da)
+            g, rg = divmod(int(nb or 0) * D, db)
+            if re_ or rg:
+                return None
+            out.append(((e, g), c))
+            if not more:
+                return out
+            pos = m.end()
+
+    def _scan_terms(self, s: str) -> list[tuple[Lat, int]]:
+        """The terms of a literal read one part at a time, raising a
+        ParseError with its position at the first malformed part."""
+        # split at each '+' outside parentheses, visiting only the
+        # structural characters
         depth = 0
         start = 0
         chunks: list[tuple[str, int]] = []
-        for pos, ch in enumerate(s):
+        for m in _STRUCTURE.finditer(s):
+            ch = m.group()
             if ch == "(":
                 depth += 1
             elif ch == ")":
                 depth -= 1
                 if depth < 0:
-                    raise ParseError("unbalanced ')'", pos)
-            elif ch == "+" and depth == 0:
-                chunks.append((s[start:pos], start))
-                start = pos + 1
+                    raise ParseError("unbalanced ')'", m.start())
+            elif depth == 0:
+                chunks.append((s[start : m.start()], start))
+                start = m.end()
         if depth != 0:
             raise ParseError("unbalanced '('", len(s) - 1)
         chunks.append((s[start:], start))
-        for chunk, off in chunks:
-            lat, c = self._parse_term(chunk, off)
-            prev = terms.get(lat, 0)
-            summed = self.coeff.add(prev, c)
-            if summed:
-                terms[lat] = summed
-            else:
-                terms.pop(lat, None)
-        terms = kernel.ser_trunc(terms, self.prec_lat, self.p)
-        return SeriesElem(self, terms, self.prec_lat)
+        return [self._parse_term(chunk, off) for chunk, off in chunks]
 
     def _parse_term(self, chunk: str, off: int) -> tuple[Lat, int]:
         t = chunk.strip()
@@ -324,13 +380,13 @@ class TitsField:
         rest = t[star + 4 :]
         if not rest.endswith(")"):
             raise ParseError("missing ')' after exponent", off + len(chunk) - 1)
-        exp_text = rest[:-1]
-        exp = parse_quad(exp_text, offset=shift + star + 4, radicand=self.p)
-        try:
-            lat = self.lat(exp)
-        except ConfigError as err:
-            raise ParseError(str(err), shift + star + 4) from None
-        return lat, coeff
+        a, b, den, _p = scan_quad(rest[:-1], offset=shift + star + 4, radicand=self.p)
+        e, re_ = divmod(a * self.D, den)
+        g, rg = divmod(b * self.D, den)
+        if re_ or rg:
+            exp = QuadExt.from_ints(a, b, den, self.p)
+            raise ParseError(f"exponent {exp} is not a multiple of 1/{self.D}", shift + star + 4)
+        return (e, g), coeff
 
     def _parse_coeff(self, text: str, off: int) -> int:
         if not text:
@@ -383,7 +439,8 @@ class FieldElem:
         return self.emit()
 
     def __repr__(self) -> str:
-        tag = "" if self.prec is None else f" +O(t^{self.field.unlat(self.prec)})"
+        f = self.field
+        tag = "" if self.prec is None else f" +O(t^{f.unlat(f.unkey(self.prec))})"
         return f"<{self.emit()}{tag}>"
 
 
@@ -454,44 +511,64 @@ class FiniteElem(FieldElem):
 
 
 class SeriesElem(FieldElem):
-    """A finitely supported series {exponent: coefficient index} of a hahn field.
+    """A finitely supported series {exponent key: coefficient index} of a hahn field.
 
-    `prec` is the upper truncation exponent of an inexact element and None
-    for an exact one; every operation propagates it.
+    The exponent (e + f*sqrt(p))/D of each term is stored as its kernel key
+    (`srlab._kernel_py`), one integer that orders exactly as the exponents
+    do and adds as they do, so a product adds keys and a comparison is one
+    integer compare.  `prec` is the key of the upper truncation exponent of
+    an inexact element and None for an exact one; every operation propagates
+    it, and every term of an inexact element lies below it.
     """
 
-    # _low caches the least support exponent (None when the support is
-    # empty); it is filled on first use.
-    __slots__ = ("terms", "prec", "_low")
+    # _span bounds max(|e|, |f|) over the exponents of the support and of
+    # prec.  Operations bound their result's span by small-int arithmetic
+    # (add under *, max under +, times p under theta) and scan the result
+    # exactly only when that bound reaches the key limit, so an exponent
+    # raises ResourceBoundError exactly when it reaches the limit.  _low is
+    # the least support exponent as a lattice pair (None for an empty
+    # support), filled on first use or carried over where an operation
+    # knows it; _items, the support's items in increasing key order, is
+    # left unset until first use.
+    __slots__ = ("terms", "prec", "_span", "_low", "_items")
 
-    def __init__(self, field: TitsField, terms: dict[Lat, int], prec: Lat | None = None) -> None:
+    def __init__(
+        self,
+        field: TitsField,
+        terms: dict[int, int],
+        prec: int | None = None,
+        span: int = 0,
+        low: Lat | None = _UNSET,
+    ) -> None:
         self.field = field
         self.terms = terms
         self.prec = prec
-        self._low = _UNSET
+        self._span = span
+        self._low = low
 
     # --- helpers ---
 
-    def _min_exp(self) -> Lat | None:
-        """Least support exponent, None for empty support."""
-        low = self._low
-        if low is _UNSET:
-            low = self._low = kernel.ser_min(self.terms, self.field.p)
-        return low
+    def _sorted(self) -> list[tuple[int, int]]:
+        """The support's (key, coefficient) items in increasing key order."""
+        try:
+            return self._items
+        except AttributeError:
+            items = self._items = sorted(self.terms.items())
+            return items
 
-    def _nu_low(self) -> Lat | None:
-        """Least support exponent, falling back to the precision bound."""
-        m = self._min_exp()
-        return m if m is not None else self.prec
-
-    def _capped(self, terms: dict[Lat, int], prec: Lat | None) -> "SeriesElem":
-        cap = self.field.cfg.support_cap
+    def _capped(self, terms: dict[int, int], prec: int | None, span: int) -> "SeriesElem":
+        f = self.field
+        if span >= _KEY_LIMIT:
+            span = _exact_span(f, terms, prec)
+        cap = f.cfg.support_cap
         if prec is not None and len(terms) > cap:
-            ordered = kernel.ser_sorted(terms, self.field.p)
-            cut = ordered[cap][0]
-            prec = _lmin(prec, cut, self.field.p)
-            terms = kernel.ser_trunc(terms, prec, self.field.p)
-        return SeriesElem(self.field, terms, prec)
+            # every term lies below prec, so the first cut term is the new bound
+            items = sorted(terms.items())
+            kept = items[:cap]
+            out = SeriesElem(f, dict(kept), items[cap][0], span)
+            out._items = kept
+            return out
+        return SeriesElem(f, terms, prec, span)
 
     # --- arithmetic ---
 
@@ -499,28 +576,55 @@ class SeriesElem(FieldElem):
         f = self.field
         if other.field is not f:
             raise ValueError("elements belong to different fields")
-        prec = _lmin(self.prec, other.prec, f.p)
-        terms = kernel.ser_add(self.terms, other.terms, f.q, f.coeff.addf, prec, f.p)
-        return self._capped(terms, prec)
+        prec, op = self.prec, other.prec
+        if prec is None or (op is not None and op < prec):
+            prec = op
+        terms = kernel.ser_add(self.terms, other.terms, f.q, f.coeff.addf, prec)
+        span = self._span if self._span >= other._span else other._span
+        return self._capped(terms, prec, span)
 
     def __neg__(self) -> "FieldElem":
         f = self.field
-        return SeriesElem(f, kernel.ser_neg(self.terms, f.coeff.negf), self.prec)
+        return SeriesElem(
+            f, kernel.ser_neg(self.terms, f.coeff.negf), self.prec, self._span, self._low
+        )
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
         f = self.field
         if other.field is not f:
             raise ValueError("elements belong to different fields")
+        pa, pb = self.prec, other.prec
+        addf, mulf = f.coeff.addf, f.coeff.mulf
+        span = self._span + other._span
+        if pa is None and pb is None:
+            ta, tb = self.terms, other.terms
+            la, lb = self._low, other._low
+            if len(ta) == 1 == len(tb) and la is not _UNSET and lb is not _UNSET:
+                # two exact monomials: one key sum, and the least exponent is known
+                ((ka, ca),) = ta.items()
+                ((kb, cb),) = tb.items()
+                low = (la[0] + lb[0], la[1] + lb[1])
+                if span >= _KEY_LIMIT:
+                    span = kernel.lat_span(*low)
+                return SeriesElem(f, {ka + kb: mulf[ca * f.q + cb]}, None, span, low)
+            terms = kernel.ser_mul(ta.items(), tb.items(), f.q, addf, mulf, None)
+            if span >= _KEY_LIMIT:
+                span = _exact_span(f, terms, None)
+            return SeriesElem(f, terms, None, span)
+        # the product is certified below the least of prec + the other
+        # factor's least exponent (its precision when its support is empty)
+        ia, ib = self._sorted(), other._sorted()
         prec = None
-        if self.prec is not None:
-            lo = other._nu_low()
-            prec = _ladd(self.prec, lo) if lo is not None else None
-        if other.prec is not None:
-            lo = self._nu_low()
-            cand = _ladd(other.prec, lo) if lo is not None else None
-            prec = _lmin(prec, cand, f.p)
-        terms = kernel.ser_mul(self.terms, other.terms, f.q, f.coeff.addf, f.coeff.mulf, prec, f.p)
-        return self._capped(terms, prec)
+        if pa is not None:
+            lo = ib[0][0] if ib else pb
+            if lo is not None:
+                prec = pa + lo
+        if pb is not None:
+            lo = ia[0][0] if ia else pa
+            if lo is not None and (prec is None or pb + lo < prec):
+                prec = pb + lo
+        terms = kernel.ser_mul(ia, ib, f.q, addf, mulf, prec)
+        return self._capped(terms, prec, span)
 
     def __pow__(self, e: int) -> "FieldElem":
         if e == 0:
@@ -534,11 +638,29 @@ class SeriesElem(FieldElem):
         return out
 
     def theta(self) -> "FieldElem":
-        """Apply the Tits endomorphism."""
+        """Apply the Tits endomorphism: it maps the exponent e + f*sqrt(p) to
+        p*f + e*sqrt(p), which keeps their order."""
         f = self.field
-        terms = kernel.ser_theta(self.terms, f.p, f.coeff.thetaf)
-        prec = None if self.prec is None else (f.p * self.prec[1], self.prec[0])
-        return SeriesElem(f, terms, prec)
+        p = f.p
+        terms, low, prec = self.terms, self._low, self.prec
+        if low is _UNSET or low is None:
+            terms = kernel.ser_theta(terms, p, f.coeff.thetaf)
+        else:
+            e, g = low
+            low = (p * g, e)
+            if len(terms) == 1:
+                # one known exponent: key its image directly
+                (c,) = terms.values()
+                g_unit, e_unit = f.theta_units
+                terms = {g * g_unit + e * e_unit: f.coeff.thetaf[c]}
+            else:
+                terms = kernel.ser_theta(terms, p, f.coeff.thetaf)
+        if prec is not None:
+            prec = kernel.key_theta(prec, p)
+        span = self._span * p
+        if span >= _KEY_LIMIT:
+            span = _exact_span(f, terms, prec)
+        return SeriesElem(f, terms, prec, span, low)
 
     def twisted_pow(self, em: int, en: int) -> "FieldElem":
         """Compute self^em * theta(self)^en for integer exponents."""
@@ -555,43 +677,63 @@ class SeriesElem(FieldElem):
             raise InsufficientPrecisionError(
                 "cannot invert an element with empty certified support"
             )
-        p, q = f.p, f.q
-        g = self._min_exp()
-        c = self.terms[g]
-        cinv = f.coeff.inv(c)
+        q, coeff = f.q, f.coeff
+        prec, span = self.prec, self._span
         if len(self.terms) == 1:
-            prec = None if self.prec is None else _ladd(self.prec, _lneg(_ladd(g, g)))
-            return SeriesElem(f, {_lneg(g): cinv}, prec)
-        # self = c t^g (1 + x); invert the unit by a geometric series
-        neg_x: dict[Lat, int] = {}
-        for key, coef in self.terms.items():
-            if key == g:
-                continue
-            neg_x[_ladd(key, _lneg(g))] = f.coeff.neg(f.coeff.mul(coef, cinv))
-        if self.prec is None:
-            rel = f.prec_lat
+            ((g, c),) = self.terms.items()
+            low = self._low
+            if low is not _UNSET:
+                low = (-low[0], -low[1])
+            if prec is not None:
+                # t^g + O(t^prec) inverts to t^-g + O(t^(prec - 2g))
+                prec -= 2 * g
+                span *= 3
+            terms = {-g: coeff.invf[c]}
+            if span >= _KEY_LIMIT:
+                span = _exact_span(f, terms, prec)
+            return SeriesElem(f, terms, prec, span, low)
+        # self = c t^g (1 + x); invert the unit 1 + x by a geometric series
+        # in -x, whose exponents k - g keep their order.  A power of -x has
+        # span at most its number of factors times that of -x, and every
+        # cut of the working bound `rel` is a key of the accumulated sum.
+        addf, mulf = coeff.addf, coeff.mulf
+        items = self._sorted()
+        g, c = items[0]
+        cinv = coeff.invf[c]
+        neg_x = [(k - g, coeff.negf[mulf[cc * q + cinv]]) for k, cc in items[1:]]
+        step = 2 * span
+        if step >= _KEY_LIMIT:
+            kernel.key_span((k for k, _c in neg_x), f.p)
+        if prec is None:
+            rel, rel_span = f.prec_key, f.prec_span
         else:
-            rel = _ladd(self.prec, _lneg(g))
+            rel, rel_span = prec - g, step
+            if rel_span >= _KEY_LIMIT:
+                rel_span = _exact_span(f, {}, rel)
         cap = f.cfg.support_cap
-        acc: dict[Lat, int] = {(0, 0): 1}
-        power: dict[Lat, int] = dict(neg_x)
+        acc: dict[int, int] = {0: 1}
+        power = dict(neg_x)
+        power_span = step
         rounds = 0
         while power:
-            acc = kernel.ser_add(acc, power, q, f.coeff.addf, rel, p)
+            acc = kernel.ser_add(acc, power, q, addf, rel)
             if len(acc) > cap:
-                ordered = kernel.ser_sorted(acc, f.p)
-                rel = ordered[cap][0]
-                acc = kernel.ser_trunc(acc, rel, p)
-                power = kernel.ser_trunc(power, rel, p)
-            power = kernel.ser_mul(power, neg_x, q, f.coeff.addf, f.coeff.mulf, rel, p)
+                rel = sorted(acc)[cap]
+                acc = kernel.ser_trunc(acc, rel)
+                power = kernel.ser_trunc(power, rel)
+            power = kernel.ser_mul(sorted(power.items()), neg_x, q, addf, mulf, rel)
+            power_span += step
+            if power_span >= _KEY_LIMIT:
+                power_span = kernel.key_span(power, f.p)
             rounds += 1
             if rounds > 10000:
                 raise ResourceBoundError("geometric inversion did not terminate")
-        shift = _lneg(g)
-        terms = {}
-        for key, coef in acc.items():
-            terms[_ladd(key, shift)] = f.coeff.mul(coef, cinv)
-        return SeriesElem(f, terms, _ladd(rel, shift))
+        terms = {k - g: mulf[cc * q + cinv] for k, cc in acc.items()}
+        prec = rel - g
+        span = max(power_span, rel_span) + span
+        if span >= _KEY_LIMIT:
+            span = _exact_span(f, terms, prec)
+        return SeriesElem(f, terms, prec, span)
 
     # --- predicates and views ---
 
@@ -610,9 +752,12 @@ class SeriesElem(FieldElem):
 
     def val(self) -> ExtVal:
         """The t-adic valuation as an extended exact value."""
-        m = self._min_exp()
-        if m is not None:
-            return ExtVal(self.field.unlat(m))
+        low = self._low
+        if low is _UNSET:
+            low = self._low = kernel.ser_min(self.terms, self.field.p)
+        if low is not None:
+            f = self.field
+            return ExtVal(QuadExt.from_ints(low[0], low[1], f.D, f.p))
         if self.prec is None:
             return INFINITY
         raise InsufficientPrecisionError("valuation of an uncertified zero")
@@ -620,13 +765,12 @@ class SeriesElem(FieldElem):
     def agrees(self, other: "FieldElem") -> bool:
         """Equality up to the common certified precision."""
         self._require_same_field(other)
-        f = self.field
-        prec = _lmin(self.prec, other.prec, f.p)
+        prec, op = self.prec, other.prec
+        if prec is None or (op is not None and op < prec):
+            prec = op
         if prec is None:
             return self.terms == other.terms
-        return kernel.ser_trunc(self.terms, prec, f.p) == kernel.ser_trunc(
-            other.terms, prec, f.p
-        )
+        return kernel.ser_trunc(self.terms, prec) == kernel.ser_trunc(other.terms, prec)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeriesElem) or self.field is not other.field:
@@ -640,5 +784,14 @@ class SeriesElem(FieldElem):
         names, D, p = f.coeff_names, f.D, f.p
         return "+".join([
             f"{names[c]}*t^({quad_str(e, g, D, p)})"
-            for (e, g), c in kernel.ser_sorted(self.terms, p)
+            for e, g, c in kernel.ser_lats(self._sorted(), p)
         ])
+
+
+def _exact_span(f: TitsField, terms: dict[int, int], prec: int | None) -> int:
+    """max(|e|, |f|) over a support and its precision, found by decoding each
+    key; raises ResourceBoundError when an exponent reaches the key limit."""
+    span = kernel.key_span(terms, f.p)
+    if prec is not None:
+        span = max(span, kernel.lat_span(*kernel.key_lat(prec, f.p)))
+    return span

@@ -9,6 +9,7 @@ its own kind: ints and Fractions enter through the constructors and ExtVal.of.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
@@ -182,11 +183,24 @@ def parse_quad(text: str, offset: int = 0, radicand: int | None = None) -> QuadE
     `offset` shifts reported error positions; `radicand`, when given, rejects
     values written over a different radicand.
     """
+    return QuadExt.from_ints(*scan_quad(text, offset, radicand))
+
+
+# a rational n or n/d: sign and digits, then the slash and the denominator
+_RATIONAL = re.compile(r"[+-]?(\d*)(?:/(\d*))?")
+
+
+def scan_quad(
+    text: str, offset: int = 0, radicand: int | None = None
+) -> tuple[int, int, int, int | None]:
+    """The ints (a, b, den, p) of a value text read as parse_quad reads it:
+    the value is (a + b*sqrt(p))/den with den > 0, not yet in lowest terms,
+    and p is None when the text has no radicand part."""
     s = text.strip()
     shift = offset + (len(text) - len(text.lstrip()))
     na, da, i = _scan_rational(s, 0, shift)
     if i == len(s):
-        return QuadExt.from_ints(na, 0, da, None)
+        return na, 0, da, None
     if s[i] != "+":
         raise ParseError(f"expected '+' or end of value, found {s[i]!r}", shift + i)
     nb, db, j = _scan_rational(s, i + 1, shift)
@@ -202,32 +216,24 @@ def parse_quad(text: str, offset: int = 0, radicand: int | None = None) -> QuadE
         raise RadicandMismatchError(
             f"value written over sqrt({p}) in a sqrt({radicand}) context"
         )
-    return QuadExt.from_ints(na * db, nb * da, da * db, p)
+    return na * db, nb * da, da * db, p
 
 
 def _scan_rational(s: str, i: int, shift: int) -> tuple[int, int, int]:
     """Numerator, positive denominator and end index of the rational at s[i:]."""
-    start = i
-    if i < len(s) and s[i] in "+-":
-        i += 1
-    d0 = i
-    while i < len(s) and s[i].isdigit():
-        i += 1
-    if i == d0:
-        raise ParseError("expected a rational number", shift + i)
-    num = int(s[start:i])
-    if i < len(s) and s[i] == "/":
-        i += 1
-        d1 = i
-        while i < len(s) and s[i].isdigit():
-            i += 1
-        if i == d1:
-            raise ParseError("expected a denominator", shift + i)
-        den = int(s[d1:i])
-        if den == 0:
-            raise ParseError("zero denominator", shift + d1)
-        return num, den, i
-    return num, 1, i
+    m = _RATIONAL.match(s, i)
+    if not m.group(1):
+        raise ParseError("expected a rational number", shift + m.start(1))
+    num = int(s[i : m.end(1)])
+    den_text = m.group(2)
+    if den_text is None:
+        return num, 1, m.end()
+    if not den_text:
+        raise ParseError("expected a denominator", shift + m.start(2))
+    den = int(den_text)
+    if den == 0:
+        raise ParseError("zero denominator", shift + m.start(2))
+    return num, den, m.end()
 
 
 @total_ordering

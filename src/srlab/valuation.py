@@ -245,9 +245,13 @@ class TAdicValuation(Valuation):
 class LatticeOrderValuation(Valuation):
     """Valuation induced by re-embedding exponents with sqrt(char) -> lam.
 
-    For any positive irrational lam this is again a valuation of the field,
-    but it commutes with the twisting endomorphism only for lam = sqrt(char);
-    it exists to witness that the invariance checks can fail.
+    For any positive irrational lam this is a valuation on the finitely
+    supported series and their quotients, but not on the whole series field:
+    the least re-embedded exponent of a truncated element says nothing about
+    its unseen tail, which the re-embedding may move below every visible
+    term, so an inexact element raises InsufficientPrecisionError.  It
+    commutes with the twisting endomorphism only for lam = sqrt(char); it
+    exists to witness that the invariance checks can fail.
     """
 
     def __init__(self, lam: QuadExt) -> None:
@@ -259,16 +263,16 @@ class LatticeOrderValuation(Valuation):
         f = x.field
         if f.mode == "finite":
             return x.val()
-        best: ExtVal | None = None
-        for (e, fo) in x.terms:
-            v = ExtVal((QuadExt(e) + QuadExt(fo) * self.lam) / QuadExt(f.D))
-            if best is None or v < best:
-                best = v
-        if best is not None:
-            return best
-        if x.prec is None:
+        if x.prec is not None:
+            raise InsufficientPrecisionError(
+                "the re-embedded order needs an exact element: a truncated tail can undercut it"
+            )
+        if not x.terms:
             return INFINITY
-        raise InsufficientPrecisionError("valuation of an uncertified zero")
+        den = QuadExt(f.D)
+        return ExtVal(min(
+            (QuadExt(e) + QuadExt(g) * self.lam) / den for e, g in map(f.unkey, x.terms)
+        ))
 
 
 @dataclass

@@ -274,7 +274,7 @@ def test_support_cap_lowers_precision_honestly():
     b = wide.parse("1*t^(0) + 1*t^(1/2) + 2*t^(2/2) + 1*t^(3/2)")
     ia, ib = a.inv(), b.inv()
     assert ia.prec is not None and ib.prec is not None
-    assert tight.unlat(ia.prec) < wide.unlat(ib.prec)
+    assert tight.unlat(tight.unkey(ia.prec)) < wide.unlat(wide.unkey(ib.prec))
     assert (a * ia).agrees(tight.one())
 
 
@@ -324,18 +324,26 @@ def sqrt_convergents(p, limit):
 
 
 def key_sign(x, y, p):
-    kx, ky = kpy.lat_key(*x, p), kpy.lat_key(*y, p)
+    kx, ky = kpy.exp_key(*x, p), kpy.exp_key(*y, p)
     return (kx > ky) - (kx < ky)
 
 
-def test_exact_key_order_matches_lat_cmp():
+def lat_sign(x, y, p):
+    return kpy.irr_sign(x[0] - y[0], x[1] - y[1], p)
+
+
+def key_terms(lats, p):
+    return {kpy.exp_key(e, f, p): c for (e, f), c in lats.items()}
+
+
+def test_exact_key_order_matches_irr_sign():
     rng = random.Random(12)
     for p in (2, 3):
         for span in (10, 10**4, kpy.KEY_LIMIT - 1):
             for _ in range(2000):
                 x = (rng.randint(-span, span), rng.randint(-span, span))
                 y = (rng.randint(-span, span), rng.randint(-span, span))
-                assert key_sign(x, y, p) == kpy.lat_cmp(*x, *y, p)
+                assert key_sign(x, y, p) == lat_sign(x, y, p)
 
 
 def test_irr_sign_big_ints():
@@ -353,44 +361,112 @@ def test_irr_sign_big_ints():
         assert kpy.irr_sign(-big + 1, big, p) == 1
 
 
+def near_ties(p):
+    """Exponents h - k*sqrt(p) within 1/k of zero, alternating in sign, from
+    the convergents of sqrt(p) below the key limit, and their negatives."""
+    convergents = [(h, k) for h, k in sqrt_convergents(p, kpy.KEY_LIMIT) if h < kpy.KEY_LIMIT]
+    return [(h, -k) for h, k in convergents] + [(-h, k) for h, k in convergents]
+
+
 def test_exact_key_order_on_near_ties():
     assert (1393, 985) in sqrt_convergents(2, kpy.KEY_LIMIT)
     assert (1351, 780) in sqrt_convergents(3, kpy.KEY_LIMIT)
     for p in (2, 3):
-        convergents = [(h, k) for h, k in sqrt_convergents(p, kpy.KEY_LIMIT) if h < kpy.KEY_LIMIT]
-        # h - k*sqrt(p) is within 1/k of zero, alternating in sign
-        near = [(h, -k) for h, k in convergents] + [(-h, k) for h, k in convergents]
-        near += [(0, 0), (1, 0), (-1, 0)]
+        near = near_ties(p) + [(0, 0), (1, 0), (-1, 0)]
         for x in near:
             for y in near:
-                assert key_sign(x, y, p) == kpy.lat_cmp(*x, *y, p), (x, y, p)
-        terms = {x: 1 for x in near}
-        got = [lat for lat, _ in kpy.ser_sorted(terms, p)]
-        assert got == sorted(near, key=cmp_to_key(lambda a, b: kpy.lat_cmp(*a, *b, p)))
+                assert key_sign(x, y, p) == lat_sign(x, y, p), (x, y, p)
+        terms = key_terms({x: 1 for x in near}, p)
+        got = [kpy.key_lat(k, p) for k in sorted(terms)]
+        assert got == sorted(near, key=cmp_to_key(lambda a, b: lat_sign(a, b, p)))
         assert kpy.ser_min(terms, p) == got[0]
 
 
 def test_exact_key_guard_raises_past_its_limit():
     top = kpy.KEY_LIMIT - 1
-    assert kpy.lat_key(top, -top, 3) < kpy.lat_key(top, 0, 3) < kpy.lat_key(top, top, 3)
+    assert kpy.exp_key(top, -top, 3) < kpy.exp_key(top, 0, 3) < kpy.exp_key(top, top, 3)
+    f = hahn(denom=1)
     for lat in ((kpy.KEY_LIMIT, 0), (0, -kpy.KEY_LIMIT), (-kpy.KEY_LIMIT, 1)):
         with pytest.raises(ResourceBoundError):
-            kpy.lat_key(*lat, 2)
-    cf = CoeffField(3, 1)
+            kpy.lat_span(*lat)
+        with pytest.raises(ResourceBoundError):
+            f.monomial(f.unlat(lat))
+    # a bounded product whose factor lies one step below the limit and whose
+    # other factor carries it to the limit
+    edge = f.monomial(f.unlat((top, 0)))
+    inexact = f.parse("1*t^(1) + 1*t^(2)")
+    assert inexact.prec is not None
     with pytest.raises(ResourceBoundError):
-        kpy.ser_mul({(kpy.KEY_LIMIT, 0): 1}, {(0, 0): 1}, 3, cf.addf, cf.mulf, (10, 0), 3)
+        edge * inexact
 
 
-def test_exact_key_is_the_floor():
+def test_exact_key_is_linear_and_decodes():
     rng = random.Random(13)
     for p in (2, 3):
-        # f*sqrt(p)*2^KEY_BITS closest to an integer: the hardest floors
-        near = [(0, k) for _h, k in sqrt_convergents(p << 2 * kpy.KEY_BITS, kpy.KEY_LIMIT)]
+        root = isqrt(p << 128)  # floor(sqrt(p) * 2^64)
+        # f*sqrt(p) closest to an integer: the hardest orders
+        near = [(0, k) for _h, k in sqrt_convergents(p << 2 * 32, kpy.KEY_LIMIT)]
         rand = [(rng.randint(-9999, 9999), rng.randint(-(2**28), 2**28)) for _ in range(500)]
-        for e, f in near + [(-e, -f) for e, f in near] + rand:
-            y = isqrt(p * f * f << 2 * kpy.KEY_BITS)  # floor(|f| sqrt(p) 2^KEY_BITS)
-            floor = y if f >= 0 else -y - 1
-            assert kpy.lat_key(e, f, p) == (e << kpy.KEY_BITS) + floor
+        lats = near + near_ties(p) + [(-e, -f) for e, f in near] + rand
+        for e, f in lats:
+            k = kpy.exp_key(e, f, p)
+            assert k == ((e * 2**64 + f * root) << 32) + f
+            assert kpy.key_lat(k, p) == (e, f)
+        for _ in range(2000):
+            (e1, f1), (e2, f2) = rng.choice(lats), rng.choice(lats)
+            k = kpy.exp_key(e1, f1, p) + kpy.exp_key(e2, f2, p)
+            assert k == kpy.exp_key(e1 + e2, f1 + f2, p)
+            assert kpy.key_lat(k, p) == (e1 + e2, f1 + f2)
+
+
+def test_products_and_theta_raise_exactly_at_the_key_limit():
+    top = kpy.KEY_LIMIT - 1
+    for p in (2, 3):
+        f = hahn(char=p, denom=1)
+
+        def mono(e, g):
+            return f.monomial(f.unlat((e, g)))
+
+        # exact product: one step below the limit passes, the limit raises
+        assert (mono(top - 1, 0) * mono(1, -3)).val() == ExtVal.of(f.unlat((top, -3)))
+        with pytest.raises(ResourceBoundError):
+            mono(top, 0) * mono(1, 0)
+        with pytest.raises(ResourceBoundError):
+            (mono(0, -top) + mono(0, 1)) * mono(3, -1)
+        # spans that add past the limit while the exponents stay below it
+        assert (mono(top, 5) * mono(-top, 5)).val() == ExtVal.of(f.unlat((0, 10)))
+        wide = mono(top, 0) + mono(-top, 1)
+        assert len((wide * mono(0, 1)).terms) == 2
+        # bounded product (precision 40): the precision is an exponent too
+        inexact = f.parse("1*t^(1) + 1*t^(2)")
+        assert f.unkey((mono(top - 40, 0) * inexact).prec) == (top, 0)
+        with pytest.raises(ResourceBoundError):
+            mono(top - 39, 0) * inexact
+        with pytest.raises(ResourceBoundError):
+            mono(top, 0) * inexact
+        # theta maps (e, f) to (p*f, e)
+        g = top // p
+        assert mono(5, g).theta().val() == ExtVal.of(f.unlat((p * g, 5)))
+        assert (mono(5, g) + mono(-top, 0)).theta().terms
+        with pytest.raises(ResourceBoundError):
+            mono(0, g + 1).theta()
+        with pytest.raises(ResourceBoundError):
+            (mono(1, 0) + mono(0, -g - 1)).theta()
+
+
+def test_theta_keeps_the_order_of_a_support():
+    rng = random.Random(15)
+    for p in (2, 3):
+        thetaf = list(range(p))
+        for _ in range(300):
+            lats = {(rng.randint(-999, 999), rng.randint(-300, 300)): 1 for _ in range(12)}
+            lats.update({x: 1 for x in rng.sample(near_ties(p), 4)})
+            terms = key_terms(lats, p)
+            image = kpy.ser_theta(terms, p, thetaf)
+            # theta of the support in its key order is the image in its key order
+            assert [kpy.key_theta(k, p) for k in sorted(terms)] == sorted(image)
+            assert sorted(image) == [kpy.exp_key(p * g, e, p) for e, g in map(
+                lambda k: kpy.key_lat(k, p), sorted(terms))]
 
 
 def test_bounded_product_is_truncated_product():
@@ -403,8 +479,10 @@ def test_bounded_product_is_truncated_product():
                 for _ in range(2)
             )
             (e1, f1), (e2, f2) = rng.choice(list(a)), rng.choice(list(b))
+            ia, ib = sorted(key_terms(a, p).items()), sorted(key_terms(b, p).items())
             # bounds on a pair sum and next to it exercise the exact tie-break
             for bound in ((e1 + e2, f1 + f2), (e1 + e2 + 1, f1 + f2 - 1), (e1 + e2 - 1, f1 + f2)):
-                full = kpy.ser_mul(a, b, cf.q, cf.addf, cf.mulf, None, p)
-                got = kpy.ser_mul(a, b, cf.q, cf.addf, cf.mulf, bound, p)
-                assert got == kpy.ser_trunc(full, bound, p)
+                kb = kpy.exp_key(*bound, p)
+                full = kpy.ser_mul(ia, ib, cf.q, cf.addf, cf.mulf, None)
+                got = kpy.ser_mul(ia, ib, cf.q, cf.addf, cf.mulf, kb)
+                assert got == kpy.ser_trunc(full, kb)

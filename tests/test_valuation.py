@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from srlab.errors import UnsupportedAngleError
+from srlab.errors import InsufficientPrecisionError, UnsupportedAngleError
 from srlab.field import FieldCfg, TitsField
 from srlab.groups import TElem
 from srlab.scalar import ExtVal, QuadExt
@@ -326,6 +326,20 @@ def test_skew_order_breaks_flip_invariance():
     assert check_rho_invariance(good, params).ok
     skew = PhiAssignment("G", system, LatticeOrderValuation(QuadExt(0, 2, 3)), twisted_class=1)
     assert not check_rho_invariance(skew, params).ok
+
+
+def test_skew_order_needs_an_exact_element():
+    """The re-embedded order sees only the terms below an element's precision,
+    and the unseen tail can undercut them, so a truncated element raises."""
+    f = hahn(3)
+    nu = LatticeOrderValuation(QuadExt(0, 2, 3))
+    a = TElem(f.monomial(QuadExt(1), 1), f.monomial(QuadExt(0, 1, 3), 2), f.one())
+    assert nu.of(a.norm()) == ExtVal.of(0)
+    assert nu.of(f.monomial(QuadExt(1, -1, 3), 2)) == ExtVal.of(QuadExt(1, -2, 3))
+    truncated = a.omega().norm()
+    assert truncated.prec is not None
+    with pytest.raises(InsufficientPrecisionError):
+        nu.of(truncated)
 
 
 def test_moufang_phi_round_trip():
