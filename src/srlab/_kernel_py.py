@@ -20,9 +20,10 @@ division using dynamic arrays, heaps, and packed exponent vectors", CASC
 * the low 32 bits hold f, so `key_lat` decodes a key back to (e, f).
 
 Every stored exponent, precisions included, keeps |e| and |f| below
-KEY_LIMIT = 2^29; the layer above enforces it and raises ResourceBoundError
-past it.  `irr_sign`, the exact sign of a + b*sqrt(p), is shared with
-`srlab.scalar`.
+KEY_LIMIT = 2^29.  This module does not check it; `SeriesElem.__init__` in
+`srlab.field` does, for every series element it builds, and raises
+ResourceBoundError for an exponent at or past the limit.  `irr_sign`, the
+exact sign of a + b*sqrt(p), is shared with `srlab.scalar`.
 
 This is the library's only kernel; the layers above reach it through
 `srlab.core.kernel`.
@@ -43,8 +44,6 @@ _F_HALF = 1 << 31
 _F_MASK = (1 << 32) - 1
 # the key of the exponent sqrt(p): (R_p << 32) + 1
 _F_UNIT = {p: (isqrt(p << 128) << 32) + 1 for p in (2, 3)}
-# K(e, f) = e * e_unit + f * f_unit, per radicand
-KEY_UNITS = {p: (1 << _E_SHIFT, u) for p, u in _F_UNIT.items()}
 
 
 def irr_sign(a: int, b: int, p: int | None) -> int:

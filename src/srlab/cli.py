@@ -45,9 +45,12 @@ def parse_config_file(path: str) -> dict[str, ConfigValue]:
     Each key may appear once.  Integer keys hold integers (counts at least
     1), `timings` a boolean word, `case` one of B, F, G, `out` a nonempty
     path and `suites` a nonempty comma-separated list of distinct suite
-    names.  Values come back typed.
+    names.  The `field.*` settings must meet the rules of
+    `FieldCfg.broken_rule`, so a run rejects them even when it builds no
+    series field.  Values come back typed.
     """
     out: dict[str, ConfigValue] = {}
+    linenos: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -69,6 +72,13 @@ def parse_config_file(path: str) -> dict[str, ConfigValue]:
             out[key] = _config_value(key, value.strip())
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        linenos[key] = lineno
+    settings = {k.removeprefix("field."): v for k, v in out.items() if k.startswith("field.")}
+    broken = FieldCfg(char=3, **settings).broken_rule()
+    if broken:
+        names, message = broken
+        lineno = next(linenos[f"field.{n}"] for n in names if n in settings)
+        raise ConfigError(f"{path}:{lineno}: {message}")
     return out
 
 

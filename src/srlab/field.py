@@ -50,8 +50,6 @@ _TERM = re.compile(
     r"(?:\+([+-]?[0-9]+)(?:/([0-9]+))?r([23]))?\s*\)\s*(?:(\+)|$)"
 )
 
-# Marks a hahn element whose least support exponent is not computed yet.
-_UNSET = object()
 _KEY_LIMIT = kernel.KEY_LIMIT
 
 
@@ -162,14 +160,8 @@ class CoeffField:
             self.thetaf[x] = self.exp[(self.log[x] * te) % (q - 1)]
             self.frobf[x] = self.exp[(self.log[x] * p) % (q - 1)]
 
-    def add(self, x: int, y: int) -> int:
-        return self.addf[x * self.q + y]
-
     def mul(self, x: int, y: int) -> int:
         return self.mulf[x * self.q + y]
-
-    def neg(self, x: int) -> int:
-        return self.negf[x]
 
     def inv(self, x: int) -> int:
         if x == 0:
@@ -199,6 +191,23 @@ class FieldCfg:
     precision: int = 40
     support_cap: int = 64
 
+    def broken_rule(self) -> tuple[tuple[str, ...], str] | None:
+        """The first rule on the exponent settings that this configuration
+        breaks, as (the settings the rule reads, message), or None."""
+        if self.denom < 1:
+            return ("denom",), f"exponent denominator must be positive, got {self.denom}"
+        if self.precision <= 0:
+            return ("precision",), f"precision must be positive, got {self.precision}"
+        if self.support_cap < 8:
+            return ("support_cap",), f"support cap must be at least 8, got {self.support_cap}"
+        scaled = self.precision * self.denom
+        if scaled >= _KEY_LIMIT:
+            return ("precision", "denom"), (
+                f"precision * denom must be below the exact order key's limit"
+                f" 2^{_KEY_LIMIT.bit_length() - 1}, got {scaled}"
+            )
+        return None
+
 
 class TitsField:
     """A field in one of the two modes, with element factories and parsing."""
@@ -206,24 +215,17 @@ class TitsField:
     def __init__(self, cfg: FieldCfg) -> None:
         if cfg.mode not in ("finite", "hahn"):
             raise ConfigError(f"mode must be 'finite' or 'hahn', got {cfg.mode!r}")
-        if cfg.denom < 1:
-            raise ConfigError("exponent denominator must be positive")
-        if cfg.precision <= 0:
-            raise ConfigError("precision must be positive")
-        if cfg.support_cap < 8:
-            raise ConfigError("support cap must be at least 8")
+        broken = cfg.broken_rule()
+        if broken:
+            raise ConfigError(broken[1])
         self.cfg = cfg
         self.coeff = CoeffField(cfg.char, cfg.m)
         self.p = cfg.char
         self.q = self.coeff.q
         self.D = cfg.denom
         self.mode = cfg.mode
-        # the key of the exponent (e + f*sqrt(p))/D is e*e_unit + f*f_unit,
-        # and that of its image p*f + e*sqrt(p) under theta is f*(p*e_unit) + e*f_unit
-        self.key_units = e_unit, f_unit = kernel.KEY_UNITS[self.p]
-        self.theta_units = (self.p * e_unit, f_unit)
         # the precision stamped on parsed elements, as an exponent key
-        self.prec_span = kernel.lat_span(cfg.precision * cfg.denom, 0)
+        self.prec_span = cfg.precision * cfg.denom
         self.prec_key = kernel.exp_key(self.prec_span, 0, self.p)
         # the text of each coefficient index: prime-subfield digits as
         # themselves, the rest as powers of the generator
@@ -280,8 +282,8 @@ class TitsField:
         e, g = lat = self.lat(exp)
         if not coeff:
             return SeriesElem(self, {})
-        e_unit, f_unit = self.key_units
-        return SeriesElem(self, {e * e_unit + g * f_unit: coeff}, None, kernel.lat_span(e, g), lat)
+        key = kernel.exp_key(e, g, self.p)
+        return SeriesElem(self, {key: coeff}, None, kernel.lat_span(e, g), lat)
 
     # --- parsing and emission ---
 
@@ -522,14 +524,15 @@ class SeriesElem(FieldElem):
     """
 
     # _span bounds max(|e|, |f|) over the exponents of the support and of
-    # prec.  Operations bound their result's span by small-int arithmetic
-    # (add under *, max under +, times p under theta) and scan the result
-    # exactly only when that bound reaches the key limit, so an exponent
-    # raises ResourceBoundError exactly when it reaches the limit.  _low is
-    # the least support exponent as a lattice pair (None for an empty
-    # support), filled on first use or carried over where an operation
-    # knows it; _items, the support's items in increasing key order, is
-    # left unset until first use.
+    # prec.  Operations pass __init__ a bound found by small-int arithmetic
+    # (add under *, max under +, times p under theta), and __init__, the one
+    # place that checks the key limit, scans the element exactly when that
+    # bound reaches it, so an exponent raises ResourceBoundError exactly
+    # when it reaches the limit.  _low is the least support exponent as a
+    # lattice pair, or None while it is not known: it is filled on first use
+    # or carried over where an operation knows it, and an empty support is
+    # answered from `terms`.  _items, the support's items in increasing key
+    # order, is left unset until first use.
     __slots__ = ("terms", "prec", "_span", "_low", "_items")
 
     def __init__(
@@ -538,8 +541,10 @@ class SeriesElem(FieldElem):
         terms: dict[int, int],
         prec: int | None = None,
         span: int = 0,
-        low: Lat | None = _UNSET,
+        low: Lat | None = None,
     ) -> None:
+        if span >= _KEY_LIMIT:
+            span = _exact_span(field, terms, prec)
         self.field = field
         self.terms = terms
         self.prec = prec
@@ -557,18 +562,18 @@ class SeriesElem(FieldElem):
             return items
 
     def _capped(self, terms: dict[int, int], prec: int | None, span: int) -> "SeriesElem":
+        # the uncut result goes through the key-limit check first, because
+        # a cut is ordered exactly only below the limit
         f = self.field
-        if span >= _KEY_LIMIT:
-            span = _exact_span(f, terms, prec)
+        out = SeriesElem(f, terms, prec, span)
         cap = f.cfg.support_cap
         if prec is not None and len(terms) > cap:
             # every term lies below prec, so the first cut term is the new bound
             items = sorted(terms.items())
             kept = items[:cap]
-            out = SeriesElem(f, dict(kept), items[cap][0], span)
+            out = SeriesElem(f, dict(kept), items[cap][0], out._span)
             out._items = kept
-            return out
-        return SeriesElem(f, terms, prec, span)
+        return out
 
     # --- arithmetic ---
 
@@ -599,17 +604,13 @@ class SeriesElem(FieldElem):
         if pa is None and pb is None:
             ta, tb = self.terms, other.terms
             la, lb = self._low, other._low
-            if len(ta) == 1 == len(tb) and la is not _UNSET and lb is not _UNSET:
+            if len(ta) == 1 == len(tb) and la is not None and lb is not None:
                 # two exact monomials: one key sum, and the least exponent is known
                 ((ka, ca),) = ta.items()
                 ((kb, cb),) = tb.items()
                 low = (la[0] + lb[0], la[1] + lb[1])
-                if span >= _KEY_LIMIT:
-                    span = kernel.lat_span(*low)
                 return SeriesElem(f, {ka + kb: mulf[ca * f.q + cb]}, None, span, low)
             terms = kernel.ser_mul(ta.items(), tb.items(), f.q, addf, mulf, None)
-            if span >= _KEY_LIMIT:
-                span = _exact_span(f, terms, None)
             return SeriesElem(f, terms, None, span)
         # the product is certified below the least of prec + the other
         # factor's least exponent (its precision when its support is empty)
@@ -643,24 +644,17 @@ class SeriesElem(FieldElem):
         f = self.field
         p = f.p
         terms, low, prec = self.terms, self._low, self.prec
-        if low is _UNSET or low is None:
-            terms = kernel.ser_theta(terms, p, f.coeff.thetaf)
+        if low is not None:
+            low = (p * low[1], low[0])
+        if low is not None and len(terms) == 1:
+            # one known exponent: key its image directly
+            (c,) = terms.values()
+            terms = {kernel.exp_key(*low, p): f.coeff.thetaf[c]}
         else:
-            e, g = low
-            low = (p * g, e)
-            if len(terms) == 1:
-                # one known exponent: key its image directly
-                (c,) = terms.values()
-                g_unit, e_unit = f.theta_units
-                terms = {g * g_unit + e * e_unit: f.coeff.thetaf[c]}
-            else:
-                terms = kernel.ser_theta(terms, p, f.coeff.thetaf)
+            terms = kernel.ser_theta(terms, p, f.coeff.thetaf)
         if prec is not None:
             prec = kernel.key_theta(prec, p)
-        span = self._span * p
-        if span >= _KEY_LIMIT:
-            span = _exact_span(f, terms, prec)
-        return SeriesElem(f, terms, prec, span, low)
+        return SeriesElem(f, terms, prec, self._span * p, low)
 
     def twisted_pow(self, em: int, en: int) -> "FieldElem":
         """Compute self^em * theta(self)^en for integer exponents."""
@@ -682,16 +676,13 @@ class SeriesElem(FieldElem):
         if len(self.terms) == 1:
             ((g, c),) = self.terms.items()
             low = self._low
-            if low is not _UNSET:
+            if low is not None:
                 low = (-low[0], -low[1])
             if prec is not None:
                 # t^g + O(t^prec) inverts to t^-g + O(t^(prec - 2g))
                 prec -= 2 * g
                 span *= 3
-            terms = {-g: coeff.invf[c]}
-            if span >= _KEY_LIMIT:
-                span = _exact_span(f, terms, prec)
-            return SeriesElem(f, terms, prec, span, low)
+            return SeriesElem(f, {-g: coeff.invf[c]}, prec, span, low)
         # self = c t^g (1 + x); invert the unit 1 + x by a geometric series
         # in -x, whose exponents k - g keep their order.  A power of -x has
         # span at most its number of factors times that of -x, and every
@@ -729,11 +720,7 @@ class SeriesElem(FieldElem):
             if rounds > 10000:
                 raise ResourceBoundError("geometric inversion did not terminate")
         terms = {k - g: mulf[cc * q + cinv] for k, cc in acc.items()}
-        prec = rel - g
-        span = max(power_span, rel_span) + span
-        if span >= _KEY_LIMIT:
-            span = _exact_span(f, terms, prec)
-        return SeriesElem(f, terms, prec, span)
+        return SeriesElem(f, terms, rel - g, max(power_span, rel_span) + span)
 
     # --- predicates and views ---
 
@@ -752,11 +739,11 @@ class SeriesElem(FieldElem):
 
     def val(self) -> ExtVal:
         """The t-adic valuation as an extended exact value."""
-        low = self._low
-        if low is _UNSET:
-            low = self._low = kernel.ser_min(self.terms, self.field.p)
-        if low is not None:
+        if self.terms:
             f = self.field
+            low = self._low
+            if low is None:
+                low = self._low = kernel.ser_min(self.terms, f.p)
             return ExtVal(QuadExt.from_ints(low[0], low[1], f.D, f.p))
         if self.prec is None:
             return INFINITY

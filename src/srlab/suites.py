@@ -410,9 +410,7 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random, rep: SuiteReport
         ok = all(check_v1(phi, idx, pairs).ok for idx in range(system.count))
         rep.check(f"{case}-one-root-valuation", ok)
 
-        def sample_pairs(
-            i: int, j: int, field: TitsField = field
-        ) -> list[tuple[FieldElem, FieldElem]]:
+        def sample_pairs(field: TitsField = field) -> list[tuple[FieldElem, FieldElem]]:
             return [
                 (rand_monomial(field, rng), rand_monomial(field, rng))
                 for _ in range(n)

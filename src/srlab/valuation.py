@@ -431,16 +431,17 @@ class AssignmentResolution:
 def resolve_assignment(
     case: str,
     nu: Valuation,
-    sample_pairs: Callable[[int, int], Sequence[tuple[FieldElem, FieldElem]]],
+    sample_pairs: Callable[[], Sequence[tuple[FieldElem, FieldElem]]],
     pair_list: Sequence[tuple[int, int]],
 ) -> AssignmentResolution:
-    """Run the containment bound under both class-to-rule assignments."""
+    """Run the containment bound under both class-to-rule assignments,
+    drawing each interval pair's samples from a fresh `sample_pairs()` call."""
     system = ambient_system(case)
     passes: dict[int, bool] = {}
     for twisted_class in (0, 1):
         phi = PhiAssignment(case, system, nu, twisted_class)
         passes[twisted_class] = all(
-            check_v2_pair(phi, i, j, sample_pairs(i, j)) for i, j in pair_list
+            check_v2_pair(phi, i, j, sample_pairs()) for i, j in pair_list
         )
     chosen = next((tc for tc, ok in passes.items() if ok), None)
     return AssignmentResolution(passes, chosen)

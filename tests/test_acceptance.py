@@ -182,7 +182,7 @@ def test_criterion_5_valuation_axioms(capsys):
         if not all(check_v1(phi, idx, pairs).ok for idx in range(system.count)):
             v1_ok = False
 
-        def sample_pairs(i, j, field=field):
+        def sample_pairs(field=field):
             return [
                 (rand_monomial(field, rng), rand_monomial(field, rng))
                 for _ in range(n)

@@ -253,6 +253,25 @@ def test_config_count_below_one_names_file_and_line(tmp_path, capsys, key, flags
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("field.precision = 300000000",
+         "precision * denom must be below the exact order key's limit 2^29, got 600000000"),
+        ("field.support_cap = 5", "support cap must be at least 8, got 5"),
+    ],
+    ids=["precision-past-key-limit", "support-cap-below-eight"],
+)
+def test_config_field_settings_checked_when_read(tmp_path, capsys, line, message):
+    # the roots suite builds no series field, so only the config check sees them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"suites = roots\n{line}\n")
+    out = tmp_path / "x.json"
+    assert main(["run", "--config", str(cfg), "--samples", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"srlab: {cfg}:2: {message}\n"
+    assert not out.exists()
+
+
 def test_explicit_jobs_one_wins_over_config(tmp_path, monkeypatch):
     seen = []
 

@@ -452,6 +452,45 @@ def test_products_and_theta_raise_exactly_at_the_key_limit():
             mono(0, g + 1).theta()
         with pytest.raises(ResourceBoundError):
             (mono(1, 0) + mono(0, -g - 1)).theta()
+        # one-term inexact inverse: t^e + O(t^(e + 40)) inverts to
+        # t^-e + O(t^(40 - e)), so its precision moves to prec - 2e
+        one = f.parse("1*t^(0)")
+        assert f.unkey((mono(40 - top, 0) * one).inv().prec) == (top, 0)
+        with pytest.raises(ResourceBoundError):
+            (mono(40 - kpy.KEY_LIMIT, 0) * one).inv()
+        # multi-term inverse: 1/(t^e + t^(e + 1)) is t^-e (1 - t + t^2 - ...)
+        # cut at the field's precision 40, with precision 40 - e
+        assert f.unkey((mono(40 - top, 0) + mono(41 - top, 0)).inv().prec) == (top, 0)
+        with pytest.raises(ResourceBoundError):
+            (mono(40 - kpy.KEY_LIMIT, 0) + mono(41 - kpy.KEY_LIMIT, 0)).inv()
+
+
+def test_support_cap_cut_is_checked_at_the_key_limit():
+    # 71 terms at precision (8, 0); the product's top term (2^29, -1) lies
+    # below its precision (2^29 - 1, 0) and past the key limit, and the
+    # support cap of 64 would cut it away
+    f = hahn(denom=1, precision=8)
+    b = f.parse("+".join(f"1*t^(-{k})" for k in range(1, 71)) + "+1*t^(9+-1r3)")
+    assert len(b.terms) == 71 and f.unkey(b.prec) == (8, 0)
+    a = f.monomial(f.unlat((kpy.KEY_LIMIT - 1 - 8, 0)))
+    with pytest.raises(ResourceBoundError):
+        a * b
+
+
+def test_carried_least_exponent_is_the_support_minimum():
+    rng = random.Random(16)
+    for p in (2, 3):
+        f = hahn(char=p, denom=1)
+
+        def mono():
+            lat = (rng.randint(-10**6, 10**6), rng.randint(-10**5, 10**5))
+            return f.monomial(f.unlat(lat), rng.randrange(1, f.q))
+
+        for _ in range(300):
+            x = mono()
+            for y in (x, x * mono(), x.theta(), -x, x.inv(), (x * mono()).theta().inv()):
+                assert y._low is not None
+                assert y._low == kpy.ser_min(y.terms, p)
 
 
 def test_theta_keeps_the_order_of_a_support():

@@ -260,7 +260,7 @@ def rand_monomial(f, rng):
 
 
 def resolve(case, f, nu, rng, npairs, nsamples):
-    def sample_pairs(i, j):
+    def sample_pairs():
         return [(rand_monomial(f, rng), rand_monomial(f, rng)) for _ in range(nsamples)]
 
     return resolve_assignment(case, nu, sample_pairs, ambient_system(case).interval_pairs()[:npairs])
