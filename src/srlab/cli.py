@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from .errors import ConfigError, SrlabError
 from .field import FieldCfg, TitsField
@@ -18,22 +19,11 @@ from .moufang import enumerate_group
 from .report import render_report
 from .roots import get_system
 from .suites import SUITE_NAMES, RunConfig, run_all
+from .valuation import CASES
 
-_CONFIG_KEYS = {
-    "case",
-    "samples",
-    "seed",
-    "suites",
-    "out",
-    "jobs",
-    "timings",
-    "field.denom",
-    "field.precision",
-    "field.support_cap",
-}
-_INT_KEYS = {"seed", "samples", "jobs", "field.denom", "field.precision", "field.support_cap"}
-_COUNT_KEYS = _INT_KEYS - {"seed"}
-_CASES = ("B", "F", "G")
+_COUNT_KEYS = {"samples", "jobs", "field.denom", "field.precision", "field.support_cap"}
+_CONFIG_KEYS = _COUNT_KEYS | {"case", "seed", "suites", "out", "timings"}
+_CASES = tuple(CASES)
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 ConfigValue = int | bool | str | list[str]
@@ -42,10 +32,10 @@ ConfigValue = int | bool | str | list[str]
 def parse_config_file(path: str) -> dict[str, ConfigValue]:
     """Flat key=value lines; blank lines and # comments are skipped.
 
-    Each key may appear once.  Integer keys hold integers (counts at least
-    1), `timings` a boolean word, `case` one of B, F, G, `out` a nonempty
-    path and `suites` a nonempty comma-separated list of distinct suite
-    names.  The `field.*` settings must meet the rules of
+    Each key may appear once.  `seed` holds an integer, the counts hold
+    integers at least 1, `timings` a boolean word, `case` one of B, F, G,
+    `out` a nonempty path and `suites` a nonempty comma-separated list of
+    distinct suite names.  The `field.*` settings must meet the rules of
     `FieldCfg.broken_rule`, so a run rejects them even when it builds no
     series field.  Values come back typed.
     """
@@ -83,9 +73,10 @@ def parse_config_file(path: str) -> dict[str, ConfigValue]:
 
 
 def _config_value(key: str, value: str) -> ConfigValue:
-    if key in _INT_KEYS:
-        number = _int(value, key)
-        return _count(number, key) if key in _COUNT_KEYS else number
+    if key == "seed":
+        return _int(value, key)
+    if key in _COUNT_KEYS:
+        return _count(_int(value, key), key)
     if key == "timings":
         if value.lower() not in _BOOLS:
             raise ConfigError(f"timings must be one of {', '.join(_BOOLS)}, got {value!r}")
@@ -133,13 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run check suites and emit a JSON report")
     run.add_argument("--suite", action="append", choices=SUITE_NAMES, help="suite to run (repeatable; default all)")
-    run.add_argument("--case", choices=_CASES, help="ambient case for case-sensitive data (default G)")
+    run.add_argument("--case", choices=_CASES, help=f"ambient case for case-sensitive data (default {RunConfig.case})")
     run.add_argument("--samples", type=int, help="override documented sample counts")
-    run.add_argument("--seed", type=int, help="run seed (default SRLAB_SEED or 0)")
+    run.add_argument("--seed", type=int, help=f"run seed (default SRLAB_SEED or {RunConfig.seed})")
     run.add_argument("--out", help="write the report to this path instead of stdout")
-    run.add_argument("--jobs", type=int, help="worker threads across suites (default 1)")
+    run.add_argument("--jobs", type=int, help="worker threads across suites (default: none, suites run in turn)")
     run.add_argument("--config", help="key=value config file")
-    run.add_argument("--timings", action="store_true", help="attach wall-clock timings to the report")
+    run.add_argument("--timings", action="store_true", default=None, help="attach wall-clock timings to the report")
 
     fold = sub.add_parser("fold", help="print the folded directions of an ambient system")
     fold.add_argument("kind", choices=["B2", "G2", "F4"])
@@ -147,42 +138,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser("enumerate", help="close the finite rank-one group and print its shape")
     enum.add_argument("--q", type=int, default=3, help="field size (power of 3, default 3)")
-    enum.add_argument("--max-order", type=int, default=500000, help="abort beyond this group order")
+    enum.add_argument("--max-order", type=int, help="abort beyond this group order")
     enum.add_argument("--out", help="write the JSON to this path instead of stdout")
     return parser
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """Each setting is its flag, then its config file value, then the default
+    of `RunConfig` or `run_all`."""
     file_cfg = parse_config_file(args.config) if args.config else {}
-
-    def pick(flag, key: str, default=None):
-        """The flag, then the config file, then the default."""
-        return flag if flag is not None else file_cfg.get(key, default)
-
-    seed = pick(args.seed, "seed")
-    if seed is None:
-        seed = _int(os.environ.get("SRLAB_SEED", "0"), "SRLAB_SEED")
-    cfg = RunConfig(
-        case=pick(args.case, "case", "G"),
-        samples=pick(_count(args.samples, "samples"), "samples"),
-        seed=seed,
-        precision=file_cfg.get("field.precision", 40),
-        denom=file_cfg.get("field.denom", 2),
-        support_cap=file_cfg.get("field.support_cap", 64),
-        timings=args.timings or file_cfg.get("timings", False),
-    )
-    jobs = pick(_count(args.jobs, "jobs"), "jobs", 1)
-    suites = _distinct(args.suite) if args.suite else file_cfg.get("suites")
-    report = run_all(cfg, suites, jobs=jobs)
-    _emit(render_report(report), args.out or file_cfg.get("out"))
+    settings = {key.removeprefix("field."): value for key, value in file_cfg.items()}
+    flags = {
+        "case": args.case,
+        "samples": _count(args.samples, "samples"),
+        "seed": args.seed,
+        "jobs": _count(args.jobs, "jobs"),
+        "suites": args.suite and _distinct(args.suite),
+        "out": args.out or None,  # an empty --out counts as not given
+        "timings": args.timings,
+    }
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    if "seed" not in settings and "SRLAB_SEED" in os.environ:
+        settings["seed"] = _int(os.environ["SRLAB_SEED"], "SRLAB_SEED")
+    out = settings.pop("out", None)
+    suites = settings.pop("suites", None)
+    jobs = {"jobs": settings.pop("jobs")} if "jobs" in settings else {}
+    report = run_all(RunConfig(**settings), suites, **jobs)
+    _emit(render_report(report), out)
     return 0 if report["ok"] else 1
 
 
@@ -209,18 +202,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     m = {3: 1, 27: 3, 243: 5}.get(q)
     if m is None:
         raise ConfigError(f"q must be 3, 27 or 243, got {q}")
-    if args.max_order < 1:
-        raise ConfigError(f"max-order must be at least 1, got {args.max_order}")
+    bound = {} if args.max_order is None else {"max_order": _count(args.max_order, "max-order")}
     field = TitsField(FieldCfg(char=3, mode="finite", m=m))
-    stats = enumerate_group(field, max_order=args.max_order)
-    payload = {
-        "q": q,
-        "npoints": stats.npoints,
-        "order": stats.order,
-        "transitivity": stats.transitivity,
-        "point_stab": stats.point_stab,
-        "two_point_stab": stats.two_point_stab,
-    }
+    stats = enumerate_group(field, **bound)
+    payload = {"q": q, **asdict(stats)}
     _emit(render_report(payload), args.out)
     return 0
 

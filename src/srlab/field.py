@@ -182,7 +182,11 @@ class CoeffField:
 
 @dataclass(frozen=True)
 class FieldCfg:
-    """Configuration of a field with a Tits endomorphism."""
+    """Configuration of a field with a Tits endomorphism.
+
+    Its `denom`, `precision` and `support_cap` defaults are the only ones
+    in srlab: a run's settings (`suites.RunConfig`) default to them.
+    """
 
     char: int
     mode: str = "hahn"

@@ -108,9 +108,17 @@ def enumerate_group(field: TitsField, max_order: int = 500000) -> PermGroupStats
     group elements in lexicographic coordinate order; permutations are
     index tuples.  Transitivity is measured directly on tuple orbits and
     the stabilizer orders are cross-checked against orbit-stabilizer.
+
+    The translations fix infinity and act regularly on the q^3 finite
+    points, and omega moves infinity, so the group is transitive and its
+    order is at least (q^3 + 1) q^3; a bound below that is refused before
+    any permutation is built.
     """
     if field.mode != "finite":
         raise ConfigError("group enumeration needs a finite field")
+    finite_points = field.q**3
+    if (finite_points + 1) * finite_points > max_order:
+        raise ResourceBoundError(f"group closure exceeded the bound {max_order}")
     elems = finite_elems_t(field)
     index = {(x.r.k, x.s.k, x.t.k): i + 1 for i, x in enumerate(elems)}
     npoints = len(elems) + 1

@@ -12,23 +12,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .field import FieldCfg, FieldElem, TitsField
+from .field import FieldElem, TitsField
 from .groups import SElem, TElem
 from .scalar import QuadExt
-
-
-def hahn_field(char: int, denom: int = 2, precision: int = 40, support_cap: int = 64) -> TitsField:
-    """A series field of characteristic `char` with the given lattice and caps."""
-    return TitsField(
-        FieldCfg(
-            char=char,
-            mode="hahn",
-            m=1,
-            denom=denom,
-            precision=precision,
-            support_cap=support_cap,
-        )
-    )
 
 
 def rand_lat(rng: random.Random, span: int = 6) -> tuple[int, int]:

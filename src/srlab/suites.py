@@ -14,7 +14,7 @@ import hashlib
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -34,7 +34,6 @@ from .roots import FoldedSystem, get_system
 from .samplers import (
     finite_elems_s,
     finite_elems_t,
-    hahn_field,
     lat_mul_quad,
     rand_lat,
     rand_monomial,
@@ -65,19 +64,24 @@ from .valuation import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by all suites; None keeps a suite's documented default."""
+    """Knobs shared by all suites; None keeps a suite's documented default.
+
+    The series settings `precision`, `denom` and `support_cap` default to
+    `FieldCfg`'s, which owns them.
+    """
 
     case: str = "G"
     samples: int | None = None
     seed: int = 0
-    precision: int = 40
-    denom: int = 2
-    support_cap: int = 64
+    precision: int = FieldCfg.precision
+    denom: int = FieldCfg.denom
+    support_cap: int = FieldCfg.support_cap
     timings: bool = False
 
     def hahn_field(self, char: int) -> TitsField:
         """The series field of characteristic `char` under this run's settings."""
-        return hahn_field(char, self.denom, self.precision, self.support_cap)
+        cfg = FieldCfg(char, denom=self.denom, precision=self.precision, support_cap=self.support_cap)
+        return TitsField(cfg)
 
 
 def suite_seed(seed: int, suite: str) -> int:
@@ -542,13 +546,7 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
     t0 = time.perf_counter()
     g = enumerate_group(f3)
     rep.timing["enumerate_seconds"] = round(time.perf_counter() - t0, 3)
-    rep.stats["group"] = {
-        "npoints": g.npoints,
-        "order": g.order,
-        "transitivity": g.transitivity,
-        "point_stab": g.point_stab,
-        "two_point_stab": g.two_point_stab,
-    }
+    rep.stats["group"] = asdict(g)
     rep.check(
         "finite-group-shape",
         g.order == 1512

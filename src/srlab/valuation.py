@@ -36,23 +36,24 @@ from .report import CheckResult
 from .roots import Rank2System, RootSystem, get_system
 from .scalar import INFINITY, ExtVal, QuadExt, ext_min
 
-_CASE_CHAR = {"B": 2, "F": 2, "G": 3}
-_CASE_AMBIENT = {"B": "B2", "F": "F4", "G": "G2"}
+# each ambient case: the characteristic of its field and its root system
+CASES = {"B": (2, "B2"), "F": (2, "F4"), "G": (3, "G2")}
 _INV_SQRT = {p: QuadExt(0, Fraction(1, p), p) for p in (2, 3)}
 
 
-def ambient_system(case: str) -> RootSystem:
-    kind = _CASE_AMBIENT.get(case)
-    if kind is None:
+def _case(case: str) -> tuple[int, str]:
+    entry = CASES.get(case)
+    if entry is None:
         raise ConfigError(f"unknown case {case!r}")
-    return get_system(kind)
+    return entry
+
+
+def ambient_system(case: str) -> RootSystem:
+    return get_system(_case(case)[1])
 
 
 def case_char(case: str) -> int:
-    p = _CASE_CHAR.get(case)
-    if p is None:
-        raise ConfigError(f"unknown case {case!r}")
-    return p
+    return _case(case)[0]
 
 
 # --- commutator machinery ---

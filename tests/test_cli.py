@@ -7,7 +7,8 @@ import pytest
 from srlab import cli
 from srlab.cli import main, parse_config_file
 from srlab.errors import ConfigError
-from srlab.suites import run_all
+from srlab.field import FieldCfg
+from srlab.suites import RunConfig, run_all
 
 
 def run_report(tmp_path, name, argv):
@@ -286,3 +287,50 @@ def test_explicit_jobs_one_wins_over_config(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert seen == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--suite", "roots", "--samples", "1"],
+        ["fold", "B2"],
+        ["enumerate", "--q", "3"],
+    ],
+    ids=["run", "fold", "enumerate"],
+)
+def test_unwritable_out_exits_two(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"srlab: cannot write {out}: ")
+    assert err.count("\n") == 1
+
+
+def test_enumerate_beyond_default_bound_exits_one_at_once(tmp_path, capsys):
+    out = tmp_path / "enum.json"
+    assert main(["enumerate", "--q", "27", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "srlab: group closure exceeded the bound 500000\n"
+    assert not out.exists()
+
+
+def test_config_field_settings_reach_the_run(tmp_path, monkeypatch):
+    seen = []
+
+    def record_cfg(cfg, suites, **kwargs):
+        seen.append(cfg)
+        return run_all(cfg, suites, **kwargs)
+
+    monkeypatch.setattr(cli, "run_all", record_cfg)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suites = folding\nfield.precision = 30\nfield.denom = 3\nfield.support_cap = 32\n")
+    out = tmp_path / "f.json"
+    assert main(["run", "--config", str(cfg), "--samples", "1", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["precision"], config["denom"], config["support_cap"]) == (30, 3, 32)
+    want = FieldCfg(char=3, precision=30, denom=3, support_cap=32)
+    assert seen[0].hahn_field(3).cfg == want
+
+    assert main(["run", "--suite", "folding", "--samples", "1", "--out", str(out)]) == 0
+    assert seen[1] == RunConfig(samples=1)
+    for p in (2, 3):
+        assert seen[1].hahn_field(p).cfg == FieldCfg(char=p)

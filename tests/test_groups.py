@@ -12,6 +12,7 @@ from srlab.groups import (
     val_norm_exact_S,
     val_norm_exact_T,
 )
+from srlab.samplers import finite_elems_s, finite_elems_t
 from srlab.scalar import ExtVal, QuadExt
 
 
@@ -23,25 +24,6 @@ def f27():
     return TitsField(FieldCfg(char=3, mode="finite", m=3))
 
 
-def all_t(field):
-    q = field.q
-    return [
-        TElem(field.from_coeff(r), field.from_coeff(s), field.from_coeff(t))
-        for r in range(q)
-        for s in range(q)
-        for t in range(q)
-    ]
-
-
-def all_s(field):
-    q = field.q
-    return [
-        SElem(field.from_coeff(s), field.from_coeff(t))
-        for s in range(q)
-        for t in range(q)
-    ]
-
-
 def test_char_guards():
     with pytest.raises(ConfigError):
         TElem.identity(TitsField(FieldCfg(char=2, mode="finite", m=1)))
@@ -50,7 +32,7 @@ def test_char_guards():
 
 
 def test_t_group_laws_exhaustive():
-    elems = all_t(f3())
+    elems = finite_elems_t(f3())
     e = TElem.identity(elems[0].field)
     for a in elems:
         assert (a * a.inverse()).is_identity()
@@ -63,7 +45,7 @@ def test_t_group_laws_exhaustive():
 
 def test_s_group_laws_exhaustive():
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
-    elems = all_s(f8)
+    elems = finite_elems_s(f8)
     for a in elems:
         assert (a * a.inverse()).is_identity()
     rng = random.Random(3)
@@ -77,7 +59,7 @@ def test_s_group_laws_exhaustive():
 def test_center_is_central():
     field = f3()
     z = TElem.center(field.one())
-    for a in all_t(field):
+    for a in finite_elems_t(field):
         assert (a * z).agrees(z * a)
 
 
@@ -93,7 +75,7 @@ def test_omega_printed_value():
 def test_omega_involution_and_norm_inverse():
     field = f27()
     rng = random.Random(9)
-    elems = all_t(field)
+    elems = finite_elems_t(field)
     for _ in range(200):
         a = elems[rng.randrange(1, len(elems))]
         w = a.omega()
@@ -103,10 +85,10 @@ def test_omega_involution_and_norm_inverse():
 
 def test_norm_anisotropic_exhaustive():
     for field in (f3(), f27()):
-        for a in all_t(field):
+        for a in finite_elems_t(field):
             assert a.norm().is_zero() == a.is_identity()
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
-    for a in all_s(f8):
+    for a in finite_elems_s(f8):
         assert a.norm().is_zero() == a.is_identity()
 
 
@@ -148,7 +130,7 @@ def test_norm_val_formula_s():
 
 def test_h_action_automorphism_finite():
     field = f27()
-    elems = all_t(field)
+    elems = finite_elems_t(field)
     rng = random.Random(4)
     for _ in range(60):
         h = elems[rng.randrange(1, len(elems))]
@@ -156,7 +138,7 @@ def test_h_action_automorphism_finite():
         y = elems[rng.randrange(len(elems))]
         assert h_action_T(h, x * y).agrees(h_action_T(h, x) * h_action_T(h, y))
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
-    selems = all_s(f8)
+    selems = finite_elems_s(f8)
     for _ in range(60):
         h = selems[rng.randrange(1, len(selems))]
         x = selems[rng.randrange(len(selems))]

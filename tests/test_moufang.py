@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -87,6 +88,15 @@ def test_enumerate_group_shape():
 def test_enumerate_group_bound():
     with pytest.raises(ResourceBoundError):
         enumerate_group(f3(), max_order=100)
+
+
+def test_enumerate_group_refuses_a_bound_below_the_transitive_order():
+    # over F27 the group order is at least (27^3 + 1) 27^3 > 500000, so the
+    # default bound is refused before any of its 19,684-point permutations
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceBoundError, match="exceeded the bound 500000"):
+        enumerate_group(TitsField(FieldCfg(char=3, mode="finite", m=3)))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_enumerate_needs_finite_mode():
