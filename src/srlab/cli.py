@@ -9,6 +9,7 @@ deterministic for a fixed seed; timing data is only attached on request.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import asdict
@@ -154,6 +155,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_out_folder(out: str) -> None:
+    """Refuse an output path whose folder is missing before any work is done;
+    other write failures show when the output is written."""
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+        raise ConfigError(f"cannot write {out}: {OSError(code, os.strerror(code), out)}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     """Each setting is its flag, then its config file value, then the default
     of `RunConfig` or `run_all`."""
@@ -172,6 +182,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if "seed" not in settings and "SRLAB_SEED" in os.environ:
         settings["seed"] = _int(os.environ["SRLAB_SEED"], "SRLAB_SEED")
     out = settings.pop("out", None)
+    if out:
+        _check_out_folder(out)
     suites = settings.pop("suites", None)
     jobs = {"jobs": settings.pop("jobs")} if "jobs" in settings else {}
     report = run_all(RunConfig(**settings), suites, **jobs)

@@ -11,6 +11,7 @@ trivial, so the formulas read the same in both characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigError
 from .field import FieldElem, TitsField
@@ -182,17 +183,25 @@ def val_norm_exact_T(a: TElem) -> ExtVal:
     )
 
 
-def h_action_S(h: SElem, x: SElem) -> SElem:
-    """Torus action through the parameter h: (u, v) -> (R^(2-th) u, R^th v)."""
+def h_action_S(h: SElem) -> Callable[[SElem], SElem] | None:
+    """Torus action through the parameter h, as the map (u, v) -> (R^(2-th) u, R^th v).
+
+    Both scalars come from one norm R = R(h); None when R is zero.
+    """
     rho = h.norm()
-    return SElem(rho.twisted_pow(2, -1) * x.s, rho.twisted_pow(0, 1) * x.t)
+    if rho.is_zero():
+        return None
+    a, b = rho.twisted_pow(2, -1), rho.twisted_pow(0, 1)
+    return lambda x: SElem(a * x.s, b * x.t)
 
 
-def h_action_T(h: TElem, x: TElem) -> TElem:
-    """Torus action through h: (w, u, v) -> (N^(2-th) w, N^(th-1) u, N v)."""
+def h_action_T(h: TElem) -> Callable[[TElem], TElem] | None:
+    """Torus action through h, as the map (w, u, v) -> (N^(2-th) w, N^(th-1) u, N v).
+
+    All three scalars come from one norm N = N(h); None when N is zero.
+    """
     n = h.norm()
-    return TElem(
-        n.twisted_pow(2, -1) * x.r,
-        n.twisted_pow(-1, 1) * x.s,
-        n * x.t,
-    )
+    if n.is_zero():
+        return None
+    a, b = n.twisted_pow(2, -1), n.twisted_pow(-1, 1)
+    return lambda x: TElem(a * x.r, b * x.s, n * x.t)

@@ -10,13 +10,14 @@ and in finite mode the full permutation group can be enumerated by closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import ConfigError, ResourceBoundError
 from .field import TitsField
 from .groups import TElem
 from .report import CheckResult
-from .samplers import finite_elems_t
+from .samplers import finite_elems_t, finite_index
 
 Point = TElem | None  # None is the point at infinity
 
@@ -120,13 +121,10 @@ def enumerate_group(field: TitsField, max_order: int = 500000) -> PermGroupStats
     if (finite_points + 1) * finite_points > max_order:
         raise ResourceBoundError(f"group closure exceeded the bound {max_order}")
     elems = finite_elems_t(field)
-    index = {(x.r.k, x.s.k, x.t.k): i + 1 for i, x in enumerate(elems)}
     npoints = len(elems) + 1
 
     def key(x: Point) -> int:
-        if x is None:
-            return 0
-        return index[(x.r.k, x.s.k, x.t.k)]
+        return 0 if x is None else finite_index(x) + 1
 
     def as_perm(f: Callable[[Point], Point]) -> tuple[int, ...]:
         out = [0] * npoints
@@ -140,11 +138,13 @@ def enumerate_group(field: TitsField, max_order: int = 500000) -> PermGroupStats
     identity = tuple(range(npoints))
     els: set[tuple[int, ...]] = {identity} | gens
     frontier = list(els)
+    # g h applies h first: (g h)[i] = g[h[i]], which itemgetter(*h) reads off g
+    right_factors = [itemgetter(*h) for h in gens]
     while frontier:
         new: list[tuple[int, ...]] = []
         for g in frontier:
-            for h in gens:
-                prod = tuple(g[h[i]] for i in range(npoints))
+            for times_h in right_factors:
+                prod = times_h(g)
                 if prod not in els:
                     els.add(prod)
                     new.append(prod)

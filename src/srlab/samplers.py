@@ -86,6 +86,23 @@ def finite_elems_s(field: TitsField) -> list[SElem]:
     ]
 
 
+def finite_index(x: TElem | SElem) -> int:
+    """The position of a finite-field element in `finite_elems_t`/`finite_elems_s`.
+
+    The identity is at 0.  Finite field elements are interned, so two
+    elements agree exactly when their indices are equal.
+    """
+    q = x.field.q
+    if isinstance(x, TElem):
+        return (x.r.k * q + x.s.k) * q + x.t.k
+    return x.s.k * q + x.t.k
+
+
+def cayley_table(elems: list[TElem] | list[SElem]) -> list[list[int]]:
+    """The product of a whole finite group on indices: M[i][j] = index of elems[i] * elems[j]."""
+    return [[finite_index(a * b) for b in elems] for a in elems]
+
+
 def rand_quad(rng: random.Random, p: int | None) -> QuadExt:
     a = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
     if p is None:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from srlab import cli
+from srlab import cli, suites
 from srlab.cli import main, parse_config_file
 from srlab.errors import ConfigError
 from srlab.field import FieldCfg
@@ -298,12 +298,15 @@ def test_explicit_jobs_one_wins_over_config(tmp_path, monkeypatch):
     ],
     ids=["run", "fold", "enumerate"],
 )
-def test_unwritable_out_exits_two(tmp_path, capsys, argv):
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, argv):
+    ran = []
+    monkeypatch.setattr(suites, "run_suite", lambda name, cfg: ran.append(name))
     out = tmp_path / "missing" / "x.json"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"srlab: cannot write {out}: ")
     assert err.count("\n") == 1
+    assert ran == []  # a missing folder is refused before any suite runs
 
 
 def test_enumerate_beyond_default_bound_exits_one_at_once(tmp_path, capsys):

@@ -12,8 +12,16 @@ from srlab.groups import (
     val_norm_exact_S,
     val_norm_exact_T,
 )
-from srlab.samplers import finite_elems_s, finite_elems_t
+from srlab.samplers import (
+    cayley_table,
+    finite_elems_s,
+    finite_elems_t,
+    finite_index,
+    rand_s,
+    rand_t,
+)
 from srlab.scalar import ExtVal, QuadExt
+from srlab.suites import RunConfig, run_suite
 
 
 def f3():
@@ -133,17 +141,41 @@ def test_h_action_automorphism_finite():
     elems = finite_elems_t(field)
     rng = random.Random(4)
     for _ in range(60):
-        h = elems[rng.randrange(1, len(elems))]
+        act = h_action_T(elems[rng.randrange(1, len(elems))])
         x = elems[rng.randrange(len(elems))]
         y = elems[rng.randrange(len(elems))]
-        assert h_action_T(h, x * y).agrees(h_action_T(h, x) * h_action_T(h, y))
+        assert act(x * y).agrees(act(x) * act(y))
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
     selems = finite_elems_s(f8)
     for _ in range(60):
-        h = selems[rng.randrange(1, len(selems))]
+        act = h_action_S(selems[rng.randrange(1, len(selems))])
         x = selems[rng.randrange(len(selems))]
         y = selems[rng.randrange(len(selems))]
-        assert h_action_S(h, x * y).agrees(h_action_S(h, x) * h_action_S(h, y))
+        assert act(x * y).agrees(act(x) * act(y))
+
+
+def test_h_action_map_serves_a_series_product_and_its_factors():
+    rng = random.Random(6)
+    for field, rand, action in ((hahn(3), rand_t, h_action_T), (hahn(2), rand_s, h_action_S)):
+        act = action(rand(field, rng))
+        assert act is not None
+        for _ in range(5):
+            x, y = rand(field, rng), rand(field, rng)
+            assert act(x * y).agrees(act(x) * act(y))
+    assert h_action_T(TElem.identity(hahn(3))) is None
+    assert h_action_S(SElem.identity(hahn(2))) is None
+
+
+def test_h_action_computes_one_norm(monkeypatch):
+    field = f27()
+    calls = []
+    norm = TElem.norm
+    monkeypatch.setattr(TElem, "norm", lambda a: calls.append(a) or norm(a))
+    elems = finite_elems_t(field)
+    act = h_action_T(elems[100])
+    for x in elems[:50]:
+        act(x)
+    assert len(calls) == 1
 
 
 def test_hahn_omega_square_spot():
@@ -154,3 +186,59 @@ def test_hahn_omega_square_spot():
         f.monomial(QuadExt(-1), 2),
     )
     assert a.omega().omega().agrees(a)
+
+
+def test_finite_index_is_the_enumeration_position():
+    f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
+    for elems in (finite_elems_t(f3()), finite_elems_s(f8)):
+        assert [finite_index(a) for a in elems] == list(range(len(elems)))
+        assert elems[0].is_identity()
+
+
+def test_cayley_table_entries_are_product_indices():
+    elems = finite_elems_t(f3())
+    m = cayley_table(elems)
+    rng = random.Random(2)
+    for _ in range(100):
+        i, j = rng.randrange(len(elems)), rng.randrange(len(elems))
+        assert m[i][j] == finite_index(elems[i] * elems[j])
+    selems = finite_elems_s(TitsField(FieldCfg(char=2, mode="finite", m=1)))
+    ms = cayley_table(selems)
+    for i, a in enumerate(selems):
+        assert ms[i] == [finite_index(a * b) for b in selems]
+
+
+def failed_group_checks() -> list[str]:
+    checks = run_suite("groups", RunConfig(samples=1))["checks"]
+    return [c["name"] for c in checks if not c["ok"]]
+
+
+def in_finite_field(a, q: int) -> bool:
+    return a.field.mode == "finite" and a.field.q == q
+
+
+def test_group_law_check_sees_one_broken_product(monkeypatch):
+    mul = TElem.__mul__
+
+    def broken(a, b):
+        if in_finite_field(a, 3) and (finite_index(a), finite_index(b)) == (5, 11):
+            return mul(mul(a, b), b)  # b is not the identity, so this is wrong
+        return mul(a, b)
+
+    monkeypatch.setattr(TElem, "__mul__", broken)
+    assert failed_group_checks() == ["T-F3-group-laws-and-center"]
+
+
+def test_omega_table_check_sees_two_swapped_images(monkeypatch):
+    omega = TElem.omega
+    field = f27()
+    # indices 1 and 2 are the central elements (0, 0, 1) and (0, 0, 2)
+    assert finite_index(omega(TElem.center(field.from_coeff(1)))) != 2
+
+    def swapped(a):
+        if in_finite_field(a, 27) and finite_index(a) in (1, 2):
+            a = TElem.center(a.field.from_coeff(3 - finite_index(a)))
+        return omega(a)
+
+    monkeypatch.setattr(TElem, "omega", swapped)
+    assert failed_group_checks() == ["omega-squared-F27"]
