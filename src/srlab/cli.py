@@ -125,7 +125,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run check suites and emit a JSON report")
     run.add_argument("--suite", action="append", choices=SUITE_NAMES, help="suite to run (repeatable; default all)")
-    run.add_argument("--case", choices=_CASES, help=f"ambient case for case-sensitive data (default {RunConfig.case})")
+    run.add_argument(
+        "--case", choices=_CASES,
+        help=f"ambient case (default {RunConfig.case}); no suite reads it yet: it is only"
+        " echoed into the report's config block",
+    )
     run.add_argument("--samples", type=int, help="override documented sample counts")
     run.add_argument("--seed", type=int, help=f"run seed (default SRLAB_SEED or {RunConfig.seed})")
     run.add_argument("--out", help="write the report to this path instead of stdout")

@@ -24,9 +24,10 @@ from .errors import (
     DivisionByZeroError,
     InsufficientPrecisionError,
     ParseError,
+    RadicandMismatchError,
     ResourceBoundError,
 )
-from .scalar import INFINITY, ExtVal, QuadExt, quad_str, scan_quad
+from .scalar import INFINITY, ExtVal, QuadExt, quad_str
 
 Lat = tuple[int, int]
 
@@ -41,14 +42,17 @@ _DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 
 _MAX_ORDER = 243
 
-# the characters that delimit the terms of an element literal
-_STRUCTURE = re.compile(r"[()+]")
-# one well-formed term and the '+' or end after it: a prime-field digit or a
-# generator power, then the exponent n[/d][+n[/d]rP]
+# a coefficient: a prime-subfield digit or a generator power g[^k]
+_COEFF = r"(([0-9]+)|g(?:\^([+-]?[0-9]+))?)"
+# one term and the '+' or end after it: the coefficient, then the exponent
+# n[/d][+n[/d]rP].  The pattern reads any digits; which of them a field
+# accepts (digit range, generator, denominators, radicand, lattice) is
+# decided on the match
 _TERM = re.compile(
-    r"\s*(?:([0-9]+)|g(?:\^([+-]?[0-9]+))?)\s*\*t\^\(\s*([+-]?[0-9]+)(?:/([0-9]+))?"
-    r"(?:\+([+-]?[0-9]+)(?:/([0-9]+))?r([23]))?\s*\)\s*(?:(\+)|$)"
+    r"\s*" + _COEFF + r"\s*\*t\^\(\s*([+-]?[0-9]+)(?:/([0-9]+))?"
+    r"(?:\+([+-]?[0-9]+)(?:/([0-9]+))?r([0-9]))?\s*\)\s*(?:(\+)|$)"
 )
+_FINITE = re.compile(_COEFF)
 
 _KEY_LIMIT = kernel.KEY_LIMIT
 
@@ -292,130 +296,73 @@ class TitsField:
     # --- parsing and emission ---
 
     def parse(self, text: str) -> "FieldElem":
-        """Parse an element literal; hahn results are stamped with cfg.precision."""
-        if self.elems is not None:
-            return self.elems[self._parse_coeff(text.strip(), 0)]
+        """Parse an element literal; hahn results are stamped with cfg.precision.
+
+        Positions count from the first non-space character.  Text the term
+        pattern cannot read fails at its term's first non-space character; a
+        rule of the field fails at the start of the part it rejects.
+        """
         s = text.strip()
+        if self.elems is not None:
+            m = _FINITE.fullmatch(s)
+            if m is None:
+                raise ParseError("coefficient must be a digit, g or g^k", 0)
+            return self.elems[self._coeff_index(m)]
         if not s:
             raise ParseError("empty element literal", 0)
         if s == "0":
             return SeriesElem(self, {}, self.prec_key, self.prec_span)
-        # a text the term pattern does not cover is malformed or needs a
-        # check the pattern leaves out; the term-by-term reading names the
-        # error and its position
-        lats = self._match_terms(s)
-        if lats is None:
-            lats = self._scan_terms(s)
         terms: dict[int, int] = {}
         span = self.prec_span
-        addf, q = self.coeff.addf, self.q
-        for (e, g), c in lats:
+        D, p, addf, q = self.D, self.p, self.coeff.addf, self.q
+        pos = 0
+        while True:
+            m = _TERM.match(s, pos)
+            if m is None:
+                raise ParseError(
+                    "term must look like coef*t^(exponent)", len(s) - len(s[pos:].lstrip())
+                )
+            na, da, nb, db, rad, more = m.groups()[3:]
+            c = self._coeff_index(m)
+            a, b, da, db = int(na), int(nb or 0), int(da or 1), int(db or 1)
+            if not da or not db:
+                raise ParseError("zero denominator", m.start(7 if da else 5))
+            if rad is not None and int(rad) != p:
+                if rad not in ("2", "3"):
+                    raise ParseError("radicand must be 2 or 3", m.start(8))
+                if b:
+                    raise RadicandMismatchError(
+                        f"value written over sqrt({rad}) in a sqrt({p}) context"
+                    )
+            e, re_ = divmod(a * D, da)
+            g, rg = divmod(b * D, db)
+            if re_ or rg:
+                exp = QuadExt.from_ints(a * db, b * da, da * db, p)
+                raise ParseError(f"exponent {exp} is not a multiple of 1/{D}", m.start(4))
             term_span = kernel.lat_span(e, g)
             if term_span > span:
                 span = term_span
-            key = kernel.exp_key(e, g, self.p)
+            key = kernel.exp_key(e, g, p)
             summed = addf[terms.get(key, 0) * q + c]
             if summed:
                 terms[key] = summed
             else:
                 terms.pop(key, None)
-        return SeriesElem(self, kernel.ser_trunc(terms, self.prec_key), self.prec_key, span)
-
-    def _match_terms(self, s: str) -> list[tuple[Lat, int]] | None:
-        """The (lattice pair, coefficient) of each term, read by one pattern
-        match per term; None when the pattern does not cover the text."""
-        out = []
-        D, p, coeff = self.D, self.p, self.coeff
-        pos = 0
-        while True:
-            m = _TERM.match(s, pos)
-            if m is None:
-                return None
-            digit, power, na, da, nb, db, rad, more = m.groups()
-            if digit is not None:
-                c = int(digit)
-                if c >= p:
-                    return None
-            elif coeff.m == 1:
-                return None
-            else:
-                c = coeff.exp[int(power or 1) % (self.q - 1)]
-            da, db = int(da or 1), int(db or 1)
-            if not da or not db or (nb is not None and int(rad) != p):
-                return None
-            e, re_ = divmod(int(na) * D, da)
-            g, rg = divmod(int(nb or 0) * D, db)
-            if re_ or rg:
-                return None
-            out.append(((e, g), c))
             if not more:
-                return out
+                return SeriesElem(self, kernel.ser_trunc(terms, self.prec_key), self.prec_key, span)
             pos = m.end()
 
-    def _scan_terms(self, s: str) -> list[tuple[Lat, int]]:
-        """The terms of a literal read one part at a time, raising a
-        ParseError with its position at the first malformed part."""
-        # split at each '+' outside parentheses, visiting only the
-        # structural characters
-        depth = 0
-        start = 0
-        chunks: list[tuple[str, int]] = []
-        for m in _STRUCTURE.finditer(s):
-            ch = m.group()
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise ParseError("unbalanced ')'", m.start())
-            elif depth == 0:
-                chunks.append((s[start : m.start()], start))
-                start = m.end()
-        if depth != 0:
-            raise ParseError("unbalanced '('", len(s) - 1)
-        chunks.append((s[start:], start))
-        return [self._parse_term(chunk, off) for chunk, off in chunks]
-
-    def _parse_term(self, chunk: str, off: int) -> tuple[Lat, int]:
-        t = chunk.strip()
-        shift = off + (len(chunk) - len(chunk.lstrip()))
-        star = t.find("*t^(")
-        if star < 0:
-            raise ParseError("term must look like coef*t^(exponent)", shift)
-        coeff = self._parse_coeff(t[:star].strip(), shift)
-        rest = t[star + 4 :]
-        if not rest.endswith(")"):
-            raise ParseError("missing ')' after exponent", off + len(chunk) - 1)
-        a, b, den, _p = scan_quad(rest[:-1], offset=shift + star + 4, radicand=self.p)
-        e, re_ = divmod(a * self.D, den)
-        g, rg = divmod(b * self.D, den)
-        if re_ or rg:
-            exp = QuadExt.from_ints(a, b, den, self.p)
-            raise ParseError(f"exponent {exp} is not a multiple of 1/{self.D}", shift + star + 4)
-        return (e, g), coeff
-
-    def _parse_coeff(self, text: str, off: int) -> int:
-        if not text:
-            raise ParseError("empty coefficient", off)
-        if text == "g":
-            if self.coeff.m == 1:
-                raise ParseError("generator literal needs an extension field", off)
-            return self.coeff.exp[1]
-        if text.startswith("g^"):
-            if self.coeff.m == 1:
-                raise ParseError("generator literal needs an extension field", off)
-            try:
-                k = int(text[2:])
-            except ValueError:
-                raise ParseError("malformed generator power", off + 2) from None
-            return self.coeff.exp[k % (self.q - 1)]
-        try:
-            v = int(text)
-        except ValueError:
-            raise ParseError(f"malformed coefficient {text!r}", off) from None
-        if not 0 <= v < self.p:
-            raise ParseError(f"prime-subfield coefficient must be in 0..{self.p - 1}", off)
-        return v
+    def _coeff_index(self, m: re.Match[str]) -> int:
+        """The coefficient index read by a match's coefficient groups (1-3)."""
+        digit = m.group(2)
+        if digit is not None:
+            c = int(digit)
+            if c >= self.p:
+                raise ParseError(f"prime-subfield coefficient must be in 0..{self.p - 1}", m.start(1))
+            return c
+        if self.coeff.m == 1:
+            raise ParseError("generator literal needs an extension field", m.start(1))
+        return self.coeff.exp[int(m.group(3) or 1) % (self.q - 1)]
 
 
 class FieldElem:

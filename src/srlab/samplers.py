@@ -98,6 +98,15 @@ def finite_index(x: TElem | SElem) -> int:
     return x.s.k * q + x.t.k
 
 
+def finite_elem_t(field: TitsField, index: int) -> TElem:
+    """The element of T over a finite field at `index` in `finite_elems_t`,
+    the inverse of `finite_index`."""
+    q = field.q
+    rs, t = divmod(index, q)
+    r, s = divmod(rs, q)
+    return TElem(field.from_coeff(r), field.from_coeff(s), field.from_coeff(t))
+
+
 def cayley_table(elems: list[TElem] | list[SElem]) -> list[list[int]]:
     """The product of a whole finite group on indices: M[i][j] = index of elems[i] * elems[j]."""
     return [[finite_index(a * b) for b in elems] for a in elems]

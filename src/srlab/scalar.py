@@ -183,24 +183,11 @@ def parse_quad(text: str, offset: int = 0, radicand: int | None = None) -> QuadE
     `offset` shifts reported error positions; `radicand`, when given, rejects
     values written over a different radicand.
     """
-    return QuadExt.from_ints(*scan_quad(text, offset, radicand))
-
-
-# a rational n or n/d: sign and digits, then the slash and the denominator
-_RATIONAL = re.compile(r"[+-]?(\d*)(?:/(\d*))?")
-
-
-def scan_quad(
-    text: str, offset: int = 0, radicand: int | None = None
-) -> tuple[int, int, int, int | None]:
-    """The ints (a, b, den, p) of a value text read as parse_quad reads it:
-    the value is (a + b*sqrt(p))/den with den > 0, not yet in lowest terms,
-    and p is None when the text has no radicand part."""
     s = text.strip()
     shift = offset + (len(text) - len(text.lstrip()))
     na, da, i = _scan_rational(s, 0, shift)
     if i == len(s):
-        return na, 0, da, None
+        return QuadExt.from_ints(na, 0, da, None)
     if s[i] != "+":
         raise ParseError(f"expected '+' or end of value, found {s[i]!r}", shift + i)
     nb, db, j = _scan_rational(s, i + 1, shift)
@@ -216,7 +203,11 @@ def scan_quad(
         raise RadicandMismatchError(
             f"value written over sqrt({p}) in a sqrt({radicand}) context"
         )
-    return na * db, nb * da, da * db, p
+    return QuadExt.from_ints(na * db, nb * da, da * db, p)
+
+
+# a rational n or n/d: sign and digits, then the slash and the denominator
+_RATIONAL = re.compile(r"[+-]?([0-9]*)(?:/([0-9]*))?")
 
 
 def _scan_rational(s: str, i: int, shift: int) -> tuple[int, int, int]:

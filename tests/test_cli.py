@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,30 @@ def test_embedding_checks_a_series_pair_at_few_samples(tmp_path):
     payload = json.loads(raw)["suites"]["embedding"]
     assert payload["stats"]["g_hahn_pairs"] == 1
     assert {"name": "G-word-homomorphism-hahn", "ok": True} in payload["checks"]
+
+
+def test_sampled_checks_draw_at_one_sample(monkeypatch):
+    """At --samples 1 each sampled round trip checks at least one draw
+    instead of passing on none."""
+    parsed, nus = Counter(), Counter()
+    parse_quad, nu_from_phi = suites.parse_quad, suites.nu_from_phi
+
+    def counting_parse(text, offset=0, radicand=None):
+        parsed[radicand] += 1
+        return parse_quad(text, offset, radicand)
+
+    def counting_nu(case, phi, t):
+        nus[case] += 1
+        return nu_from_phi(case, phi, t)
+
+    monkeypatch.setattr(suites, "parse_quad", counting_parse)
+    monkeypatch.setattr(suites, "nu_from_phi", counting_nu)
+    cfg = RunConfig(samples=1)
+    assert suites.run_suite("scalars", cfg)["ok"]
+    assert suites.run_suite("moufang", cfg)["ok"]
+    # parse-roundtrip-sqrt2/-sqrt3, then G-/B-round-trip-on-monomials
+    assert parsed[2] >= 1 and parsed[3] >= 1
+    assert nus["G"] >= 1 and nus["B"] >= 1
 
 
 def test_run_jobs_deterministic(tmp_path):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlab import _kernel_py as kpy
-from srlab.errors import ConfigError, InsufficientPrecisionError, ParseError, ResourceBoundError
+from srlab.errors import (
+    ConfigError,
+    InsufficientPrecisionError,
+    ParseError,
+    RadicandMismatchError,
+    ResourceBoundError,
+)
 from srlab.field import CoeffField, FieldCfg, TitsField
 from srlab.scalar import INFINITY, ExtVal, QuadExt
 
@@ -157,6 +163,102 @@ def test_malformed_exponent_error_position(text, pos, message):
         f8.parse(text)
     assert exc.value.pos == pos
     assert str(exc.value).startswith(message)
+
+
+_TERM_SHAPE = "term must look like coef*t^(exponent)"
+
+
+@pytest.mark.parametrize(
+    "char, m, text, error, pos, message",
+    [
+        # text the term pattern cannot read fails at its term's start
+        (3, 1, "1*t^(1/2) + ", ParseError, 11, _TERM_SHAPE),
+        (3, 1, "1*t(0)", ParseError, 0, _TERM_SHAPE),
+        (3, 1, "1*t^(0) + 2*t^(1", ParseError, 10, _TERM_SHAPE),
+        (3, 1, "1*t^(0))", ParseError, 0, _TERM_SHAPE),
+        (3, 1, "1*t^(0)  +   2*t^(x)", ParseError, 13, _TERM_SHAPE),
+        (3, 1, "1*t^(0) + -1*t^(1)", ParseError, 10, _TERM_SHAPE),
+        (3, 1, "1*t^(1/)", ParseError, 0, _TERM_SHAPE),
+        (3, 1, "1*t^(0+1r23)", ParseError, 0, _TERM_SHAPE),
+        (3, 1, "1_0*t^(0)", ParseError, 0, _TERM_SHAPE),
+        (3, 1, "1*t^(\u0663)", ParseError, 0, _TERM_SHAPE),
+        (2, 3, "g^ 5*t^(0)", ParseError, 0, _TERM_SHAPE),
+        (2, 3, "1*t^(0) + g^x*t^(1)", ParseError, 10, _TERM_SHAPE),
+        # a rule of the field fails at the part it rejects
+        (3, 1, "3*t^(0)", ParseError, 0, "prime-subfield coefficient must be in 0..2"),
+        (3, 1, "1*t^(0) + 12*t^(1)", ParseError, 10, "prime-subfield coefficient"),
+        (2, 3, "1*t^(0) + 2*t^(1)", ParseError, 10, "prime-subfield coefficient must be in 0..1"),
+        (3, 1, "1*t^(0) + g*t^(1)", ParseError, 10, "generator literal needs an extension field"),
+        (3, 1, "g^2*t^(1)", ParseError, 0, "generator literal needs an extension field"),
+        (3, 1, "1*t^(1+1/0r3)", ParseError, 9, "zero denominator"),
+        (3, 1, "1*t^(1+1r5)", ParseError, 9, "radicand must be 2 or 3"),
+        (3, 1, "1*t^(1/3)", ParseError, 5, "exponent 1/3 is not a multiple of 1/2"),
+        (3, 1, "2*t^(0) + 1*t^( 1/2+1/3r3)", ParseError, 16, "exponent 1/2+1/3r3 is not"),
+        (3, 1, "1*t^(1+1r2)", RadicandMismatchError, None, "value written over sqrt(2)"),
+        (2, 3, "1*t^(0) + g*t^(1+1r3)", RadicandMismatchError, None, "value written over sqrt(3)"),
+    ],
+)
+def test_malformed_literal_error_type_and_position(char, m, text, error, pos, message):
+    f = TitsField(FieldCfg(char=char, mode="hahn", m=m))
+    with pytest.raises(error) as exc:
+        f.parse(text)
+    assert type(exc.value) is error
+    assert getattr(exc.value, "pos", None) == pos
+    assert str(exc.value).startswith(message)
+
+
+def test_radicand_of_a_zero_part_is_not_checked():
+    # as in parse_quad, a part 0*sqrt(P) names no radicand to mismatch
+    f = hahn()
+    assert f.parse("1*t^(1+0r2)").agrees(f.monomial(1, 1))
+
+
+@pytest.mark.parametrize(
+    "m, text, pos, message",
+    [
+        (1, "3", 0, "prime-subfield coefficient must be in 0..2"),
+        (1, " 7 ", 0, "prime-subfield coefficient must be in 0..2"),
+        (1, "g", 0, "generator literal needs an extension field"),
+        (1, "g^2", 0, "generator literal needs an extension field"),
+        (1, "", 0, "coefficient must be a digit, g or g^k"),
+        (1, "+1", 0, "coefficient must be a digit, g or g^k"),
+        (1, "-0", 0, "coefficient must be a digit, g or g^k"),
+        (1, "1*t^(0)", 0, "coefficient must be a digit, g or g^k"),
+        (3, "g^ 5", 0, "coefficient must be a digit, g or g^k"),
+        (3, "g^1_0", 0, "coefficient must be a digit, g or g^k"),
+    ],
+)
+def test_finite_coefficient_errors(m, text, pos, message):
+    with pytest.raises(ParseError) as exc:
+        finite(3, m).parse(text)
+    assert exc.value.pos == pos
+    assert str(exc.value).startswith(message)
+
+
+def test_finite_coefficients_parse():
+    f27 = finite(3, 3)
+    g = f27.coeff.exp
+    assert f27.parse(" g^5 ") is f27.elems[g[5]]
+    assert f27.parse("g^-1") is f27.elems[g[25]]
+    assert f27.parse("g^+27") is f27.elems[g[1]]
+    assert f27.parse("02") is f27.elems[2]
+
+
+@pytest.mark.parametrize("char", [2, 3])
+@pytest.mark.parametrize("denom", [1, 2, 6])
+def test_round_trip_stamps_the_precision(char, denom):
+    # F8 and F27: every nonzero coefficient once, on exponents with both
+    # lattice parts
+    f = TitsField(FieldCfg(char=char, mode="hahn", m=3, denom=denom, precision=30))
+    x = f.zero()
+    for c in range(1, f.q):
+        x = x + f.monomial(f.unlat((c - 9, c % 3 - 1)), c)
+    text = x.emit()
+    y = f.parse(text)
+    assert y.terms == x.terms
+    assert y.emit() == text
+    assert repr(y).endswith(" +O(t^30)>")
+    assert repr(f.parse("0")) == "<0 +O(t^30)>"
 
 
 def test_parse_extension_coeffs():

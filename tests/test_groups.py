@@ -15,6 +15,7 @@ from srlab.groups import (
 from srlab.samplers import (
     cayley_table,
     finite_elems_s,
+    finite_elem_t,
     finite_elems_t,
     finite_index,
     rand_s,
@@ -193,6 +194,18 @@ def test_finite_index_is_the_enumeration_position():
     for elems in (finite_elems_t(f3()), finite_elems_s(f8)):
         assert [finite_index(a) for a in elems] == list(range(len(elems)))
         assert elems[0].is_identity()
+
+
+def test_finite_elem_t_inverts_finite_index():
+    field = f3()
+    for i, a in enumerate(finite_elems_t(field)):
+        b = finite_elem_t(field, i)
+        assert (b.r, b.s, b.t) == (a.r, a.s, a.t)
+    field = f27()
+    rng = random.Random(4)
+    for _ in range(200):
+        i = rng.randrange(field.q**3)
+        assert finite_index(finite_elem_t(field, i)) == i
 
 
 def test_cayley_table_entries_are_product_indices():

@@ -40,12 +40,16 @@ before = t.stats["field.mul"][0]
 f3.from_coeff(2) * f3.from_coeff(2)
 x * y
 mul_calls = t.stats["field.mul"][0] - before
+before = t.stats["field.parse"][0]
+parsed_ok = hf.parse(x.emit()).agrees(x)
+parse_calls = t.stats["field.parse"][0] - before
 g2 = get_system("G2")
 phi = PhiAssignment("G", g2, TAdicValuation(), twisted_class=1)
 v2 = check_v2_pair(phi, g2.position_root(1), g2.position_root(6), [(x, y)]).ok
 folding = srlab.suites.run_suite("folding", srlab.suites.RunConfig(samples=1))["ok"]
 print(json.dumps({"absent": t.absent, "counts": dict(t.counts), "metrics": t.metrics(),
-                  "ok": [hom, inv_ok, v2, folding], "mul_calls": mul_calls,
+                  "ok": [hom, inv_ok, v2, folding, parsed_ok], "mul_calls": mul_calls,
+                  "parse_calls": parse_calls,
                   "names": [list(tracer.SUITE_NAMES), srlab.suites.SUITE_NAMES]}))
 """
 
@@ -60,11 +64,13 @@ def test_tracer_installs_every_name_and_counts():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["absent"] == []
-    assert result["ok"] == [True, True, True, True]
+    assert result["ok"] == [True, True, True, True, True]
     assert result["counts"]["collect.factors_in"] > 0
     assert result["counts"]["ser_mul.calls"] > 0
     # one finite and one series product: both element classes stay wrapped
     assert result["mul_calls"] == 2
+    # series literals have one reader, and the tracer still times it
+    assert result["parse_calls"] == 1
     # the tracer skips a scalar operation that is no longer a method without
     # listing it as absent, so an emptied scalar layer shows only here
     assert result["metrics"].get("scalar.quad.calls", 0) > 0

@@ -117,6 +117,16 @@ def test_parse_errors_carry_position():
         parse_quad("1+1r2", radicand=3)
 
 
+def test_parse_quad_reads_ascii_digits_only():
+    # literals are read in ASCII digits; int() alone also reads other scripts' digits
+    with pytest.raises(ParseError) as exc:
+        parse_quad("1+\u0661r3")
+    assert exc.value.pos == 2
+    with pytest.raises(ParseError) as exc:
+        parse_quad("\u0663/2")
+    assert exc.value.pos == 0
+
+
 def test_extval_basics():
     a = ExtVal.of(QuadExt(1))
     b = ExtVal.of(QuadExt(0, 1, 3))
