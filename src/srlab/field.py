@@ -356,10 +356,11 @@ class TitsField:
         """The coefficient index read by a match's coefficient groups (1-3)."""
         digit = m.group(2)
         if digit is not None:
-            c = int(digit)
-            if c >= self.p:
+            # decided on the text, so no digit string is too long for int()
+            d = digit.lstrip("0") or "0"
+            if len(d) > 1 or int(d) >= self.p:
                 raise ParseError(f"prime-subfield coefficient must be in 0..{self.p - 1}", m.start(1))
-            return c
+            return int(d)
         if self.coeff.m == 1:
             raise ParseError("generator literal needs an extension field", m.start(1))
         return self.coeff.exp[int(m.group(3) or 1) % (self.q - 1)]

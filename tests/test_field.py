@@ -235,6 +235,21 @@ def test_finite_coefficient_errors(m, text, pos, message):
     assert str(exc.value).startswith(message)
 
 
+def test_long_coefficient_digits_fail_as_parse_errors():
+    # longer than int() converts by default (4300 digits)
+    digits = "1" * 5000
+    f3 = finite(3, 1)
+    for f, text, pos in (
+        (f3, digits, 0),
+        (hahn(), f"1*t^(0) + {digits}*t^(1)", 10),
+    ):
+        with pytest.raises(ParseError) as exc:
+            f.parse(text)
+        assert exc.value.pos == pos
+        assert str(exc.value).startswith("prime-subfield coefficient must be in 0..2")
+    assert f3.parse("0" * 5000 + "2") is f3.elems[2]
+
+
 def test_finite_coefficients_parse():
     f27 = finite(3, 3)
     g = f27.coeff.exp
