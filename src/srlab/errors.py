@@ -31,6 +31,10 @@ class ConfigError(SrlabError):
     """Raised on invalid run or field configuration."""
 
 
+class UnresolvedRecipeError(SrlabError):
+    """Raised when a word is needed but the recipe search found no unique recipe."""
+
+
 class UnsupportedAngleError(SrlabError):
     """Raised when a commutator is requested for an angle the case lacks."""
 

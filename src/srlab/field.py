@@ -27,7 +27,7 @@ from .errors import (
     RadicandMismatchError,
     ResourceBoundError,
 )
-from .scalar import INFINITY, ExtVal, QuadExt, quad_str
+from .scalar import INFINITY, ExtVal, QuadExt, quad_str, read_int
 
 Lat = tuple[int, int]
 
@@ -324,7 +324,10 @@ class TitsField:
                 )
             na, da, nb, db, rad, more = m.groups()[3:]
             c = self._coeff_index(m)
-            a, b, da, db = int(na), int(nb or 0), int(da or 1), int(db or 1)
+            a = read_int(na, m.start(4))
+            b = read_int(nb, m.start(6)) if nb else 0
+            da = read_int(da, m.start(5)) if da else 1
+            db = read_int(db, m.start(7)) if db else 1
             if not da or not db:
                 raise ParseError("zero denominator", m.start(7 if da else 5))
             if rad is not None and int(rad) != p:
@@ -363,7 +366,8 @@ class TitsField:
             return int(d)
         if self.coeff.m == 1:
             raise ParseError("generator literal needs an extension field", m.start(1))
-        return self.coeff.exp[int(m.group(3) or 1) % (self.q - 1)]
+        k = m.group(3)
+        return self.coeff.exp[(read_int(k, m.start(3)) if k else 1) % (self.q - 1)]
 
 
 class FieldElem:
@@ -696,7 +700,7 @@ class SeriesElem(FieldElem):
             low = self._low
             if low is None:
                 low = self._low = kernel.ser_min(self.terms, f.p)
-            return ExtVal(QuadExt.from_ints(low[0], low[1], f.D, f.p))
+            return ExtVal.from_ints(low[0], low[1], f.D, f.p)
         if self.prec is None:
             return INFINITY
         raise InsufficientPrecisionError("valuation of an uncertified zero")

@@ -153,10 +153,15 @@ class TElem:
 
     def omega(self) -> "TElem":
         """The inverting involution a -> (-v/N, -u/N, -t/N)."""
+        return self.norm_and_omega()[1]
+
+    def norm_and_omega(self) -> tuple[FieldElem, "TElem"]:
+        """The norm N and omega(a), from one set of shared products."""
         shared = self._shared()
-        ninv = self._norm(shared).inv()
+        n = self._norm(shared)
+        ninv = n.inv()
         u, v = self._uv(shared)
-        return TElem(-(v * ninv), -(u * ninv), -(self.t * ninv))
+        return n, TElem(-(v * ninv), -(u * ninv), -(self.t * ninv))
 
     def __repr__(self) -> str:
         return f"TElem({self.r}, {self.s}, {self.t})"

@@ -74,6 +74,13 @@ def _sqrt(r: Fraction) -> QuadExt:
     raise ConfigError(f"sqrt({r}) is not in Q(sqrt 2) or Q(sqrt 3)")
 
 
+@functools.lru_cache(maxsize=None)
+def _coeff(n: int, d: int, ni: int, nk: int) -> QuadExt:
+    """The exact value n/d * sqrt(ni/nk)."""
+    r = _sqrt(Fraction(ni, nk))
+    return QuadExt.from_ints(n * r.a, n * r.b, d * r.den, r.p)
+
+
 class RootSystem:
     """A reduced root system given by integer vectors and an integer form.
 
@@ -167,26 +174,23 @@ class RootSystem:
         out = self._intervals.get((i, j))
         if out is not None:
             return out
-        gram, norms = self._gram, self._norms
+        gram, norms, angles = self._gram, self._norms, self._angle[i]
         gi, gj, gij = gram[i], gram[j], gram[i][j]
-        det = norms[i] * norms[j] - gij * gij
+        ni, nj = norms[i], norms[j]
+        det = ni * nj - gij * gij
         if det == 0:
             raise ValueError("interval endpoints must not be parallel")
         # root k = (a*root i + b*root j)/det when it lies in their span
         hits = []
-        for k in range(self.count):
-            a = gi[k] * norms[j] - gj[k] * gij
-            b = gj[k] * norms[i] - gi[k] * gij
-            if a > 0 and b > 0 and norms[k] * det == a * gi[k] + b * gj[k]:
-                hits.append((self._angle[i][k], k, Fraction(a, det), Fraction(b, det)))
+        for k, (x, y, nk) in enumerate(zip(gi, gj, norms)):
+            a = x * nj - y * gij
+            b = y * ni - x * gij
+            if a > 0 and b > 0 and nk * det == a * x + b * y:
+                hits.append((angles[k], k, a, b))
         hits.sort()
-        # unit(k) = p*unit(i) + q*unit(j) with p = a*sqrt(N_i/N_k), q = b*sqrt(N_j/N_k)
+        # unit(k) = p*unit(i) + q*unit(j) with p = a/det*sqrt(N_i/N_k), q = b/det*sqrt(N_j/N_k)
         out = [
-            (
-                k,
-                QuadExt(a) * _sqrt(Fraction(norms[i], norms[k])),
-                QuadExt(b) * _sqrt(Fraction(norms[j], norms[k])),
-            )
+            (k, _coeff(a, det, ni, norms[k]), _coeff(b, det, nj, norms[k]))
             for _, k, a, b in hits
         ]
         self._intervals[(i, j)] = out

@@ -1,10 +1,15 @@
 """Exact scalars of the form (a + b*sqrt(p))/den and their extended values.
 
 QuadExt is an immutable quadratic rational over a squarefree radicand p in
-{2, 3}; purely rational values carry no radicand and mix freely with either.
-ExtVal adjoins a positive infinity that absorbs under addition and is the
-neutral element of min; valuations take values here.  Each combines only with
-its own kind: ints and Fractions enter through the constructors and ExtVal.of.
+{2, 3}, kept in canonical form; purely rational values carry no radicand and
+mix freely with either.  ExtVal, the values of valuations, adjoins a positive
+infinity that absorbs under addition and is the neutral element of min.  Its
+finite values are unnormalised int tuples (e, f, den, p), so a valuation, a
+scaled bound and a comparison cost a few integer products and no gcd; a
+QuadExt is built from one only to show or hand out the value.  Each combines
+only with its own kind: ints and Fractions enter through the constructors and
+ExtVal.of.  `read_int` reads the integers of every literal, of scalars here
+and of field elements.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ RationalLike = Union[int, Fraction]
 _ALLOWED_RADICANDS = (2, 3)
 
 _setattr = object.__setattr__
+_new = object.__new__
 
 
 def _to_fraction(x: RationalLike) -> Fraction:
@@ -209,19 +215,33 @@ def parse_quad(text: str, offset: int = 0, radicand: int | None = None) -> QuadE
 # a rational n or n/d: sign and digits, then the slash and the denominator
 _RATIONAL = re.compile(r"[+-]?([0-9]*)(?:/([0-9]*))?")
 
+# An integer in a literal has at most this many digits past its leading
+# zeros.  640 is the least limit CPython lets int() be set to, so int()
+# reads every integer that passes, whatever the setting.
+MAX_DIGITS = 640
+
+
+def read_int(text: str, pos: int) -> int:
+    """The integer written [+-]digits in `text`, decided on the text: more
+    than MAX_DIGITS digits past the leading zeros is a ParseError at `pos`."""
+    digits = text.lstrip("+-").lstrip("0") or "0"
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"integer has more than {MAX_DIGITS} digits", pos)
+    return -int(digits) if text[0] == "-" else int(digits)
+
 
 def _scan_rational(s: str, i: int, shift: int) -> tuple[int, int, int]:
     """Numerator, positive denominator and end index of the rational at s[i:]."""
     m = _RATIONAL.match(s, i)
     if not m.group(1):
         raise ParseError("expected a rational number", shift + m.start(1))
-    num = int(s[i : m.end(1)])
+    num = read_int(s[i : m.end(1)], shift + i)
     den_text = m.group(2)
     if den_text is None:
         return num, 1, m.end()
     if not den_text:
         raise ParseError("expected a denominator", shift + m.start(2))
-    den = int(den_text)
+    den = read_int(den_text, shift + m.start(2))
     if den == 0:
         raise ParseError("zero denominator", shift + m.start(2))
     return num, den, m.end()
@@ -229,12 +249,28 @@ def _scan_rational(s: str, i: int, shift: int) -> tuple[int, int, int]:
 
 @total_ordering
 class ExtVal:
-    """A QuadExt extended with +infinity (the value of a zero element)."""
+    """An exact value (e + f*sqrt(p))/den extended with +infinity.
 
-    __slots__ = ("q",)
+    The payload `v` is the int tuple (e, f, den, p) with den > 0, kept as the
+    arithmetic left it: no gcd is taken, and p may be set while f == 0.  None
+    is +infinity, the value of a zero element.  Sums, comparisons and scaling
+    work on cross products of the ints and the exact sign `kernel.irr_sign`;
+    a QuadExt is built only for `finite` and `str`, and the hash normalises
+    so that equal values hash alike.
+    """
+
+    __slots__ = ("v",)
 
     def __init__(self, q: QuadExt | None) -> None:
-        object.__setattr__(self, "q", q)
+        _setattr(self, "v", None if q is None else (q.a, q.b, q.den, q.p))
+
+    @classmethod
+    def from_ints(cls, e: int, f: int, den: int, p: int | None) -> "ExtVal":
+        """The finite value (e + f*sqrt(p))/den for den > 0 and p in {2, 3}
+        (or None when f == 0), taken as given."""
+        out = _new(cls)
+        _setattr(out, "v", (e, f, den, p))
+        return out
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExtVal is immutable")
@@ -249,34 +285,39 @@ class ExtVal:
 
     @property
     def is_infinite(self) -> bool:
-        return self.q is None
+        return self.v is None
 
     @property
     def finite(self) -> QuadExt:
-        if self.q is None:
+        if self.v is None:
             raise ValueError("value is infinite")
-        return self.q
+        return QuadExt.from_ints(*self.v)
 
     def __add__(self, other: "ExtVal") -> "ExtVal":
         if not isinstance(other, ExtVal):
             return NotImplemented
-        if self.q is None or other.q is None:
+        x, y = self.v, other.v
+        if x is None or y is None:
             return INFINITY
-        return ExtVal(self.q + other.q)
+        e1, f1, d1, p1 = x
+        e2, f2, d2, p2 = y
+        p = _join(f1, p1, f2, p2)
+        if d1 == d2:
+            return _ext(e1 + e2, f1 + f2, d1, p)
+        return _ext(e1 * d2 + e2 * d1, f1 * d2 + f2 * d1, d1 * d2, p)
 
     def __neg__(self) -> "ExtVal":
-        if self.q is None:
+        x = self.v
+        if x is None:
             raise ValueError("cannot negate an infinite value")
-        return ExtVal(-self.q)
+        return _ext(-x[0], -x[1], x[2], x[3])
 
     def __sub__(self, other: "ExtVal") -> "ExtVal":
         if not isinstance(other, ExtVal):
             return NotImplemented
-        if other.q is None:
+        if other.v is None:
             raise ValueError("cannot subtract an infinite value")
-        if self.q is None:
-            return INFINITY
-        return ExtVal(self.q - other.q)
+        return self + -other
 
     def scale(self, c: QuadExt) -> "ExtVal":
         """Multiply by a positive exact scalar (infinity is fixed)."""
@@ -284,37 +325,60 @@ class ExtVal:
             raise TypeError(f"cannot scale an ExtVal by {type(c).__name__}")
         if c.sign() <= 0:
             raise ValueError("scaling factor must be positive")
-        if self.q is None:
+        x = self.v
+        if x is None:
             return INFINITY
-        return ExtVal(self.q * c)
+        e, f, den, p = x
+        a, b = c.a, c.b
+        if not b:
+            return _ext(a * e, a * f, den * c.den, p)
+        p = _join(f, p, b, c.p)
+        return _ext(a * e + b * p * f, a * f + b * e, den * c.den, p)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtVal):
             return NotImplemented
-        if self.q is None or other.q is None:
-            return self.q is None and other.q is None
-        return self.q == other.q
+        x, y = self.v, other.v
+        if x is None or y is None:
+            return x is y
+        e1, f1, d1, p1 = x
+        e2, f2, d2, p2 = y
+        return e1 * d2 == e2 * d1 and f1 * d2 == f2 * d1 and (not f1 or p1 == p2)
 
     def __lt__(self, other: "ExtVal") -> bool:
         if not isinstance(other, ExtVal):
             return NotImplemented
-        if self.q is None:
+        x, y = self.v, other.v
+        if x is None:
             return False
-        if other.q is None:
+        if y is None:
             return True
-        return self.q < other.q
+        e1, f1, d1, p1 = x
+        e2, f2, d2, p2 = y
+        # both denominators are positive, so the sign of the cross difference decides
+        return kernel.irr_sign(e1 * d2 - e2 * d1, f1 * d2 - f2 * d1, _join(f1, p1, f2, p2)) < 0
 
     def __hash__(self) -> int:
-        return hash((self.q is None, self.q))
+        return hash((True, None)) if self.v is None else hash((False, self.finite))
 
     def __str__(self) -> str:
-        return "inf" if self.q is None else str(self.q)
+        return "inf" if self.v is None else str(self.finite)
 
     def __repr__(self) -> str:
         return f"ExtVal({self})"
 
 
 INFINITY = ExtVal(None)
+_ext = ExtVal.from_ints
+
+
+def _join(f1: int, p1: int | None, f2: int, p2: int | None) -> int | None:
+    """Common radicand of two values whose sqrt parts are f1 and f2."""
+    if not f1:
+        return p2
+    if not f2 or p1 == p2:
+        return p1
+    raise RadicandMismatchError(f"cannot combine sqrt({p1}) value with sqrt({p2}) value")
 
 
 def ext_min(*vals: ExtVal) -> ExtVal:

@@ -299,15 +299,23 @@ def _group_laws(elems: list[TElem] | list[SElem], m: list[list[int]]) -> bool:
     return ok and all(row[finite_index(a.inverse())] == 0 for a, row in zip(elems, m))
 
 
-def _omega_involutive(elems: list[TElem]) -> bool:
-    """omega(omega(a)) == a for every a but the identity, on one table of omega images."""
-    w = [0] + [finite_index(a.omega()) for a in elems[1:]]
+def _omega_table(elems: list[TElem]) -> tuple[bool, bool]:
+    """Whether omega(omega(a)) == a for every a but the identity, on one table
+    of omega images, and whether N(a) is zero exactly at the identity, with
+    every other norm taken from the pass that builds the table."""
+    identity = elems[0]
+    anisotropic = identity.norm().is_zero() == identity.is_identity()
+    w = [0]
+    for a in elems[1:]:
+        n, image = a.norm_and_omega()
+        anisotropic = anisotropic and n.is_zero() == a.is_identity()
+        w.append(finite_index(image))
     for i in range(1, len(w)):
         if w[i] == 0:
-            elems[0].omega()  # omega of the identity raises
+            identity.omega()  # omega of the identity raises
         if w[w[i]] != i:
-            return False
-    return True
+            return False, anisotropic
+    return True, anisotropic
 
 
 def _suite_groups(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
@@ -323,10 +331,11 @@ def _suite_groups(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     rep.check("T-F3-group-laws-and-center", ok)
 
     t0 = time.perf_counter()
-    rep.check("omega-squared-F3", _omega_involutive(t_all))
+    involutive, anisotropic3 = _omega_table(t_all)
+    rep.check("omega-squared-F3", involutive)
     f27 = TitsField(FieldCfg(char=3, mode="finite", m=3))
-    t27 = finite_elems_t(f27)
-    rep.check("omega-squared-F27", _omega_involutive(t27))
+    involutive, anisotropic27 = _omega_table(finite_elems_t(f27))
+    rep.check("omega-squared-F27", involutive)
     rep.timing["omega_finite_seconds"] = round(time.perf_counter() - t0, 3)
 
     n = cfg.samples or 1000
@@ -342,9 +351,7 @@ def _suite_groups(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     rep.timing["omega_hahn_seconds"] = round(time.perf_counter() - t0, 3)
     rep.stats["omega_hahn_samples"] = n
 
-    ok = all(a.norm().is_zero() == a.is_identity() for a in t_all)
-    ok = ok and all(a.norm().is_zero() == a.is_identity() for a in t27)
-    rep.check("T-norm-anisotropic", ok)
+    rep.check("T-norm-anisotropic", anisotropic3 and anisotropic27)
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
     ok = all(a.norm().is_zero() == a.is_identity() for a in finite_elems_s(f8))
     rep.check("S-norm-anisotropic", ok)
@@ -532,7 +539,16 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> No
     ok = all(check_embedding_rho("G", rand_t(hf3, rng)).ok for _ in range(50))
     rep.check("G-word-flip-invariance-hahn", ok)
 
-    lam, mu = solve_suzuki_word()
+    winners = solve_suzuki_word()
+    if len(winners) != 1:
+        rep.check("B-word-recipe-resolved", CheckResult(
+            False, "expected a unique word recipe", {"found": len(winners), "winners": winners}
+        ))
+        # the word checks of case B need that recipe
+        for name in ("B-word-homomorphism-F2", "B-word-checks-F8", "B-word-checks-hahn"):
+            rep.check(name, CheckResult(False, "no unique word recipe"))
+        return
+    ((lam, mu),) = winners
     rep.check("B-word-recipe-resolved", CheckResult(True, data={"c2": str(lam), "c3": str(mu)}))
     f2 = TitsField(FieldCfg(char=2, mode="finite", m=1))
     s_all = finite_elems_s(f2)

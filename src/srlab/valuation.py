@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     InsufficientPrecisionError,
     ResourceBoundError,
+    UnresolvedRecipeError,
     UnsupportedAngleError,
 )
 from .field import FieldElem, TitsField
@@ -102,18 +103,27 @@ def commutator_factors(
         raise ConfigError(f"case {case} needs characteristic {p}")
     if system.angle_deg(i, j) == 180:
         raise UnsupportedAngleError("opposite root groups have no interval relation")
-    signs = _g2_comm_signs() if p == 3 else {}
     out: list[tuple[int, FieldElem]] = []
-    for k, pc, qc in system.interval(i, j):
-        ws = _WEIGHT_EXP[p].get(pc)
-        wt = _WEIGHT_EXP[p].get(qc)
-        if ws is None or wt is None:
-            continue
+    for k, ws, wt, negate in _factor_recipe(p, system, i, j):
         param = s.twisted_pow(*ws) * t.twisted_pow(*wt)
-        if signs.get((i, j, k), 1) < 0:
-            param = -param
-        out.append((k, param))
+        out.append((k, -param if negate else param))
     return out
+
+
+@functools.cache
+def _factor_recipe(
+    p: int, system: RootSystem, i: int, j: int
+) -> tuple[tuple[int, tuple[int, int], tuple[int, int], bool], ...]:
+    """(k, twisted exponents of s, of t, negate) for each interval root of
+    (i, j) whose two coefficients are both weights, in interval order."""
+    signs = _g2_comm_signs() if p == 3 else {}
+    weights = _WEIGHT_EXP[p]
+    out = []
+    for k, pc, qc in system.interval(i, j):
+        ws, wt = weights.get(pc), weights.get(qc)
+        if ws is not None and wt is not None:
+            out.append((k, ws, wt, signs.get((i, j, k), 1) < 0))
+    return tuple(out)
 
 
 # --- words over the positive positions of a rank-2 system ---
@@ -270,10 +280,12 @@ class LatticeOrderValuation(Valuation):
             )
         if not x.terms:
             return INFINITY
-        den = QuadExt(f.D)
-        return ExtVal(min(
-            (QuadExt(e) + QuadExt(g) * self.lam) / den for e, g in map(f.unkey, x.terms)
-        ))
+        # (e + g*lam)/D with lam = (a + b*sqrt(p))/d is (d*e + a*g + b*g*sqrt(p))/(d*D)
+        a, b, d, p = self.lam.a, self.lam.b, self.lam.den, self.lam.p
+        den = d * f.D
+        return min(
+            ExtVal.from_ints(d * e + a * g, b * g, den, p) for e, g in map(f.unkey, x.terms)
+        )
 
 
 @dataclass
@@ -290,11 +302,19 @@ class PhiAssignment:
     nu: Valuation
     twisted_class: int
 
+    def __post_init__(self) -> None:
+        # per root: None for the direct rule, else the factor 1/sqrt(char)
+        inv_sqrt = _INV_SQRT[case_char(self.case)]
+        self._rule = [
+            inv_sqrt if self.system.length_class(k) == self.twisted_class else None
+            for k in range(self.system.count)
+        ]
+
     def phi(self, root_idx: int, param: FieldElem) -> ExtVal:
-        p = case_char(self.case)
-        if self.system.length_class(root_idx) == self.twisted_class:
-            return self.nu.of(param.theta()).scale(_INV_SQRT[p])
-        return self.nu.of(param)
+        inv_sqrt = self._rule[root_idx]
+        if inv_sqrt is None:
+            return self.nu.of(param)
+        return self.nu.of(param.theta()).scale(inv_sqrt)
 
 
 def check_v1(
@@ -541,13 +561,17 @@ def _suzuki_candidates(a: SElem, lam: tuple[int, int], mu: tuple[int, int]) -> W
     return [(pos, c) for pos, c in factors if c.is_nonzero()]
 
 
+Recipe = tuple[tuple[int, int], tuple[int, int]]
+
+
 @functools.cache
-def solve_suzuki_word() -> tuple[tuple[int, int], tuple[int, int]]:
-    """Determine the middle coefficients of the four-position word by search.
+def solve_suzuki_word() -> tuple[Recipe, ...]:
+    """Search the middle coefficients of the four-position word.
 
     The ansatz takes each middle parameter to be a 0/1 combination of t and
-    s^(theta+1); the unique combination making the word multiplicative and
-    flip-invariant over a small field with nontrivial twisting is returned.
+    s^(theta+1).  Every combination making the word multiplicative and
+    flip-invariant over a small field with nontrivial twisting is returned;
+    the ansatz determines the word when there is exactly one.
     """
     from .field import FieldCfg
 
@@ -579,14 +603,15 @@ def solve_suzuki_word() -> tuple[tuple[int, int], tuple[int, int]]:
                     break
             if ok:
                 winners.append((lam, mu))
-    if len(winners) != 1:
-        raise ConfigError(f"expected a unique word recipe, found {len(winners)}")
-    return winners[0]
+    return tuple(winners)
 
 
 def suzuki_word(a: SElem) -> WordFactors:
     """Positive-word image of a two-parameter element in the doubled span."""
-    lam, mu = solve_suzuki_word()
+    winners = solve_suzuki_word()
+    if len(winners) != 1:
+        raise UnresolvedRecipeError(f"expected a unique word recipe, found {len(winners)}")
+    ((lam, mu),) = winners
     return _suzuki_candidates(a, lam, mu)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from srlab import cli, suites
+from srlab import cli, suites, valuation
 from srlab.cli import main, parse_config_file
 from srlab.errors import ConfigError
 from srlab.field import FieldCfg
@@ -42,6 +42,26 @@ def test_embedding_checks_a_series_pair_at_few_samples(tmp_path):
     payload = json.loads(raw)["suites"]["embedding"]
     assert payload["stats"]["g_hahn_pairs"] == 1
     assert {"name": "G-word-homomorphism-hahn", "ok": True} in payload["checks"]
+
+
+def test_unresolved_word_recipe_fails_its_entry(tmp_path, monkeypatch):
+    """A recipe search without a unique winner is a failed claim (exit 1 with
+    the entry failed), not a bad setting (exit 2)."""
+    ((lam, mu),) = valuation.solve_suzuki_word()
+    candidates = valuation._suzuki_candidates
+    # every coefficient choice now builds the winning word, so all 16 win
+    monkeypatch.setattr(valuation, "_suzuki_candidates", lambda a, _lam, _mu: candidates(a, lam, mu))
+    valuation.solve_suzuki_word.cache_clear()
+    try:
+        code, raw = run_report(tmp_path, "e.json", ["--suite", "embedding", "--samples", "4"])
+    finally:
+        valuation.solve_suzuki_word.cache_clear()
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(raw)["suites"]["embedding"]["checks"]}
+    entry = checks["B-word-recipe-resolved"]
+    assert not entry["ok"] and entry["data"]["found"] == "16"
+    assert not checks["B-word-homomorphism-F2"]["ok"]
+    assert checks["G-word-homomorphism-F3"]["ok"]
 
 
 def test_sampled_checks_draw_at_one_sample(monkeypatch):

@@ -155,6 +155,13 @@ def test_emitted_text_is_pinned():
         ("1*t^(0) + g*t^(1/0)", 17, "zero denominator"),
         ("1*t^(1/2+1/3r5)", 13, "radicand must be 2 or 3"),
         ("1*t^(0) +  g*t^( 1/2+1/3r5)", 25, "radicand must be 2 or 3"),
+        # longer than int() converts by default (4300 digits): decided on the text
+        pytest.param("1*t^(" + "1" * 5000 + ")", 5, "integer has more than", id="long-numerator"),
+        pytest.param("1*t^(1/" + "1" * 5000 + ")", 7, "integer has more than", id="long-denominator"),
+        pytest.param(
+            "1*t^(0) + 1*t^(1+1/" + "1" * 5000 + "r2)", 19, "integer has more than",
+            id="long-sqrt-denominator",
+        ),
     ],
 )
 def test_malformed_exponent_error_position(text, pos, message):
@@ -226,6 +233,7 @@ def test_radicand_of_a_zero_part_is_not_checked():
         (1, "1*t^(0)", 0, "coefficient must be a digit, g or g^k"),
         (3, "g^ 5", 0, "coefficient must be a digit, g or g^k"),
         (3, "g^1_0", 0, "coefficient must be a digit, g or g^k"),
+        pytest.param(3, "g^" + "1" * 5000, 2, "integer has more than", id="long-generator-power"),
     ],
 )
 def test_finite_coefficient_errors(m, text, pos, message):

@@ -243,15 +243,27 @@ def test_group_law_check_sees_one_broken_product(monkeypatch):
 
 
 def test_omega_table_check_sees_two_swapped_images(monkeypatch):
-    omega = TElem.omega
+    norm_and_omega = TElem.norm_and_omega
     field = f27()
     # indices 1 and 2 are the central elements (0, 0, 1) and (0, 0, 2)
-    assert finite_index(omega(TElem.center(field.from_coeff(1)))) != 2
+    assert finite_index(TElem.center(field.from_coeff(1)).omega()) != 2
 
     def swapped(a):
         if in_finite_field(a, 27) and finite_index(a) in (1, 2):
             a = TElem.center(a.field.from_coeff(3 - finite_index(a)))
-        return omega(a)
+        return norm_and_omega(a)
 
-    monkeypatch.setattr(TElem, "omega", swapped)
+    monkeypatch.setattr(TElem, "norm_and_omega", swapped)
     assert failed_group_checks() == ["omega-squared-F27"]
+
+
+def test_norm_check_sees_a_nonzero_norm_at_the_identity(monkeypatch):
+    norm = TElem.norm
+
+    def lifted(a):
+        if in_finite_field(a, 27) and a.is_identity():
+            return a.field.one()
+        return norm(a)
+
+    monkeypatch.setattr(TElem, "norm", lifted)
+    assert failed_group_checks() == ["T-norm-anisotropic"]

@@ -115,6 +115,12 @@ def test_parse_errors_carry_position():
         parse_quad("1/0")
     with pytest.raises(RadicandMismatchError):
         parse_quad("1+1r2", radicand=3)
+    # longer than int() converts by default (4300 digits): decided on the text
+    for text, pos in (("1" * 5000, 0), (" 1/2+1/" + "1" * 5000 + "r3", 7)):
+        with pytest.raises(ParseError, match="integer has more than") as exc:
+            parse_quad(text)
+        assert exc.value.pos == pos
+    assert parse_quad("-" + "0" * 5000 + "3/2") == QuadExt(Fraction(-3, 2))
 
 
 def test_parse_quad_reads_ascii_digits_only():
@@ -230,3 +236,84 @@ def test_quadext_matches_fraction_pair_reference(p, r1, s1, r2, s2):
         assert _reference(z) == want[op], op
     assert (x < y) == (_ref_sign(r1 - r2, s1 - s2, p) < 0)
     assert x.sign() == _ref_sign(r1, s1, p)
+
+
+def _scale_factors() -> dict[int, list[QuadExt]]:
+    """Every positive factor the valuation layer scales a value by, per radicand:
+    the B2/G2/F4 interval coefficients, the norm-valuation constants of S and
+    T, 1/sqrt(p), 1/2 and 2."""
+    from srlab.roots import get_system
+
+    out: dict[int, set] = {2: set(), 3: set()}
+    for kind, p in (("B2", 2), ("F4", 2), ("G2", 3)):
+        system = get_system(kind)
+        for i in range(system.count):
+            for j in range(system.count):
+                if i != j and j != system.negate_idx(i):
+                    for _, pc, qc in system.interval(i, j):
+                        out[p].update((pc, qc))
+    out[2].update((QuadExt(2, 1, 2), QuadExt(0, 1, 2), QuadExt(0, Fraction(1, 2), 2)))
+    out[3].update((QuadExt(4, 2, 3), QuadExt(1, 1, 3), QuadExt(0, Fraction(1, 3), 3)))
+    for p in out:
+        out[p].update((QuadExt(2), QuadExt(Fraction(1, 2))))
+    return {p: sorted(cs, key=str) for p, cs in out.items()}
+
+
+_FACTORS = _scale_factors()
+_NEAR_LIMIT = 1 << 29
+_COORD = st.one_of(
+    st.integers(-80, 80),
+    st.integers(_NEAR_LIMIT - 40, _NEAR_LIMIT + 40),
+    st.integers(-_NEAR_LIMIT - 40, -_NEAR_LIMIT + 40),
+)
+_RAW = st.tuples(_COORD, _COORD, st.integers(1, 72))
+
+
+@given(
+    st.sampled_from((2, 3)),
+    _RAW,
+    _RAW,
+    st.lists(st.integers(0, 1000), max_size=4),
+    st.lists(st.integers(0, 1000), max_size=4),
+)
+def test_extval_matches_quadext_arithmetic(p, raw1, raw2, chain1, chain2):
+    """ExtVal on unnormalised ints against the same steps done in QuadExt."""
+    factors = _FACTORS[p]
+    values = []
+    for (e, f, den), chain in ((raw1, chain1), (raw2, chain2)):
+        x, q = ExtVal.from_ints(e, f, den, p), QuadExt.from_ints(e, f, den, p)
+        for k in chain:
+            c = factors[k % len(factors)]
+            x, q = x.scale(c), q * c
+        values.append((x, q))
+    (x, qx), (y, qy) = values
+    for v, q in values:
+        assert v.finite == q and str(v) == str(q)
+        assert v == ExtVal(q) and hash(v) == hash(ExtVal(q))
+    for got, want in ((x + y, qx + qy), (x - y, qx - qy), (-x, -qx)):
+        assert got.finite == want and str(got) == str(want)
+        assert hash(got) == hash(ExtVal(want))
+    assert (x < y) == (qx < qy) and (y < x) == (qy < qx)
+    assert (x == y) == (qx == qy) and (x <= y) == (qx <= qy)
+    assert ext_min(x, y) == ExtVal(min(qx, qy))
+    assert x < INFINITY and not INFINITY < x and x + INFINITY == INFINITY
+
+
+@given(_RAW, _RAW)
+def test_extval_refuses_to_mix_radicands(raw2, raw3):
+    (e2, f2, d2), (e3, f3, d3) = raw2, raw3
+    x = ExtVal.from_ints(e2, f2 or 1, d2, 2)
+    y = ExtVal.from_ints(e3, f3 or 1, d3, 3)
+    for op in (
+        lambda: x + y,
+        lambda: y - x,
+        lambda: x < y,
+        lambda: x.scale(QuadExt(1, 1, 3)),
+        lambda: y.scale(QuadExt(0, 1, 2)),
+    ):
+        with pytest.raises(RadicandMismatchError):
+            op()
+    assert x != y
+    # a part without sqrt names no radicand, as in QuadExt
+    z = ExtVal.from_ints(e3, 0, d3, 3)
+    assert (x + z).finite == QuadExt.from_ints(e2, f2 or 1, d2, 2) + QuadExt.from_ints(e3, 0, d3, None)
