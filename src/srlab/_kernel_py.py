@@ -194,10 +194,10 @@ def ser_theta(terms: dict, p: int, thetaf: list) -> dict:
     return out
 
 
-def ser_lats(items, p: int) -> list:
-    """(e, f, coefficient) for each (key, coefficient) item, in order."""
+def key_lats(keys, p: int) -> list:
+    """The lattice pair (e, f) of each key of an iterable, in order."""
     unit = _F_UNIT[p]
     return [
-        ((k - (f := ((k + _F_HALF) & _F_MASK) - _F_HALF) * unit) >> _E_SHIFT, f, c)
-        for k, c in items
+        ((k - (f := ((k + _F_HALF) & _F_MASK) - _F_HALF) * unit) >> _E_SHIFT, f)
+        for k in keys
     ]

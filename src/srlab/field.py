@@ -217,6 +217,20 @@ class FieldCfg:
         return None
 
 
+class _ExpText(dict):
+    """Text of one part of an exponent by its numerator n over the field's
+    D, written through `quad_str` on first use and kept: see
+    `TitsField.e_text` and `TitsField.f_text`."""
+
+    def __init__(self, write) -> None:
+        super().__init__()
+        self.write = write
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = self.write(n)
+        return text
+
+
 class TitsField:
     """A field in one of the two modes, with element factories and parsing."""
 
@@ -242,6 +256,13 @@ class TitsField:
             str(k) if k < self.p else ("g" if log[k] == 1 else f"g^{log[k]}")
             for k in range(self.q)
         ]
+        # the text of the exponent (e + f*sqrt(p))/D is e_text[e] + f_text[f],
+        # which is quad_str(e, f, D, p): e/D in lowest terms, then
+        # '+<f/D>r<p>' (quad_str(0, f, D, p) less its leading '0'), or ''
+        # when f == 0
+        D, p = self.D, self.p
+        self.e_text = _ExpText(lambda e: quad_str(e, 0, D, p))
+        self.f_text = _ExpText(lambda f: quad_str(0, f, D, p)[1:])
         self.elems: list[FiniteElem] | None = (
             [FiniteElem(self, k) for k in range(self.q)] if self.mode == "finite" else None
         )
@@ -398,8 +419,10 @@ class FieldElem:
 
     def __repr__(self) -> str:
         f = self.field
-        tag = "" if self.prec is None else f" +O(t^{f.unlat(f.unkey(self.prec))})"
-        return f"<{self.emit()}{tag}>"
+        if self.prec is None:
+            return f"<{self.emit()}>"
+        e, g = f.unkey(self.prec)
+        return f"<{self.emit()} +O(t^({f.e_text[e]}{f.f_text[g]}))>"
 
 
 class FiniteElem(FieldElem):
@@ -488,7 +511,8 @@ class SeriesElem(FieldElem):
     # lattice pair, or None while it is not known: it is filled on first use
     # or carried over where an operation knows it, and an empty support is
     # answered from `terms`.  _items, the support's items in increasing key
-    # order, is left unset until first use.
+    # order, is left unset until first use; the bounded product, the
+    # support-cap cut and inversion fill it (`emit` sorts bare keys).
     __slots__ = ("terms", "prec", "_span", "_low", "_items")
 
     def __init__(
@@ -721,13 +745,15 @@ class SeriesElem(FieldElem):
         return self.terms == other.terms and self.prec == other.prec
 
     def emit(self) -> str:
-        f = self.field
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        names, D, p = f.coeff_names, f.D, f.p
+        f = self.field
+        names, e_text, f_text = f.coeff_names, f.e_text, f.f_text
+        keys = sorted(terms)
         return "+".join([
-            f"{names[c]}*t^({quad_str(e, g, D, p)})"
-            for e, g, c in kernel.ser_lats(self._sorted(), p)
+            f"{names[terms[k]]}*t^({e_text[e]}{f_text[g]})"
+            for k, (e, g) in zip(keys, kernel.key_lats(keys, f.p))
         ])
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from math import isqrt
 
 import pytest
@@ -15,8 +15,8 @@ from srlab.errors import (
     RadicandMismatchError,
     ResourceBoundError,
 )
-from srlab.field import CoeffField, FieldCfg, TitsField
-from srlab.scalar import INFINITY, ExtVal, QuadExt
+from srlab.field import CoeffField, FieldCfg, SeriesElem, TitsField
+from srlab.scalar import INFINITY, ExtVal, QuadExt, quad_str
 
 
 def hahn(char=3, **kw):
@@ -280,8 +280,8 @@ def test_round_trip_stamps_the_precision(char, denom):
     y = f.parse(text)
     assert y.terms == x.terms
     assert y.emit() == text
-    assert repr(y).endswith(" +O(t^30)>")
-    assert repr(f.parse("0")) == "<0 +O(t^30)>"
+    assert repr(y).endswith(" +O(t^(30))>")
+    assert repr(f.parse("0")) == "<0 +O(t^(30))>"
 
 
 def test_parse_extension_coeffs():
@@ -650,3 +650,60 @@ def test_bounded_product_is_truncated_product():
                 full = kpy.ser_mul(ia, ib, cf.q, cf.addf, cf.mulf, None)
                 got = kpy.ser_mul(ia, ib, cf.q, cf.addf, cf.mulf, kb)
                 assert got == kpy.ser_trunc(full, kb)
+
+
+# lattice coordinates: small ones (zero and negative parts) and ones up to
+# the key limit
+TEXT_COORD = st.one_of(st.integers(-3, 3), st.integers(-(kpy.KEY_LIMIT - 1), kpy.KEY_LIMIT - 1))
+
+
+@cache
+def text_field(char, m, denom):
+    # the largest precision the key limit allows, so parse keeps the terms
+    return TitsField(FieldCfg(
+        char=char, mode="hahn", m=m, denom=denom, precision=(kpy.KEY_LIMIT - 1) // denom
+    ))
+
+
+def reference_text(f, lats):
+    """Element text written term by term through quad_str, in increasing
+    exponent order."""
+    if not lats:
+        return "0"
+    order = sorted(lats, key=cmp_to_key(lambda x, y: lat_sign(x, y, f.p)))
+    return "+".join(f"{f.coeff_names[lats[x]]}*t^({quad_str(*x, f.D, f.p)})" for x in order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4, 6]),
+    st.sampled_from([2, 3]),
+    st.sampled_from([1, 3]),
+    st.lists(st.tuples(TEXT_COORD, TEXT_COORD, st.integers(1, 26)), max_size=16),
+)
+def test_emit_matches_the_term_by_term_text(denom, char, m, draws):
+    f = text_field(char, m, denom)
+    lats = {}
+    for e, g, c in draws:
+        # an exponent at or past the precision is negated to lie below it
+        if kpy.irr_sign(e - f.prec_span, g, f.p) >= 0:
+            e, g = -e, -g
+        lats[(e, g)] = (c - 1) % (f.q - 1) + 1
+    x = f.zero()
+    for lat, c in lats.items():
+        x = x + f.monomial(f.unlat(lat), c)
+    text = x.emit()
+    assert text == reference_text(f, lats)
+    assert f.parse(text).terms == x.terms
+
+
+def test_capped_product_text_matches_a_fresh_element():
+    f = hahn()
+    a = f.parse("+".join(f"{1 + k % 2}*t^({k}/2+{k % 5 - 2}r3)" for k in range(40)))
+    x = a * a
+    assert len(x.terms) == f.cfg.support_cap and x._items == sorted(x.terms.items())
+    fresh = SeriesElem(f, dict(x.terms), x.prec)
+    lats = {f.unkey(k): c for k, c in x.terms.items()}
+    assert fresh.emit() == x.emit() == reference_text(f, lats)
+    # emit sorts bare keys and keeps no sorted copy of the support
+    assert not hasattr(fresh, "_items")
