@@ -102,10 +102,8 @@ def ser_min(terms: dict, p: int):
     return key_lat(min(terms), p) if terms else None
 
 
-def ser_trunc(terms: dict, bound) -> dict:
-    """Drop every term whose exponent key is >= bound (bound None keeps all)."""
-    if bound is None:
-        return dict(terms)
+def ser_trunc(terms: dict, bound: int) -> dict:
+    """Drop every term whose exponent key is >= bound."""
     return {k: c for k, c in terms.items() if k < bound}
 
 

@@ -143,7 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser("enumerate", help="close the finite rank-one group and print its shape")
     enum.add_argument("--q", type=int, default=3, help="field size (power of 3, default 3)")
-    enum.add_argument("--max-order", type=int, help="abort beyond this group order")
     enum.add_argument("--out", help="write the JSON to this path instead of stdout")
     return parser
 
@@ -218,9 +217,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     m = {3: 1, 27: 3, 243: 5}.get(q)
     if m is None:
         raise ConfigError(f"q must be 3, 27 or 243, got {q}")
-    bound = {} if args.max_order is None else {"max_order": _count(args.max_order, "max-order")}
-    field = TitsField(FieldCfg(char=3, mode="finite", m=m))
-    stats = enumerate_group(field, **bound)
+    stats = enumerate_group(TitsField(FieldCfg(char=3, mode="finite", m=m)))
     payload = {"q": q, **asdict(stats)}
     _emit(render_report(payload), args.out)
     return 0

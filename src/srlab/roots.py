@@ -3,11 +3,11 @@
 Each system is a list of integer root vectors with an integer Gram form.
 At construction it tabulates the Gram products, the angles, negation and
 the chamber involution, so index operations are lookups and integer
-arithmetic.  Exact values over sqrt(2) or sqrt(3) appear only in the unit
-vectors, which folding uses, and in the interval coefficients, which are
-built for the roots that lie in an interval, once per pair.  Folding glues
-each root to its image under the chamber involution and returns the ray
-system fixed by it.
+arithmetic.  The roots strictly between two roots are read off the angle
+table, once per pair, and their coefficients follow from the sine rule.
+Exact values over sqrt(2) or sqrt(3) appear only in those coefficients and
+in the unit vectors, which folding uses.  Folding glues each root to its
+image under the chamber involution and returns the ray system fixed by it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ _ANGLES = {
     (1, 4): 0, (1, 3): 30, (1, 2): 45, (1, 1): 60, (0, 0): 90,
     (-1, 1): 120, (-1, 2): 135, (-1, 3): 150, (-1, 4): 180,
 }
+# angle in degrees -> 4 cos^2
+_COS2 = {deg: c for (_, c), deg in _ANGLES.items()}
 
 
 def dot(u: Vec, v: Vec) -> QuadExt:
@@ -75,10 +77,9 @@ def _sqrt(r: Fraction) -> QuadExt:
 
 
 @functools.lru_cache(maxsize=None)
-def _coeff(n: int, d: int, ni: int, nk: int) -> QuadExt:
-    """The exact value n/d * sqrt(ni/nk)."""
-    r = _sqrt(Fraction(ni, nk))
-    return QuadExt.from_ints(n * r.a, n * r.b, d * r.den, r.p)
+def _sine_ratio(a: int, t: int) -> QuadExt:
+    """The exact value sin(a)/sin(t) for root-system angles a and t in degrees."""
+    return _sqrt(Fraction(4 - _COS2[a], 4 - _COS2[t]))
 
 
 class RootSystem:
@@ -174,25 +175,14 @@ class RootSystem:
         out = self._intervals.get((i, j))
         if out is not None:
             return out
-        gram, norms, angles = self._gram, self._norms, self._angle[i]
-        gi, gj, gij = gram[i], gram[j], gram[i][j]
-        ni, nj = norms[i], norms[j]
-        det = ni * nj - gij * gij
-        if det == 0:
+        t = self._angle[i][j]
+        if t in (0, 180):
             raise ValueError("interval endpoints must not be parallel")
-        # root k = (a*root i + b*root j)/det when it lies in their span
-        hits = []
-        for k, (x, y, nk) in enumerate(zip(gi, gj, norms)):
-            a = x * nj - y * gij
-            b = y * ni - x * gij
-            if a > 0 and b > 0 and nk * det == a * x + b * y:
-                hits.append((angles[k], k, a, b))
-        hits.sort()
-        # unit(k) = p*unit(i) + q*unit(j) with p = a/det*sqrt(N_i/N_k), q = b/det*sqrt(N_j/N_k)
-        out = [
-            (k, _coeff(a, det, ni, norms[k]), _coeff(b, det, nj, norms[k]))
-            for _, k, a, b in hits
-        ]
+        # root k lies on the arc from i to j when its angles to them add up to t
+        angles = zip(range(self.count), self._angle[i], self._angle[j])
+        hits = sorted([(a, k) for k, a, b in angles if a + b == t and a and b])
+        # sine rule: unit(k) = sin(t-a)/sin(t)*unit(i) + sin(a)/sin(t)*unit(j), a = angle(i, k)
+        out = [(k, _sine_ratio(t - a, t), _sine_ratio(a, t)) for a, k in hits]
         self._intervals[(i, j)] = out
         return out
 

@@ -21,17 +21,15 @@ def rand_lat(rng: random.Random, span: int = 6) -> tuple[int, int]:
     return (rng.randint(-span, span), rng.randint(-2, 2))
 
 
-def rand_monomial(field: TitsField, rng: random.Random, span: int = 6) -> FieldElem:
-    exp = field.unlat(rand_lat(rng, span))
+def rand_monomial(field: TitsField, rng: random.Random) -> FieldElem:
+    exp = field.unlat(rand_lat(rng))
     return field.monomial(exp, rng.randrange(1, field.q))
 
 
-def rand_short(
-    field: TitsField, rng: random.Random, terms: int = 2, span: int = 6
-) -> FieldElem:
+def rand_short(field: TitsField, rng: random.Random, terms: int = 2) -> FieldElem:
     out = field.zero()
     for _ in range(terms):
-        out = out + rand_monomial(field, rng, span)
+        out = out + rand_monomial(field, rng)
     if out.is_zero():
         out = field.one()
     return out
@@ -132,22 +130,13 @@ def tie_samples_t(field: TitsField, rng: random.Random, count: int) -> list[TEle
     coeff = lambda: rng.randrange(1, field.q)
     for k in range(count):
         mode = k % 3
-        if mode == 0:  # r-level == s-level, t-level strictly above
+        if mode < 2:  # r-level == s-level (mode 0) or t-level (mode 1), the other strictly above
             gr = rand_lat(rng, 4)
-            gs = lat_mul_quad(gr, 1, 1, 3)
-            gt = lat_mul_quad(gr, 2, 1, 3)
-            gt = (gt[0] + rng.randint(1, 3), gt[1])
+            levels = [lat_mul_quad(gr, 1, 1, 3), lat_mul_quad(gr, 2, 1, 3)]
+            e, f = levels[1 - mode]
+            levels[1 - mode] = (e + rng.randint(1, 3), f)
+            gs, gt = levels
             r = field.monomial(field.unlat(gr), coeff())
-            s = field.monomial(field.unlat(gs), coeff())
-            t = field.monomial(field.unlat(gt), coeff())
-        elif mode == 1:  # r-level == t-level, s-level strictly above
-            gr = rand_lat(rng, 4)
-            gt = lat_mul_quad(gr, 2, 1, 3)
-            gs = lat_mul_quad(gr, 1, 1, 3)
-            gs = (gs[0] + rng.randint(1, 3), gs[1])
-            r = field.monomial(field.unlat(gr), coeff())
-            s = field.monomial(field.unlat(gs), coeff())
-            t = field.monomial(field.unlat(gt), coeff())
         else:  # s-level == t-level with r zero
             e = rng.randint(-4, 4)
             f = rng.randint(-2, 2)
@@ -155,7 +144,7 @@ def tie_samples_t(field: TitsField, rng: random.Random, count: int) -> list[TEle
             gs = (e, f)
             gt = ((e + 3 * f) // 2, (e + f) // 2)
             r = field.zero()
-            s = field.monomial(field.unlat(gs), coeff())
-            t = field.monomial(field.unlat(gt), coeff())
+        s = field.monomial(field.unlat(gs), coeff())
+        t = field.monomial(field.unlat(gt), coeff())
         out.append(TElem(r, s, t))
     return out

@@ -183,14 +183,13 @@ def quad_str(a: int, b: int, den: int, p: int | None) -> str:
     return f"{ra}+{rb}r{p}"
 
 
-def parse_quad(text: str, offset: int = 0, radicand: int | None = None) -> QuadExt:
+def parse_quad(text: str, radicand: int | None = None) -> QuadExt:
     """Parse 'a/b' or 'a/b+c/dr2' into a QuadExt.
 
-    `offset` shifts reported error positions; `radicand`, when given, rejects
-    values written over a different radicand.
+    `radicand`, when given, rejects values written over a different radicand.
     """
     s = text.strip()
-    shift = offset + (len(text) - len(text.lstrip()))
+    shift = len(text) - len(text.lstrip())
     na, da, i = _scan_rational(s, 0, shift)
     if i == len(s):
         return QuadExt.from_ints(na, 0, da, None)

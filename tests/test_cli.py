@@ -70,9 +70,9 @@ def test_sampled_checks_draw_at_one_sample(monkeypatch):
     parsed, nus = Counter(), Counter()
     parse_quad, nu_from_phi = suites.parse_quad, suites.nu_from_phi
 
-    def counting_parse(text, offset=0, radicand=None):
+    def counting_parse(text, radicand=None):
         parsed[radicand] += 1
-        return parse_quad(text, offset, radicand)
+        return parse_quad(text, radicand)
 
     def counting_nu(case, phi, t):
         nus[case] += 1
@@ -184,12 +184,6 @@ def test_config_file_rejects_non_integer_value(tmp_path):
         assert not out.exists()
 
 
-def test_enumerate_max_order_below_one_exits_two(tmp_path):
-    out = tmp_path / "enum.json"
-    assert main(["enumerate", "--q", "3", "--max-order", "-5", "--out", str(out)]) == 2
-    assert not out.exists()
-
-
 def test_bad_values_exit_two(tmp_path):
     out = tmp_path / "x.json"
     assert main(["run", "--jobs", "0", "--out", str(out)]) == 2
@@ -248,11 +242,6 @@ def test_suite_flag_named_twice_exits_two(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == "srlab: suite 'folding' named twice\n"
     assert not out.exists()
-
-
-def test_enumerate_resource_bound(tmp_path):
-    out = tmp_path / "enum.json"
-    assert main(["enumerate", "--q", "3", "--max-order", "10", "--out", str(out)]) == 1
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from srlab.errors import InsufficientPrecisionError, UnsupportedAngleError
+from srlab.errors import InsufficientPrecisionError, ResourceBoundError, UnsupportedAngleError
 from srlab.field import FieldCfg, TitsField
 from srlab.groups import TElem
 from srlab.scalar import ExtVal, QuadExt
@@ -202,6 +202,18 @@ def test_collect_confluent_over_shuffles():
         alt = collect("G", sys2, got)
         assert words_agree(alt, got)
     assert words_agree(collect("G", sys2, base), base)
+
+
+def test_collect_fuel_bounds_the_swaps():
+    """A reversed G2 word needs dozens of merge and swap steps: it runs out
+    of a small fuel and collects to ascending positions under the default."""
+    f = hahn(3)
+    sys2 = g2()
+    word = [(pos, f.monomial(QuadExt(pos), 1)) for pos in (6, 5, 4, 3, 2, 1)]
+    with pytest.raises(ResourceBoundError, match="collection fuel exhausted"):
+        collect("G", sys2, word, fuel=10)
+    positions = [pos for pos, _ in collect("G", sys2, word)]
+    assert positions == sorted(set(positions)) and positions[0] == 1
 
 
 def test_torus_reflection_shift():
