@@ -2,8 +2,10 @@
 
 SElem is the two-parameter group attached to characteristic 2 (cases with a
 doubled or quadrupled bond); TElem is the three-parameter group attached to
-characteristic 3.  Norms R and N, the auxiliary pair (u, v), the inverting
-map omega, and the torus action through a group parameter all live here.
+characteristic 3.  Both derive from RankOneElem, which holds what they
+share: the identity, the centre, agreement, text and the characteristic
+guard.  Norms R and N, the auxiliary pair (u, v), the inverting map omega,
+and the torus action through a group parameter all live here.
 The negation signs are written out even where characteristic 2 makes them
 trivial, so the formulas read the same in both characteristics.
 """
@@ -11,35 +13,77 @@ trivial, so the formulas read the same in both characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar, TypeVar
 
 from .errors import ConfigError
 from .field import FieldElem, TitsField
 from .scalar import ExtVal, QuadExt, ext_min
 
 
-@dataclass(frozen=True, eq=False)
-class SElem:
-    """Element (s, t) of the two-parameter twisted group (characteristic 2)."""
+_COUNT = {2: "two", 3: "three"}
+Elem = TypeVar("Elem", bound="RankOneElem")
 
-    s: FieldElem
-    t: FieldElem
+
+@dataclass(frozen=True, eq=False, repr=False)
+class RankOneElem:
+    """An element of a twisted rank-one group, held as its field coordinates.
+
+    A subclass declares its coordinates as dataclass fields with the central
+    one, t, last, and sets its characteristic CHAR and its number of
+    coordinates ARITY; it supplies only its group law, inverse and norm.
+    The instance dict holds exactly the coordinates, in order, so the shared
+    methods read them off it.
+    """
+
+    CHAR: ClassVar[int]
+    ARITY: ClassVar[int]
 
     def __post_init__(self) -> None:
-        if self.field.p != 2:
-            raise ConfigError("the two-parameter group needs characteristic 2")
+        if self.t.field.p != self.CHAR:
+            raise ConfigError(
+                f"the {_COUNT[self.ARITY]}-parameter group needs characteristic {self.CHAR}"
+            )
 
     @property
     def field(self) -> TitsField:
-        return self.s.field
+        return self.t.field
 
     @classmethod
-    def identity(cls, field: TitsField) -> "SElem":
-        return cls(field.zero(), field.zero())
+    def identity(cls: type[Elem], field: TitsField) -> Elem:
+        return cls(*[field.zero()] * cls.ARITY)
 
     @classmethod
-    def center(cls, t: FieldElem) -> "SElem":
-        return cls(t.field.zero(), t)
+    def center(cls: type[Elem], t: FieldElem) -> Elem:
+        return cls(*[t.field.zero()] * (cls.ARITY - 1), t)
+
+    def is_identity(self) -> bool:
+        # most elements have t != 0, and deciding on t alone leaves the
+        # instance dict unbuilt, which keeps later coordinate reads fast
+        if self.t.is_nonzero():
+            return False
+        for c in self.__dict__.values():
+            if c.is_nonzero():
+                return False
+        return True
+
+    def agrees(self: Elem, other: Elem) -> bool:
+        for a, b in zip(self.__dict__.values(), other.__dict__.values()):
+            if not a.agrees(b):
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(str, self.__dict__.values()))})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SElem(RankOneElem):
+    """Element (s, t) of the two-parameter twisted group (characteristic 2)."""
+
+    CHAR = 2
+    ARITY = 2
+    s: FieldElem
+    t: FieldElem
 
     def __mul__(self, other: "SElem") -> "SElem":
         s, t = self.s, self.t
@@ -50,46 +94,21 @@ class SElem:
         s, t = self.s, self.t
         return SElem(s, t + s.twisted_pow(1, 1))
 
-    def is_identity(self) -> bool:
-        return self.s.is_zero() and self.t.is_zero()
-
-    def agrees(self, other: "SElem") -> bool:
-        return self.s.agrees(other.s) and self.t.agrees(other.t)
-
     def norm(self) -> FieldElem:
         """R(s, t) = s^(theta+2) + s t + t^theta."""
         s, t = self.s, self.t
         return s.twisted_pow(2, 1) + s * t + t.theta()
 
-    def __repr__(self) -> str:
-        return f"SElem({self.s}, {self.t})"
 
-
-@dataclass(frozen=True, eq=False)
-class TElem:
+@dataclass(frozen=True, eq=False, repr=False)
+class TElem(RankOneElem):
     """Element (r, s, t) of the three-parameter twisted group (characteristic 3)."""
 
+    CHAR = 3
+    ARITY = 3
     r: FieldElem
     s: FieldElem
     t: FieldElem
-
-    def __post_init__(self) -> None:
-        if self.field.p != 3:
-            raise ConfigError("the three-parameter group needs characteristic 3")
-
-    @property
-    def field(self) -> TitsField:
-        return self.r.field
-
-    @classmethod
-    def identity(cls, field: TitsField) -> "TElem":
-        z = field.zero()
-        return cls(z, z, z)
-
-    @classmethod
-    def center(cls, t: FieldElem) -> "TElem":
-        z = t.field.zero()
-        return cls(z, z, t)
 
     def __mul__(self, other: "TElem") -> "TElem":
         r, s, t = self.r, self.s, self.t
@@ -103,16 +122,6 @@ class TElem:
     def inverse(self) -> "TElem":
         r, s, t = self.r, self.s, self.t
         return TElem(-r, -s + r.twisted_pow(1, 1), -t)
-
-    def is_identity(self) -> bool:
-        return self.r.is_zero() and self.s.is_zero() and self.t.is_zero()
-
-    def agrees(self, other: "TElem") -> bool:
-        return (
-            self.r.agrees(other.r)
-            and self.s.agrees(other.s)
-            and self.t.agrees(other.t)
-        )
 
     def _shared(self) -> tuple[FieldElem, ...]:
         """Powers and products that the norm and the pair (u, v) share.
@@ -162,9 +171,6 @@ class TElem:
         ninv = n.inv()
         u, v = self._uv(shared)
         return n, TElem(-(v * ninv), -(u * ninv), -(self.t * ninv))
-
-    def __repr__(self) -> str:
-        return f"TElem({self.r}, {self.s}, {self.t})"
 
 
 def val_norm_exact_S(a: SElem) -> ExtVal:

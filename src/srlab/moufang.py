@@ -17,7 +17,7 @@ from .errors import ConfigError, ResourceBoundError
 from .field import TitsField
 from .groups import TElem
 from .report import CheckResult
-from .samplers import finite_elems_t, finite_index
+from .samplers import finite_elems, finite_index
 
 Point = TElem | None  # None is the point at infinity
 
@@ -120,7 +120,7 @@ def enumerate_group(field: TitsField, max_order: int = 500000) -> PermGroupStats
     finite_points = field.q**3
     if (finite_points + 1) * finite_points > max_order:
         raise ResourceBoundError(f"group closure exceeded the bound {max_order}")
-    elems = finite_elems_t(field)
+    elems = finite_elems(TElem, field)
     npoints = len(elems) + 1
 
     def key(x: Point) -> int:

@@ -9,11 +9,12 @@ mostly monomials, sometimes two-term sums, occasionally zero.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from .field import FieldElem, TitsField
-from .groups import SElem, TElem
+from .groups import Elem, RankOneElem, SElem, TElem
 from .scalar import QuadExt
 
 
@@ -45,64 +46,42 @@ def biased_component(field: TitsField, rng: random.Random) -> FieldElem:
     return rand_short(field, rng, terms=2)
 
 
-def rand_t(field: TitsField, rng: random.Random) -> TElem:
-    a = TElem(
-        biased_component(field, rng),
-        biased_component(field, rng),
-        biased_component(field, rng),
-    )
+def rand_elem(cls: type[Elem], field: TitsField, rng: random.Random) -> Elem:
+    """A group element with `biased_component` coordinates, drawn in order;
+    the identity is replaced by the central element at t = 1."""
+    a = cls(*[biased_component(field, rng) for _ in range(cls.ARITY)])
     if a.is_identity():
-        return TElem.center(field.one())
+        return cls.center(field.one())
     return a
 
 
-def rand_s(field: TitsField, rng: random.Random) -> SElem:
-    a = SElem(biased_component(field, rng), biased_component(field, rng))
-    if a.is_identity():
-        return SElem.center(field.one())
-    return a
+def finite_elems(cls: type[Elem], field: TitsField) -> list[Elem]:
+    """Every element of the group over a finite field, in lexicographic coordinate order."""
+    coeffs = [field.from_coeff(k) for k in range(field.q)]
+    return [cls(*c) for c in itertools.product(coeffs, repeat=cls.ARITY)]
 
 
-def finite_elems_t(field: TitsField) -> list[TElem]:
-    """Every element of T over a finite field, in lexicographic coordinate order."""
-    q = field.q
-    return [
-        TElem(field.from_coeff(r), field.from_coeff(s), field.from_coeff(t))
-        for r in range(q)
-        for s in range(q)
-        for t in range(q)
-    ]
-
-
-def finite_elems_s(field: TitsField) -> list[SElem]:
-    """Every element of S over a finite field, in lexicographic coordinate order."""
-    q = field.q
-    return [
-        SElem(field.from_coeff(s), field.from_coeff(t))
-        for s in range(q)
-        for t in range(q)
-    ]
-
-
-def finite_index(x: TElem | SElem) -> int:
-    """The position of a finite-field element in `finite_elems_t`/`finite_elems_s`.
+def finite_index(x: RankOneElem) -> int:
+    """The position of a finite-field element in `finite_elems`.
 
     The identity is at 0.  Finite field elements are interned, so two
     elements agree exactly when their indices are equal.
     """
-    q = x.field.q
-    if isinstance(x, TElem):
-        return (x.r.k * q + x.s.k) * q + x.t.k
-    return x.s.k * q + x.t.k
+    q = x.t.field.q
+    i = 0
+    for c in x.__dict__.values():
+        i = i * q + c.k
+    return i
 
 
-def finite_elem_t(field: TitsField, index: int) -> TElem:
-    """The element of T over a finite field at `index` in `finite_elems_t`,
-    the inverse of `finite_index`."""
-    q = field.q
-    rs, t = divmod(index, q)
-    r, s = divmod(rs, q)
-    return TElem(field.from_coeff(r), field.from_coeff(s), field.from_coeff(t))
+def finite_elem(cls: type[Elem], field: TitsField, index: int) -> Elem:
+    """The element at `index` in `finite_elems`, the inverse of `finite_index`."""
+    coords = []
+    for _ in range(cls.ARITY - 1):
+        index, k = divmod(index, field.q)
+        coords.append(field.from_coeff(k))
+    coords.append(field.from_coeff(index))  # out of range raises here
+    return cls(*reversed(coords))
 
 
 def cayley_table(elems: list[TElem] | list[SElem]) -> list[list[int]]:

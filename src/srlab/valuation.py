@@ -506,25 +506,11 @@ def check_unique_valuation(
 # --- valuations through the twisted groups ---
 
 
-def moufang_phi(case: str, nu: Valuation) -> Callable[[object], ExtVal]:
-    """phi on the folded rank-one group: the valuation of the norm."""
-
-    def phi(a: object) -> ExtVal:
-        if case == "G":
-            assert isinstance(a, TElem)
-        else:
-            assert isinstance(a, SElem)
-        return nu.of(a.norm())
-
-    return phi
-
-
-def nu_from_phi(case: str, phi: Callable[[object], ExtVal], t: FieldElem) -> ExtVal:
-    """Recover the field valuation from phi on central elements."""
-    if case == "G":
-        v = phi(TElem.center(t))
-    else:
-        v = phi(SElem.center(t.theta()))
+def nu_from_center(case: str, nu: Valuation, t: FieldElem) -> ExtVal:
+    """Recover nu(t) from phi = nu o N on the folded rank-one group: half of
+    phi at the central element over t (over theta(t) in case B)."""
+    center = TElem.center(t) if case == "G" else SElem.center(t.theta())
+    v = nu.of(center.norm())
     return v.scale(QuadExt(Fraction(1, 2))) if not v.is_infinite else v
 
 
@@ -561,6 +547,11 @@ def _suzuki_candidates(a: SElem, lam: tuple[int, int], mu: tuple[int, int]) -> W
     return [(pos, c) for pos, c in factors if c.is_nonzero()]
 
 
+def _same_word(case: str, system: Rank2System, lhs: WordFactors, rhs: WordFactors) -> bool:
+    """Whether two words collect to the same positive word."""
+    return words_agree(collect(case, system, lhs), collect(case, system, rhs))
+
+
 Recipe = tuple[tuple[int, int], tuple[int, int]]
 
 
@@ -585,23 +576,15 @@ def solve_suzuki_word() -> tuple[Recipe, ...]:
     winners = []
     for lam in ((0, 0), (1, 0), (0, 1), (1, 1)):
         for mu in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            ok = True
-            for a in probes:
-                wa = _suzuki_candidates(a, lam, mu)
-                flipped = collect("B", b2, word_rho(b2, wa))
-                if not words_agree(flipped, wa):
-                    ok = False
-                    break
-                for b in probes:
-                    wb = _suzuki_candidates(b, lam, mu)
-                    prod = collect("B", b2, list(wa) + list(wb))
-                    direct = _suzuki_candidates(a * b, lam, mu)
-                    if not words_agree(prod, collect("B", b2, direct)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            words = [_suzuki_candidates(a, lam, mu) for a in probes]
+            if all(
+                _same_word("B", b2, word_rho(b2, wa), wa)
+                and all(
+                    _same_word("B", b2, wa + wb, _suzuki_candidates(a * b, lam, mu))
+                    for b, wb in zip(probes, words)
+                )
+                for a, wa in zip(probes, words)
+            ):
                 winners.append((lam, mu))
     return tuple(winners)
 
@@ -629,11 +612,8 @@ def check_embedding_hom(case: str, a: object, b: object) -> CheckResult:
     """The word map turns the twisted group law into word concatenation."""
     system = ambient_system(case)
     assert isinstance(system, Rank2System)
-    wa = embedding_word(case, a)
-    wb = embedding_word(case, b)
-    lhs = collect(case, system, list(wa) + list(wb))
-    rhs = collect(case, system, embedding_word(case, a * b))  # type: ignore[operator]
-    if not words_agree(lhs, rhs):
+    words = embedding_word(case, a) + embedding_word(case, b)
+    if not _same_word(case, system, words, embedding_word(case, a * b)):  # type: ignore[operator]
         return CheckResult(False, "word of a product differs from product of words")
     return CheckResult(True)
 
@@ -643,7 +623,6 @@ def check_embedding_rho(case: str, a: object) -> CheckResult:
     system = ambient_system(case)
     assert isinstance(system, Rank2System)
     w = embedding_word(case, a)
-    flipped = collect(case, system, word_rho(system, w))
-    if not words_agree(flipped, collect(case, system, list(w))):
+    if not _same_word(case, system, word_rho(system, w), w):
         return CheckResult(False, "embedded word is not flip-invariant")
     return CheckResult(True)

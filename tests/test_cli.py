@@ -68,18 +68,18 @@ def test_sampled_checks_draw_at_one_sample(monkeypatch):
     """At --samples 1 each sampled round trip checks at least one draw
     instead of passing on none."""
     parsed, nus = Counter(), Counter()
-    parse_quad, nu_from_phi = suites.parse_quad, suites.nu_from_phi
+    parse_quad, nu_from_center = suites.parse_quad, suites.nu_from_center
 
     def counting_parse(text, radicand=None):
         parsed[radicand] += 1
         return parse_quad(text, radicand)
 
-    def counting_nu(case, phi, t):
+    def counting_nu(case, nu, t):
         nus[case] += 1
-        return nu_from_phi(case, phi, t)
+        return nu_from_center(case, nu, t)
 
     monkeypatch.setattr(suites, "parse_quad", counting_parse)
-    monkeypatch.setattr(suites, "nu_from_phi", counting_nu)
+    monkeypatch.setattr(suites, "nu_from_center", counting_nu)
     cfg = RunConfig(samples=1)
     assert suites.run_suite("scalars", cfg)["ok"]
     assert suites.run_suite("moufang", cfg)["ok"]

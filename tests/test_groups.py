@@ -14,12 +14,10 @@ from srlab.groups import (
 )
 from srlab.samplers import (
     cayley_table,
-    finite_elems_s,
-    finite_elem_t,
-    finite_elems_t,
+    finite_elem,
+    finite_elems,
     finite_index,
-    rand_s,
-    rand_t,
+    rand_elem,
 )
 from srlab.scalar import ExtVal, QuadExt
 from srlab.suites import RunConfig, run_suite
@@ -34,14 +32,52 @@ def f27():
 
 
 def test_char_guards():
-    with pytest.raises(ConfigError):
-        TElem.identity(TitsField(FieldCfg(char=2, mode="finite", m=1)))
-    with pytest.raises(ConfigError):
+    f2 = TitsField(FieldCfg(char=2, mode="finite", m=1))
+    with pytest.raises(ConfigError, match="^the three-parameter group needs characteristic 3$"):
+        TElem.identity(f2)
+    with pytest.raises(ConfigError, match="^the two-parameter group needs characteristic 2$"):
         SElem.identity(f3())
+    assert repr(TElem.center(f3().from_coeff(2))) == "TElem(0, 0, 2)"
+    assert repr(SElem(f2.one(), f2.zero())) == "SElem(1, 0)"
+
+
+def test_rand_elem_keeps_the_draws():
+    """The first draws at two seeds, as the per-group samplers emitted them."""
+    want = {
+        0: (
+            [
+                "TElem(2*t^(-1+1r3)+1*t^(3+1/2r3), 2*t^(3), 1*t^(-3/2+1r3))",
+                "TElem(2*t^(3+-1r3), 1*t^(-1+-1r3)+1*t^(1+1r3), 2*t^(1+-1r3)+2*t^(2))",
+                "TElem(2*t^(3/2+-1/2r3), 1*t^(1), 1*t^(1+-1r3)+1*t^(5/2+1/2r3))",
+            ],
+            [
+                "SElem(1*t^(-1/2+-1/2r2), 1*t^(-5/2+-1/2r2))",
+                "SElem(1*t^(-2+1r2), 0)",
+                "SElem(1*t^(-1+1r2)+1*t^(1+1/2r2), 1*t^(1))",
+            ],
+        ),
+        5: (
+            [
+                "TElem(1*t^(5/2), 2*t^(-2+-1r3)+1*t^(3+-1/2r3), 1*t^(-3/2+1/2r3))",
+                "TElem(2*t^(-3+-1/2r3), 1*t^(3+1/2r3), 2*t^(-5/2+-1/2r3))",
+                "TElem(1*t^(-3+-1r3), 2*t^(-2+-1/2r3), 1*t^(-3/2+1r3))",
+            ],
+            [
+                "SElem(1*t^(5/2+-1/2r2), 1*t^(-1/2+1/2r2))",
+                "SElem(1*t^(-1+-1r2)+1*t^(-1+1r2), 1*t^(5/2))",
+                "SElem(1*t^(-1+1/2r2), 1*t^(1/2+-1/2r2))",
+            ],
+        ),
+    }
+    hf3, hf2 = hahn(3), hahn(2)
+    for seed, (t_text, s_text) in want.items():
+        rng = random.Random(seed)
+        assert [repr(rand_elem(TElem, hf3, rng)) for _ in range(3)] == t_text
+        assert [repr(rand_elem(SElem, hf2, rng)) for _ in range(3)] == s_text
 
 
 def test_t_group_laws_exhaustive():
-    elems = finite_elems_t(f3())
+    elems = finite_elems(TElem, f3())
     e = TElem.identity(elems[0].field)
     for a in elems:
         assert (a * a.inverse()).is_identity()
@@ -54,7 +90,7 @@ def test_t_group_laws_exhaustive():
 
 def test_s_group_laws_exhaustive():
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
-    elems = finite_elems_s(f8)
+    elems = finite_elems(SElem, f8)
     for a in elems:
         assert (a * a.inverse()).is_identity()
     rng = random.Random(3)
@@ -68,7 +104,7 @@ def test_s_group_laws_exhaustive():
 def test_center_is_central():
     field = f3()
     z = TElem.center(field.one())
-    for a in finite_elems_t(field):
+    for a in finite_elems(TElem, field):
         assert (a * z).agrees(z * a)
 
 
@@ -84,7 +120,7 @@ def test_omega_printed_value():
 def test_omega_involution_and_norm_inverse():
     field = f27()
     rng = random.Random(9)
-    elems = finite_elems_t(field)
+    elems = finite_elems(TElem, field)
     for _ in range(200):
         a = elems[rng.randrange(1, len(elems))]
         w = a.omega()
@@ -94,10 +130,10 @@ def test_omega_involution_and_norm_inverse():
 
 def test_norm_anisotropic_exhaustive():
     for field in (f3(), f27()):
-        for a in finite_elems_t(field):
+        for a in finite_elems(TElem, field):
             assert a.norm().is_zero() == a.is_identity()
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
-    for a in finite_elems_s(f8):
+    for a in finite_elems(SElem, f8):
         assert a.norm().is_zero() == a.is_identity()
 
 
@@ -139,7 +175,7 @@ def test_norm_val_formula_s():
 
 def test_h_action_automorphism_finite():
     field = f27()
-    elems = finite_elems_t(field)
+    elems = finite_elems(TElem, field)
     rng = random.Random(4)
     for _ in range(60):
         act = h_action_T(elems[rng.randrange(1, len(elems))])
@@ -147,7 +183,7 @@ def test_h_action_automorphism_finite():
         y = elems[rng.randrange(len(elems))]
         assert act(x * y).agrees(act(x) * act(y))
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
-    selems = finite_elems_s(f8)
+    selems = finite_elems(SElem, f8)
     for _ in range(60):
         act = h_action_S(selems[rng.randrange(1, len(selems))])
         x = selems[rng.randrange(len(selems))]
@@ -157,11 +193,11 @@ def test_h_action_automorphism_finite():
 
 def test_h_action_map_serves_a_series_product_and_its_factors():
     rng = random.Random(6)
-    for field, rand, action in ((hahn(3), rand_t, h_action_T), (hahn(2), rand_s, h_action_S)):
-        act = action(rand(field, rng))
+    for cls, field, action in ((TElem, hahn(3), h_action_T), (SElem, hahn(2), h_action_S)):
+        act = action(rand_elem(cls, field, rng))
         assert act is not None
         for _ in range(5):
-            x, y = rand(field, rng), rand(field, rng)
+            x, y = rand_elem(cls, field, rng), rand_elem(cls, field, rng)
             assert act(x * y).agrees(act(x) * act(y))
     assert h_action_T(TElem.identity(hahn(3))) is None
     assert h_action_S(SElem.identity(hahn(2))) is None
@@ -172,7 +208,7 @@ def test_h_action_computes_one_norm(monkeypatch):
     calls = []
     norm = TElem.norm
     monkeypatch.setattr(TElem, "norm", lambda a: calls.append(a) or norm(a))
-    elems = finite_elems_t(field)
+    elems = finite_elems(TElem, field)
     act = h_action_T(elems[100])
     for x in elems[:50]:
         act(x)
@@ -191,31 +227,32 @@ def test_hahn_omega_square_spot():
 
 def test_finite_index_is_the_enumeration_position():
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
-    for elems in (finite_elems_t(f3()), finite_elems_s(f8)):
+    for elems in (finite_elems(TElem, f3()), finite_elems(SElem, f8)):
         assert [finite_index(a) for a in elems] == list(range(len(elems)))
         assert elems[0].is_identity()
 
 
 def test_finite_elem_t_inverts_finite_index():
-    field = f3()
-    for i, a in enumerate(finite_elems_t(field)):
-        b = finite_elem_t(field, i)
-        assert (b.r, b.s, b.t) == (a.r, a.s, a.t)
+    f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
+    for cls, field in ((TElem, f3()), (SElem, f8)):
+        for i, a in enumerate(finite_elems(cls, field)):
+            b = finite_elem(cls, field, i)
+            assert type(b) is cls and vars(b) == vars(a)
     field = f27()
     rng = random.Random(4)
     for _ in range(200):
         i = rng.randrange(field.q**3)
-        assert finite_index(finite_elem_t(field, i)) == i
+        assert finite_index(finite_elem(TElem, field, i)) == i
 
 
 def test_cayley_table_entries_are_product_indices():
-    elems = finite_elems_t(f3())
+    elems = finite_elems(TElem, f3())
     m = cayley_table(elems)
     rng = random.Random(2)
     for _ in range(100):
         i, j = rng.randrange(len(elems)), rng.randrange(len(elems))
         assert m[i][j] == finite_index(elems[i] * elems[j])
-    selems = finite_elems_s(TitsField(FieldCfg(char=2, mode="finite", m=1)))
+    selems = finite_elems(SElem, TitsField(FieldCfg(char=2, mode="finite", m=1)))
     ms = cayley_table(selems)
     for i, a in enumerate(selems):
         assert ms[i] == [finite_index(a * b) for b in selems]
@@ -254,6 +291,19 @@ def test_omega_table_check_sees_two_swapped_images(monkeypatch):
         return norm_and_omega(a)
 
     monkeypatch.setattr(TElem, "norm_and_omega", swapped)
+    assert failed_group_checks() == ["omega-squared-F27"]
+
+
+def test_omega_table_check_sees_an_image_at_the_identity(monkeypatch):
+    norm_and_omega = TElem.norm_and_omega
+
+    def to_identity(a):
+        n, image = norm_and_omega(a)
+        if in_finite_field(a, 27) and finite_index(a) == 1:
+            image = TElem.identity(a.field)
+        return n, image
+
+    monkeypatch.setattr(TElem, "norm_and_omega", to_identity)
     assert failed_group_checks() == ["omega-squared-F27"]
 
 
