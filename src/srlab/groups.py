@@ -13,6 +13,7 @@ trivial, so the formulas read the same in both characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, ClassVar, TypeVar
 
 from .errors import ConfigError
@@ -28,15 +29,22 @@ Elem = TypeVar("Elem", bound="RankOneElem")
 class RankOneElem:
     """An element of a twisted rank-one group, held as its field coordinates.
 
-    A subclass declares its coordinates as dataclass fields with the central
-    one, t, last, and sets its characteristic CHAR and its number of
-    coordinates ARITY; it supplies only its group law, inverse and norm.
-    The instance dict holds exactly the coordinates, in order, so the shared
-    methods read them off it.
+    A subclass annotates its coordinates, and nothing else, as dataclass
+    fields with the central one, t, last, and sets its characteristic CHAR;
+    it supplies only its group law, inverse and norm.  Its COORDS (the
+    coordinates of an element, as a tuple in order) and ARITY are set here
+    from those annotations.
     """
 
     CHAR: ClassVar[int]
     ARITY: ClassVar[int]
+    COORDS: ClassVar[Callable[[RankOneElem], tuple[FieldElem, ...]]]
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__["__annotations__"])
+        cls.COORDS = attrgetter(*names)
+        cls.ARITY = len(names)
 
     def __post_init__(self) -> None:
         if self.t.field.p != self.CHAR:
@@ -57,23 +65,19 @@ class RankOneElem:
         return cls(*[t.field.zero()] * (cls.ARITY - 1), t)
 
     def is_identity(self) -> bool:
-        # most elements have t != 0, and deciding on t alone leaves the
-        # instance dict unbuilt, which keeps later coordinate reads fast
-        if self.t.is_nonzero():
-            return False
-        for c in self.__dict__.values():
-            if c.is_nonzero():
+        for c in self.COORDS(self):
+            if not c.is_zero():
                 return False
         return True
 
     def agrees(self: Elem, other: Elem) -> bool:
-        for a, b in zip(self.__dict__.values(), other.__dict__.values()):
+        for a, b in zip(self.COORDS(self), other.COORDS(other)):
             if not a.agrees(b):
                 return False
         return True
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(map(str, self.__dict__.values()))})"
+        return f"{type(self).__name__}({', '.join(map(str, self.COORDS(self)))})"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -81,7 +85,6 @@ class SElem(RankOneElem):
     """Element (s, t) of the two-parameter twisted group (characteristic 2)."""
 
     CHAR = 2
-    ARITY = 2
     s: FieldElem
     t: FieldElem
 
@@ -105,7 +108,6 @@ class TElem(RankOneElem):
     """Element (r, s, t) of the three-parameter twisted group (characteristic 3)."""
 
     CHAR = 3
-    ARITY = 3
     r: FieldElem
     s: FieldElem
     t: FieldElem

@@ -69,7 +69,7 @@ def finite_index(x: RankOneElem) -> int:
     """
     q = x.t.field.q
     i = 0
-    for c in x.__dict__.values():
+    for c in x.COORDS(x):
         i = i * q + c.k
     return i
 

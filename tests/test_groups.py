@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from srlab.errors import ConfigError
+from srlab.errors import ConfigError, InsufficientPrecisionError
 from srlab.field import FieldCfg, TitsField
 from srlab.groups import (
     SElem,
@@ -39,6 +39,18 @@ def test_char_guards():
         SElem.identity(f3())
     assert repr(TElem.center(f3().from_coeff(2))) == "TElem(0, 0, 2)"
     assert repr(SElem(f2.one(), f2.zero())) == "SElem(1, 0)"
+
+
+def test_uncertified_zero_coordinates_leave_the_identity_undecided():
+    """Coordinates that are zero only below their precision raise, as is_zero does."""
+    for char, cls in ((3, TElem), (2, SElem)):
+        f = TitsField(FieldCfg(char=char))
+        x = f.parse("1*t^(0)")
+        zero = x - x
+        assert not zero.terms and zero.prec is not None
+        with pytest.raises(InsufficientPrecisionError):
+            cls(*[zero] * cls.ARITY).is_identity()
+        assert not cls.center(x).is_identity()
 
 
 def test_rand_elem_keeps_the_draws():
