@@ -410,10 +410,6 @@ class FieldElem:
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inv()
 
-    def frob(self) -> "FieldElem":
-        """Apply the Frobenius, the square of the Tits endomorphism."""
-        return self.theta().theta()
-
     def __str__(self) -> str:
         return self.emit()
 

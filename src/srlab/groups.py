@@ -30,13 +30,18 @@ class RankOneElem:
     """An element of a twisted rank-one group, held as its field coordinates.
 
     A subclass annotates its coordinates, and nothing else, as dataclass
-    fields with the central one, t, last, and sets its characteristic CHAR;
-    it supplies only its group law, inverse and norm.  Its COORDS (the
+    fields with the central one, t, last.  It sets its characteristic CHAR,
+    the weight of each coordinate in the valuation of its norm
+    (NORM_WEIGHTS) and the twisted exponent of the norm that scales each
+    coordinate under the torus action (ACTION_EXPONENTS), and it supplies
+    only its group law, inverse and norm.  Its COORDS (the
     coordinates of an element, as a tuple in order) and ARITY are set here
     from those annotations.
     """
 
     CHAR: ClassVar[int]
+    NORM_WEIGHTS: ClassVar[tuple[QuadExt, ...]]
+    ACTION_EXPONENTS: ClassVar[tuple[tuple[int, int], ...]]
     ARITY: ClassVar[int]
     COORDS: ClassVar[Callable[[RankOneElem], tuple[FieldElem, ...]]]
 
@@ -85,6 +90,8 @@ class SElem(RankOneElem):
     """Element (s, t) of the two-parameter twisted group (characteristic 2)."""
 
     CHAR = 2
+    NORM_WEIGHTS = (QuadExt(2, 1, 2), QuadExt(0, 1, 2))  # 2+sqrt2, sqrt2
+    ACTION_EXPONENTS = ((2, -1), (0, 1))
     s: FieldElem
     t: FieldElem
 
@@ -108,6 +115,8 @@ class TElem(RankOneElem):
     """Element (r, s, t) of the three-parameter twisted group (characteristic 3)."""
 
     CHAR = 3
+    NORM_WEIGHTS = (QuadExt(4, 2, 3), QuadExt(1, 1, 3), QuadExt(2))  # 4+2sqrt3, 1+sqrt3, 2
+    ACTION_EXPONENTS = ((2, -1), (-1, 1), (1, 0))
     r: FieldElem
     s: FieldElem
     t: FieldElem
@@ -175,46 +184,22 @@ class TElem(RankOneElem):
         return n, TElem(-(v * ninv), -(u * ninv), -(self.t * ninv))
 
 
-def val_norm_exact_S(a: SElem) -> ExtVal:
-    """Valuation of R(a) predicted from the component valuations."""
-    two_plus_r2 = QuadExt(2, 1, 2)
-    r2 = QuadExt(0, 1, 2)
-    return ext_min(
-        a.s.val().scale(two_plus_r2),
-        a.t.val().scale(r2),
-    )
+def val_norm_exact(a: RankOneElem) -> ExtVal:
+    """Valuation of the norm of a predicted from the component valuations:
+    the least of each coordinate's valuation scaled by the class's weight."""
+    return ext_min(*(c.val().scale(w) for c, w in zip(a.COORDS(a), a.NORM_WEIGHTS)))
 
 
-def val_norm_exact_T(a: TElem) -> ExtVal:
-    """Valuation of N(a) predicted from the component valuations."""
-    c_r = QuadExt(4, 2, 3)
-    c_s = QuadExt(1, 1, 3)
-    return ext_min(
-        a.r.val().scale(c_r),
-        a.s.val().scale(c_s),
-        a.t.val().scale(QuadExt(2)),
-    )
+def h_action(h: Elem) -> Callable[[Elem], Elem] | None:
+    """Torus action through the parameter h, which scales each coordinate on
+    the left by a twisted power of the norm n = norm(h): (u, v) ->
+    (n^(2-th) u, n^th v) for S and (w, u, v) -> (n^(2-th) w, n^(th-1) u, n v)
+    for T.
 
-
-def h_action_S(h: SElem) -> Callable[[SElem], SElem] | None:
-    """Torus action through the parameter h, as the map (u, v) -> (R^(2-th) u, R^th v).
-
-    Both scalars come from one norm R = R(h); None when R is zero.
-    """
-    rho = h.norm()
-    if rho.is_zero():
-        return None
-    a, b = rho.twisted_pow(2, -1), rho.twisted_pow(0, 1)
-    return lambda x: SElem(a * x.s, b * x.t)
-
-
-def h_action_T(h: TElem) -> Callable[[TElem], TElem] | None:
-    """Torus action through h, as the map (w, u, v) -> (N^(2-th) w, N^(th-1) u, N v).
-
-    All three scalars come from one norm N = N(h); None when N is zero.
+    Every scalar comes from that one norm; None when it is zero.
     """
     n = h.norm()
     if n.is_zero():
         return None
-    a, b = n.twisted_pow(2, -1), n.twisted_pow(-1, 1)
-    return lambda x: TElem(a * x.r, b * x.s, n * x.t)
+    cls, scalars = type(h), [n.twisted_pow(*e) for e in h.ACTION_EXPONENTS]
+    return lambda x: cls(*(c * y for c, y in zip(scalars, x.COORDS(x))))

@@ -140,9 +140,11 @@ def collect(
     """Normal form of a word given as (position, parameter) factors.
 
     Adjacent factors on the same position merge; out-of-order factors are
-    swapped through the commutator relation until positions ascend.
+    swapped through the commutator relation until positions ascend.  Zero
+    factors are dropped, and one that is zero only below its precision
+    raises InsufficientPrecisionError.
     """
-    w: WordFactors = [(pos, param) for pos, param in factors if param.is_nonzero()]
+    w: WordFactors = [(pos, param) for pos, param in factors if not param.is_zero()]
     # one pass suffices: w[:idx + 1] always ascends strictly, and every merge
     # or swap touches only w[idx:] and steps back by one
     idx = 0
@@ -150,14 +152,7 @@ def collect(
         (pi, si), (pj, tj) = w[idx], w[idx + 1]
         if pi == pj:
             merged = si + tj
-            if merged.is_nonzero():
-                w[idx : idx + 2] = [(pi, merged)]
-            else:
-                if merged.prec is not None:
-                    raise InsufficientPrecisionError(
-                        "word parameter cancels below its certified precision"
-                    )
-                w[idx : idx + 2] = []
+            w[idx : idx + 2] = [] if merged.is_zero() else [(pi, merged)]
             idx = max(idx - 1, 0)
         elif pi > pj:
             ri = system.position_root(pi)
@@ -166,7 +161,7 @@ def collect(
             tail: WordFactors = []
             for k, c in comm:
                 neg = -c
-                if neg.is_nonzero():
+                if not neg.is_zero():
                     kpos = system.root_position(k)
                     if kpos is None:
                         raise ConfigError("commutator factor left the positive span")
@@ -230,7 +225,7 @@ def m_sigma_conj(
     """Conjugate x_beta(t) by m(x_alpha(u)): torus scaling, then the standard
     reflection element at alpha, which reflects the root and keeps the
     parameter."""
-    if not u.is_nonzero():
+    if u.is_zero():
         raise ConfigError("reflection element needs a nonzero parameter")
     beta1, t1 = torus_conj(case, system, alpha, u, beta, t)
     return system.reflect_idx(alpha, beta1), t1
@@ -528,7 +523,7 @@ def ree_word(a: TElem) -> WordFactors:
         (5, -s),
         (6, r),
     ]
-    return [(pos, c) for pos, c in factors if c.is_nonzero()]
+    return [(pos, c) for pos, c in factors if not c.is_zero()]
 
 
 def _suzuki_candidates(a: SElem, lam: tuple[int, int], mu: tuple[int, int]) -> WordFactors:
@@ -544,7 +539,7 @@ def _suzuki_candidates(a: SElem, lam: tuple[int, int], mu: tuple[int, int]) -> W
         return out
 
     factors = [(1, s), (2, combo(lam)), (3, combo(mu)), (4, s)]
-    return [(pos, c) for pos, c in factors if c.is_nonzero()]
+    return [(pos, c) for pos, c in factors if not c.is_zero()]
 
 
 def _same_word(case: str, system: Rank2System, lhs: WordFactors, rhs: WordFactors) -> bool:

@@ -9,6 +9,8 @@ from srlab import cli, suites, valuation
 from srlab.cli import main, parse_config_file
 from srlab.errors import ConfigError
 from srlab.field import FieldCfg
+from srlab.groups import SElem
+from srlab.scalar import INFINITY, QuadExt
 from srlab.suites import RunConfig, run_all
 
 
@@ -86,6 +88,47 @@ def test_sampled_checks_draw_at_one_sample(monkeypatch):
     # parse-roundtrip-sqrt2/-sqrt3, then G-/B-round-trip-on-monomials
     assert parsed[2] >= 1 and parsed[3] >= 1
     assert nus["G"] >= 1 and nus["B"] >= 1
+
+
+def _wrong_from(nth, fn, wrong, counts=lambda *args: True):
+    """fn, except that its counted calls from the nth on return wrong."""
+    calls = Counter()
+
+    def patched(*args, **kwargs):
+        if counts(*args):
+            calls["n"] += 1
+            if calls["n"] >= nth:
+                return wrong
+        return fn(*args, **kwargs)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "name, nth, wrong, counts, failing, ties",
+    [
+        # rand_quad draws rationals of absolute value at most 30
+        ("parse_quad", 2, QuadExt(31), lambda *args: True,
+         ["parse-roundtrip-sqrt2", "parse-roundtrip-sqrt3"], 5),
+        ("nu_from_center", 2, INFINITY, lambda *args: True,
+         ["G-round-trip-on-monomials", "B-round-trip-on-monomials"], 5),
+        # the S norm-level function: val_norm_exact on S elements
+        ("val_norm_exact", 7, INFINITY, lambda a: isinstance(a, SElem),
+         ["S-norm-level-prevalidation"], 1),
+    ],
+)
+def test_failing_runs_keep_their_draws(tmp_path, monkeypatch, name, nth, wrong, counts, failing,
+                                       ties):
+    """A check that fails part way stops or keeps drawing as it always did:
+    the failing entries and the ties drawn before the prevalidation stopped
+    are those of `run --seed 0 --samples 5` before its checks became
+    `all()` over their draws."""
+    monkeypatch.setattr(suites, name, _wrong_from(nth, getattr(suites, name), wrong, counts))
+    code, raw = run_report(tmp_path, "f.json", ["--seed", "0", "--samples", "5"])
+    report = json.loads(raw)["suites"]
+    assert code == 1
+    assert [c["name"] for s in report.values() for c in s["checks"] if not c["ok"]] == failing
+    assert report["appendix"]["stats"]["s_prevalidation_ties"] == ties
 
 
 def test_run_jobs_deterministic(tmp_path):

@@ -17,6 +17,7 @@ from srlab.errors import (
 )
 from srlab.field import CoeffField, FieldCfg, SeriesElem, TitsField
 from srlab.scalar import INFINITY, ExtVal, QuadExt, quad_str
+from srlab.suites import RunConfig, run_suite
 
 
 def hahn(char=3, **kw):
@@ -92,7 +93,7 @@ def test_finite_mode_arithmetic():
     b = f.from_coeff(5)
     assert (a + b + a + b).is_zero()
     assert (a * a.inv()).agrees(f.one())
-    assert a.theta().theta().agrees(a.frob())
+    assert a.theta().theta().agrees(a ** f.p)
 
 
 def test_monomial_and_val():
@@ -309,7 +310,19 @@ def test_theta_on_exponents():
     # theta multiplies the exponent by sqrt(3)
     assert m.theta().val() == ExtVal.of(QuadExt(6, 1, 3))
     a = f.parse("1*t^(0) + 1*t^(1/2)")
-    assert a.theta().theta().agrees(a.frob())
+    assert a.theta().theta().agrees(a ** f.p)
+
+
+def test_twist_ring_map_check_sees_a_theta_that_does_not_square_to_frobenius(monkeypatch):
+    """With theta patched to the identity, theta is still a ring map, but its
+    square is no longer a -> a^p, and exactly the two series checks of that
+    claim fail."""
+    monkeypatch.setattr(SeriesElem, "theta", lambda self: self)
+    checks = run_suite("field", RunConfig(samples=5))["checks"]
+    assert [c["name"] for c in checks if not c["ok"]] == [
+        "hahn-char2-twist-ring-map",
+        "hahn-char3-twist-ring-map",
+    ]
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 3), (3, 3), (3, 5)])
@@ -324,7 +337,7 @@ def test_finite_results_are_interned(p, m):
         assert f.parse(a.emit()) is a
         assert -a is e[cf.negf[x]]
         assert a.theta() is e[cf.thetaf[x]]
-        assert a.frob() is e[cf.frobf[x]]
+        assert a**p is e[cf.frobf[x]]
         assert a.twisted_pow(2, 1) is e[cf.twisted_pow(x, 2, 1)]
         assert a**3 is e[cf.twisted_pow(x, 3, 0)]
         if x:

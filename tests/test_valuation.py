@@ -26,6 +26,7 @@ from srlab.valuation import (
     embedding_word,
     m_sigma_conj,
     nu_from_center,
+    ree_word,
     resolve_assignment,
     solve_suzuki_word,
     word_rho,
@@ -375,6 +376,21 @@ def test_ree_word_shape():
     # zero factors are dropped
     b = TElem(f.from_coeff(1), f.from_coeff(2), f.from_coeff(1))
     assert [pos for pos, _ in embedding_word("G", b)] == [1, 2, 5, 6]
+
+
+def test_uncertified_zero_factors_raise():
+    """A word parameter that is zero only below its precision is undecided:
+    collecting it or building a word from it raises instead of dropping it."""
+    f = hahn(3)
+    x, one = f.parse("1*t^(1)"), f.one()
+    assert x.prec is not None
+    with pytest.raises(InsufficientPrecisionError):
+        collect("G", g2(), [(1, x - x), (2, one)])
+    with pytest.raises(InsufficientPrecisionError):
+        ree_word(TElem(x - x, one, one))
+    alpha = g2().position_root(1)
+    with pytest.raises(InsufficientPrecisionError):
+        m_sigma_conj("G", g2(), alpha, x - x, alpha, one)
 
 
 def test_embedding_hom_finite_sample():
