@@ -19,6 +19,11 @@ division using dynamic arrays, heaps, and packed exponent vectors", CASC
   included, are distinct and ordered exactly as the exponents are;
 * the low 32 bits hold f, so `key_lat` decodes a key back to (e, f).
 
+`ser_mul` visits each pair of terms of its two supports (a bounded product
+only the pairs keyed below its bound).  A square, one support passed as both
+operands, visits each unordered pair once: its cross terms come in equal
+pairs, 2 c_i c_j, which vanish in characteristic 2.
+
 Every stored exponent, precisions included, keeps |e| and |f| below
 KEY_LIMIT = 2^29.  This module does not check it; `SeriesElem.__init__` in
 `srlab.field` does, for every series element it builds, and raises
@@ -134,8 +139,11 @@ def ser_mul(ta, tb, q: int, addf: list, mulf: list, bound) -> dict:
     With a bound, only terms keyed below it are formed, and both item
     sequences must be in increasing key order: each row stops at the first
     term whose key sum reaches the bound, and the rows stop once the least
-    term of `tb` does.
+    term of `tb` does.  When `ta` and `tb` are the same object the product
+    is a square, formed in one pass (`_ser_square`).
     """
+    if ta is tb:
+        return _ser_square(ta, q, addf, mulf, bound)
     out: dict = {}
     get = out.get
     if bound is None:
@@ -163,6 +171,53 @@ def ser_mul(ta, tb, q: int, addf: list, mulf: list, bound) -> dict:
             break
         row = c1 * q
         for k2, c2 in tb:
+            if k2 >= lim:
+                break
+            k = k1 + k2
+            c = mulf[row + c2]
+            prev = get(k)
+            if prev is None:
+                out[k] = c
+            else:
+                s = addf[prev * q + c]
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
+
+
+def _ser_square(ta, q: int, addf: list, mulf: list, bound) -> dict:
+    """The square of a support, visiting each unordered pair of its terms
+    once: c_i^2 at 2 k_i, and 2 c_i c_j at k_i + k_j for i < j, which
+    vanishes in characteristic 2.  With a bound, `ta` is in increasing key
+    order, and the rows stop as `ser_mul`'s do."""
+    out: dict = {}
+    get = out.get
+    items = ta if isinstance(ta, list) else list(ta)
+    if bound is None and items:
+        # above every key sum, so no row stops and the order does not matter
+        bound = 2 * max(k for k, _c in items) + 1
+    for i, (k1, c1) in enumerate(items):
+        lim = bound - k1
+        if k1 >= lim:
+            break
+        k = k1 + k1
+        c = mulf[c1 * q + c1]
+        prev = get(k)
+        if prev is None:
+            out[k] = c
+        else:
+            s = addf[prev * q + c]
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        twice = addf[c1 * q + c1]
+        if not twice:
+            continue
+        row = twice * q
+        for k2, c2 in items[i + 1:]:
             if k2 >= lim:
                 break
             k = k1 + k2

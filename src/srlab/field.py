@@ -220,13 +220,19 @@ class FieldCfg:
 class _ExpText(dict):
     """Text of one part of an exponent by its numerator n over the field's
     D, written through `quad_str` on first use and kept: see
-    `TitsField.e_text` and `TitsField.f_text`."""
+    `TitsField.e_text` and `TitsField.f_text`.  A full table (LIMIT
+    entries) is cleared before its next entry, so a long-lived field keeps
+    at most LIMIT texts per part, however widely its exponents spread."""
+
+    LIMIT = 4096
 
     def __init__(self, write) -> None:
         super().__init__()
         self.write = write
 
     def __missing__(self, n: int) -> str:
+        if len(self) >= self.LIMIT:
+            self.clear()
         text = self[n] = self.write(n)
         return text
 
@@ -410,6 +416,15 @@ class FieldElem:
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inv()
 
+    def add_product(self, sign: int, *factors: "FieldElem") -> "FieldElem":
+        """self + sign * (the product of factors, formed left to right), for a
+        sign of 1 or -1: the next summand of a sum written left to right, as
+        `self + a * b * c` or `self - a * b * c` would form it."""
+        prod = factors[0]
+        for x in factors[1:]:
+            prod = prod * x
+        return self + prod if sign > 0 else self - prod
+
     def __str__(self) -> str:
         return self.emit()
 
@@ -451,6 +466,20 @@ class FiniteElem(FieldElem):
         if other.field is not f:
             raise ValueError("elements belong to different fields")
         return f.elems[f.coeff.mulf[self.k * f.q + other.k]]
+
+    def add_product(self, sign: int, *factors: "FieldElem") -> "FieldElem":
+        """self + sign * the product of factors, in one pass over the tables."""
+        f = self.field
+        coeff, q = f.coeff, f.q
+        mulf = coeff.mulf
+        k = 1  # the index of one
+        for x in factors:
+            if x.field is not f:
+                raise ValueError("elements belong to different fields")
+            k = mulf[k * q + x.k]
+        if sign < 0:
+            k = coeff.negf[k]
+        return f.elems[coeff.addf[self.k * q + k]]
 
     def __pow__(self, e: int) -> "FieldElem":
         return self.twisted_pow(e, 0)
@@ -586,22 +615,65 @@ class SeriesElem(FieldElem):
                 ((kb, cb),) = tb.items()
                 low = (la[0] + lb[0], la[1] + lb[1])
                 return SeriesElem(f, {ka + kb: mulf[ca * f.q + cb]}, None, span, low)
-            terms = kernel.ser_mul(ta.items(), tb.items(), f.q, addf, mulf, None)
+            # a square passes one item view twice, which the kernel squares in one pass
+            ia = ta.items()
+            terms = kernel.ser_mul(ia, ia if other is self else tb.items(), f.q, addf, mulf, None)
             return SeriesElem(f, terms, None, span)
-        # the product is certified below the least of prec + the other
-        # factor's least exponent (its precision when its support is empty)
         ia, ib = self._sorted(), other._sorted()
-        prec = None
-        if pa is not None:
-            lo = ib[0][0] if ib else pb
-            if lo is not None:
-                prec = pa + lo
-        if pb is not None:
-            lo = ia[0][0] if ia else pa
-            if lo is not None and (prec is None or pb + lo < prec):
-                prec = pb + lo
+        prec = _product_prec(ia, pa, ib, pb, None)
         terms = kernel.ser_mul(ia, ib, f.q, addf, mulf, prec)
         return self._capped(terms, prec, span)
+
+    def add_product(self, sign: int, *factors: "FieldElem") -> "FieldElem":
+        """self + sign * the product of factors, with the product formed only
+        below self's precision `need`, which bounds the sum's.
+
+        The product of the first factors is formed below need less the least
+        exponents of the factors after them (its precision when a support is
+        empty), one bounded product per factor.  Every bound is an exponent
+        and is checked at the key limit.  A product left exact by exact
+        factors is not cut at the support cap, as `*` leaves it uncut.  So
+        every term below the sum's precision, that precision and every
+        support-cap cut fall where `self + a * b * c` puts them: the sum is
+        the same element.  An exact sum or an exact zero factor takes the
+        plain path.  Product terms above the sum's precision are never
+        formed, so they are not checked at the key limit.
+        """
+        f = self.field
+        need = self.prec
+        lows = []
+        for x in factors:
+            if x.field is not f:
+                raise ValueError("elements belong to different fields")
+            if x.terms:
+                lows.append(x._sorted()[0][0])
+            elif x.prec is None:
+                need = None  # an exact zero
+            else:
+                lows.append(x.prec)
+        if need is None:
+            return FieldElem.add_product(self, sign, *factors)
+        # the bound of each partial product with its span, from the last back
+        bound, span = need, self._span
+        bounds = [(bound, span)]
+        for x, lo in zip(factors[:1:-1], lows[:1:-1]):
+            bound -= lo
+            span += x._span
+            if span >= _KEY_LIMIT:
+                span = _exact_span(f, {}, bound)
+            bounds.append((bound, span))
+        q, addf, mulf = f.q, f.coeff.addf, f.coeff.mulf
+        acc = factors[0]
+        exact = acc.prec is None
+        for x, (bound, span) in zip(factors[1:], reversed(bounds)):
+            ia, ib = acc._sorted(), x._sorted()
+            prec = _product_prec(ia, acc.prec, ib, x.prec, bound)
+            terms = kernel.ser_mul(ia, ib, q, addf, mulf, prec)
+            if acc._span + x._span > span:
+                span = acc._span + x._span
+            exact = exact and x.prec is None
+            acc = SeriesElem(f, terms, prec, span) if exact else self._capped(terms, prec, span)
+        return self + acc if sign > 0 else self - acc
 
     def __pow__(self, e: int) -> "FieldElem":
         if e == 0:
@@ -751,6 +823,24 @@ class SeriesElem(FieldElem):
             f"{names[terms[k]]}*t^({e_text[e]}{f_text[g]})"
             for k, (e, g) in zip(keys, kernel.key_lats(keys, f.p))
         ])
+
+
+def _product_prec(
+    ia: list, pa: int | None, ib: list, pb: int | None, prec: int | None
+) -> int | None:
+    """The least of `prec` (None for no bound) and the precision below which
+    the product of two supports, given as sorted items with their
+    precisions, is certified: each factor's precision plus the other's least
+    exponent, or its precision when its support is empty."""
+    if pa is not None:
+        lo = ib[0][0] if ib else pb
+        if lo is not None and (prec is None or pa + lo < prec):
+            prec = pa + lo
+    if pb is not None:
+        lo = ia[0][0] if ia else pa
+        if lo is not None and (prec is None or pb + lo < prec):
+            prec = pb + lo
+    return prec
 
 
 def _exact_span(f: TitsField, terms: dict[int, int], prec: int | None) -> int:

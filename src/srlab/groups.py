@@ -107,7 +107,7 @@ class SElem(RankOneElem):
     def norm(self) -> FieldElem:
         """R(s, t) = s^(theta+2) + s t + t^theta."""
         s, t = self.s, self.t
-        return s.twisted_pow(2, 1) + s * t + t.theta()
+        return s.twisted_pow(2, 1).add_product(1, s, t) + t.theta()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -137,9 +137,12 @@ class TElem(RankOneElem):
     def _shared(self) -> tuple[FieldElem, ...]:
         """Powers and products that the norm and the pair (u, v) share.
 
-        Each is formed exactly as the formulas below would form it on its
-        own (left to right, powers by repeated multiplication), so sharing
-        them changes no term and no precision.
+        Each is formed in full, exactly as the formulas below would form it
+        on its own (left to right, powers by repeated multiplication, a
+        square in one kernel pass), so sharing them changes no term and no
+        precision.  The formulas add each summand after the first through
+        `add_product`, which forms it only below the precision of the sum
+        so far; the shared products are formed before that is known.
         """
         r, s = self.r, self.s
         tr = r.theta()
@@ -151,20 +154,25 @@ class TElem(RankOneElem):
         r, s, t = self.r, self.s, self.t
         tr, ts, tt, r2, r3, r2s, r3tr, tr2 = shared
         return (
-            r * tr * ts
-            - r * tt
-            - r3tr * s
-            - r2s * s
-            + s * ts
-            + t * t
-            - r3 * r * tr2
+            (r * tr * ts)
+            .add_product(-1, r, tt)
+            .add_product(-1, r3tr, s)
+            .add_product(-1, r2s, s)
+            .add_product(1, s, ts)
+            .add_product(1, t, t)
+            .add_product(-1, r3, r, tr2)
         )
 
     def _uv(self, shared: tuple[FieldElem, ...]) -> tuple[FieldElem, FieldElem]:
         r, s, t = self.r, self.s, self.t
         tr, ts, tt, r2, r3, r2s, r3tr, tr2 = shared
-        u = r2s - r * t + ts - r3tr
-        v = tr * ts - tt + r * s * s + s * t - r3 * tr2
+        u = r2s.add_product(-1, r, t) + ts - r3tr
+        v = (
+            (tr * ts - tt)
+            .add_product(1, r, s, s)
+            .add_product(1, s, t)
+            .add_product(-1, r3, tr2)
+        )
         return u, v
 
     def norm(self) -> FieldElem:

@@ -297,10 +297,12 @@ def _suite_groups(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     n = cfg.samples or 1000
     hf = cfg.hahn_field(3)
     t0 = time.perf_counter()
-    draws = (rand_elem(TElem, hf, rng) for _ in range(n))
+    ks = iter(range(n))
+    draws = (rand_elem(TElem, hf, rng) for _ in ks)
     rep.check("omega-squared-hahn", all(a.omega().omega().agrees(a) for a in draws))
     rep.timing["omega_hahn_seconds"] = round(time.perf_counter() - t0, 3)
-    rep.stats["omega_hahn_samples"] = n
+    # the samples drawn: a failing check stops drawing, and next(ks) is the count drawn
+    rep.stats["omega_hahn_samples"] = next(ks, n)
 
     rep.check("T-norm-anisotropic", anisotropic3 and anisotropic27)
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
@@ -339,9 +341,11 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> Non
         for k in ks
     )
     rep.check("S-norm-level-prevalidation", all(a.norm().val() == val_norm_exact(a) for a in draws))
-    rep.stats["s_prevalidation_samples"] = n_pre
-    # the ties drawn: a failing check stops drawing, and next(ks) is the count drawn
-    rep.stats["s_prevalidation_ties"] = len(range(0, next(ks, n_pre), 10))
+    # the samples and ties drawn: a failing check stops drawing, and next(ks)
+    # is the count drawn
+    drawn = next(ks, n_pre)
+    rep.stats["s_prevalidation_samples"] = drawn
+    rep.stats["s_prevalidation_ties"] = len(range(0, drawn, 10))
 
     hf3 = cfg.hahn_field(3)
     n = cfg.samples or 1000
@@ -353,12 +357,16 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> Non
     rep.stats["t_formula_ties"] = tie_count
 
     n_pairs = cfg.samples or 1000
+    drawn = n_pairs
     for tag, cls, field in (("T", TElem, hf3), ("S", SElem, hf2)):
-        draws = ((rand_elem(cls, field, rng), rand_elem(cls, field, rng)) for _ in range(n_pairs))
+        ks = iter(range(n_pairs))
+        draws = ((rand_elem(cls, field, rng), rand_elem(cls, field, rng)) for _ in ks)
         rep.check(f"{tag}-norm-level-ultrametric", all(
             not (a * b).norm().val() < ext_min(a.norm().val(), b.norm().val()) for a, b in draws
         ))
-    rep.stats["ultrametric_pairs"] = n_pairs
+        drawn = min(drawn, next(ks, n_pairs))
+    # the pairs drawn by the check that drew fewer
+    rep.stats["ultrametric_pairs"] = drawn
 
 
 # --- valuation axioms ---
@@ -466,9 +474,10 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> No
 
     hf3 = cfg.hahn_field(3)
     n = max(1, (cfg.samples or 1000) // 5)  # never pass on zero pairs
-    draws = ((rand_elem(TElem, hf3, rng), rand_elem(TElem, hf3, rng)) for _ in range(n))
+    ks = iter(range(n))
+    draws = ((rand_elem(TElem, hf3, rng), rand_elem(TElem, hf3, rng)) for _ in ks)
     rep.check("G-word-homomorphism-hahn", all(check_embedding_hom("G", a, b).ok for a, b in draws))
-    rep.stats["g_hahn_pairs"] = n
+    rep.stats["g_hahn_pairs"] = next(ks, n)  # the pairs drawn
     draws = (rand_elem(TElem, hf3, rng) for _ in range(50))
     rep.check("G-word-flip-invariance-hahn", all(check_embedding_rho("G", a).ok for a in draws))
 

@@ -9,8 +9,9 @@ from srlab import cli, suites, valuation
 from srlab.cli import main, parse_config_file
 from srlab.errors import ConfigError
 from srlab.field import FieldCfg
-from srlab.groups import SElem
-from srlab.scalar import INFINITY, QuadExt
+from srlab.groups import SElem, TElem
+from srlab.report import CheckResult
+from srlab.scalar import INFINITY, QuadExt, ext_min
 from srlab.suites import RunConfig, run_all
 
 
@@ -129,6 +130,51 @@ def test_failing_runs_keep_their_draws(tmp_path, monkeypatch, name, nth, wrong, 
     assert code == 1
     assert [c["name"] for s in report.values() for c in s["checks"] if not c["ok"]] == failing
     assert report["appendix"]["stats"]["s_prevalidation_ties"] == ties
+
+
+def test_stats_count_the_samples_a_stopped_check_drew(monkeypatch):
+    """s_prevalidation_samples, omega_hahn_samples, ultrametric_pairs and
+    g_hahn_pairs state the samples drawn, which a check that fails part way
+    leaves short of its design."""
+    in_hahn = lambda *args: any(getattr(x, "field", None) and x.field.mode == "hahn" for x in args)
+
+    def stats(suite, samples):
+        payload = suites.run_suite(suite, RunConfig(seed=0, samples=samples))
+        return payload["stats"]
+
+    assert stats("groups", 5)["omega_hahn_samples"] == 5
+    with monkeypatch.context() as m:
+        # the third round trip disagrees
+        m.setattr(TElem, "agrees", _wrong_from(3, TElem.agrees, False, in_hahn))
+        assert stats("groups", 5)["omega_hahn_samples"] == 3
+
+    passing = stats("appendix", 5)
+    assert (passing["s_prevalidation_samples"], passing["s_prevalidation_ties"]) == (50, 5)
+    assert passing["ultrametric_pairs"] == 5
+    with monkeypatch.context() as m:
+        # the S norm-level function, wrong from its 7th call on S elements
+        m.setattr(suites, "val_norm_exact", _wrong_from(
+            7, suites.val_norm_exact, INFINITY, lambda a: isinstance(a, SElem)
+        ))
+        failing = stats("appendix", 5)
+        assert (failing["s_prevalidation_samples"], failing["s_prevalidation_ties"]) == (7, 1)
+    with monkeypatch.context() as m:
+        # the fourth T pair breaks the bound; every S pair keeps it
+        calls = Counter()
+
+        def fourth_wrong(*vals):
+            calls["n"] += 1
+            return INFINITY if calls["n"] == 4 else ext_min(*vals)
+
+        m.setattr(suites, "ext_min", fourth_wrong)
+        assert stats("appendix", 5)["ultrametric_pairs"] == 4
+
+    assert stats("embedding", 20)["g_hahn_pairs"] == 4
+    with monkeypatch.context() as m:
+        m.setattr(suites, "check_embedding_hom", _wrong_from(
+            2, suites.check_embedding_hom, CheckResult(False), in_hahn
+        ))
+        assert stats("embedding", 20)["g_hahn_pairs"] == 2
 
 
 def test_run_jobs_deterministic(tmp_path):

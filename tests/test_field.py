@@ -362,6 +362,7 @@ def test_distinct_fields_do_not_mix():
             lambda: a * b,
             lambda: a / b,
             lambda: a.agrees(b),
+            lambda: a.add_product(1, a, b),
         ):
             with pytest.raises(ValueError, match="different fields"):
                 op()
@@ -392,6 +393,24 @@ def test_inverse_series_certified():
     prod = a * inv
     assert prod.agrees(f.one())
     assert not prod.is_zero()
+
+
+def test_single_term_inverse_is_certified_below_prec_less_twice_its_exponent():
+    """t^6 + O(t^40) inverts to t^-6 + O(t^28), and a field of precision 80
+    and support cap 256 agrees below 28; it has a term at 33, so a claim of
+    O(t^34) would disagree."""
+
+    def z(f):
+        x = f.monomial(6) + f.monomial(45)
+        y = f.parse("1*t^(1)")
+        return ((x + y) - y).inv()
+
+    f, wide = hahn(), hahn(precision=80, support_cap=256)
+    got, ref = z(f), z(wide)
+    assert got.prec == f.prec_key - 2 * kpy.exp_key(2 * 6, 0, 3)
+    assert f.unlat(f.unkey(got.prec)) == QuadExt(40 - 2 * 6)
+    assert got.terms == kpy.ser_trunc(ref.terms, got.prec) == {kpy.exp_key(-12, 0, 3): 1}
+    assert kpy.exp_key(2 * 33, 0, 3) in ref.terms
 
 
 def test_inverse_needs_certified_lead():
@@ -582,6 +601,22 @@ def test_products_and_theta_raise_exactly_at_the_key_limit():
             mono(top - 39, 0) * inexact
         with pytest.raises(ResourceBoundError):
             mono(top, 0) * inexact
+        # a bounded sum of products: the product of the first factors is
+        # formed below 40 less the least exponents of the later factors, and
+        # that bound is an exponent too, though the plain sum stays in range
+        one, lo = mono(0, 0), 40 - top
+        assert (inexact.add_product(1, one, one, mono(lo, 0))).val() == ExtVal.of(f.unlat((lo, 0)))
+        with pytest.raises(ResourceBoundError):
+            inexact.add_product(1, one, one, mono(lo - 1, 0))
+        assert (inexact + one * one * mono(lo - 1, 0)).terms
+        # checked also where the partial product's own precision is lower
+        assert inexact.add_product(1, inexact, one, mono(lo, 0)).terms
+        with pytest.raises(ResourceBoundError):
+            inexact.add_product(1, inexact, one, mono(lo - 1, 0))
+        g = top // 2
+        assert inexact.add_product(-1, one, one, mono(-g, 0), mono(lo + g, 0)).terms
+        with pytest.raises(ResourceBoundError):
+            inexact.add_product(-1, one, one, mono(-g, 0), mono(lo + g - 1, 0))
         # theta maps (e, f) to (p*f, e)
         g = top // p
         assert mono(5, g).theta().val() == ExtVal.of(f.unlat((p * g, 5)))
@@ -708,6 +743,22 @@ def test_emit_matches_the_term_by_term_text(denom, char, m, draws):
     text = x.emit()
     assert text == reference_text(f, lats)
     assert f.parse(text).terms == x.terms
+
+
+def test_text_tables_stay_bounded():
+    """A field that writes more distinct exponent parts than its text
+    tables hold clears them when full, and writes the same text."""
+    f = hahn(denom=1, precision=10**6)
+    limit = type(f.e_text).LIMIT
+    lats = {(e, e % 7 - 3 + 7 * (e // 7 % 3)): 1 for e in range(-limit, limit + 100)}
+    for part in range(0, len(lats), 1000):
+        chunk = dict(list(lats.items())[part:part + 1000])
+        x = f.zero()
+        for lat in chunk:
+            x = x + f.monomial(f.unlat(lat))
+        assert x.emit() == reference_text(f, chunk)
+        assert len(f.e_text) <= limit and len(f.f_text) <= limit
+    assert len(f.e_text) < limit
 
 
 def test_capped_product_text_matches_a_fresh_element():

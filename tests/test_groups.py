@@ -2,15 +2,19 @@ import random
 
 import pytest
 
-from srlab.errors import ConfigError, InsufficientPrecisionError
-from srlab.field import FieldCfg, TitsField
+from srlab import _kernel_py as kpy
+from srlab.errors import ConfigError, InsufficientPrecisionError, SrlabError
+from srlab.field import CoeffField, FieldCfg, TitsField
 from srlab.groups import SElem, TElem, h_action, val_norm_exact
 from srlab.samplers import (
+    biased_component,
     cayley_table,
     finite_elem,
     finite_elems,
     finite_index,
     rand_elem,
+    rand_lat,
+    rand_short,
 )
 from srlab.scalar import ExtVal, QuadExt
 from srlab.suites import RunConfig, run_suite
@@ -142,8 +146,8 @@ def test_norm_anisotropic_exhaustive():
         assert a.norm().is_zero() == a.is_identity()
 
 
-def hahn(char):
-    return TitsField(FieldCfg(char=char, mode="hahn", m=1))
+def hahn(char, **kw):
+    return TitsField(FieldCfg(char=char, mode="hahn", m=1, **kw))
 
 
 def test_norm_val_formula_t():
@@ -322,3 +326,165 @@ def test_norm_check_sees_a_nonzero_norm_at_the_identity(monkeypatch):
 
     monkeypatch.setattr(TElem, "norm", lifted)
     assert failed_group_checks() == ["T-norm-anisotropic"]
+
+
+# --- the bounded norm products against the plain formulas ---
+
+
+def plain_t(a):
+    """N and (u, v) of a T element by the plain formulas: every product
+    formed in full, powers by repeated multiplication."""
+    r, s, t = a.r, a.s, a.t
+    tr, ts, tt = r.theta(), s.theta(), t.theta()
+    n = (
+        r * tr * ts - r * tt - r * r * r * tr * s - r * r * s * s + s * ts + t * t
+        - r * r * r * r * (tr * tr)
+    )
+    u = r * r * s - r * t + ts - r * r * r * tr
+    v = tr * ts - tt + r * s * s + s * t - r * r * r * (tr * tr)
+    return n, (u, v)
+
+
+def plain_omega(n, uv, t):
+    ninv = n.inv()
+    u, v = uv
+    return -(v * ninv), -(u * ninv), -(t * ninv)
+
+
+def plain_r(a):
+    """R(s, t) = s^(theta+2) + s t + t^theta, every product formed in full."""
+    return a.s.twisted_pow(2, 1) + a.s * a.t + a.t.theta()
+
+
+def prod(factors):
+    out = factors[0]
+    for x in factors[1:]:
+        out = out * x
+    return out
+
+
+def outcome(fn):
+    """fn()'s value, or the type of the srlab error it raised."""
+    try:
+        return fn()
+    except SrlabError as exc:
+        return type(exc)
+
+
+def inexact_component(field, rng):
+    """An inexact coordinate: a geometric-series inverse (cut at the support
+    cap when it has more terms), a product of one, or one cancelled to an
+    empty support below its precision."""
+    x = rand_short(field, rng, 2)
+    while len(x.terms) < 2:
+        x = rand_short(field, rng, 2)
+    y = x.inv()
+    roll = rng.random()
+    if roll < 0.15:
+        return y - y
+    if roll < 0.45:
+        return y * biased_component(field, rng)
+    return y
+
+
+def mixed_component(field, rng):
+    """A coordinate of any kind: zero, exact with one to four terms (so a
+    product of two exact ones can pass a support cap of 8), or inexact."""
+    roll = rng.random()
+    if roll < 0.1:
+        return field.zero()
+    if roll < 0.3:
+        return biased_component(field, rng)
+    if roll < 0.45:
+        return rand_short(field, rng, 4)
+    return inexact_component(field, rng)
+
+
+def parity_draws(cls, field, rng, n):
+    """Exact draws, draws with mixed exact, inexact, inexact-empty and zero
+    coordinates, and (for T) omega of an exact draw, whose coordinates the
+    support cap often cuts."""
+    out = []
+    for k in range(n):
+        a = rand_elem(cls, field, rng)
+        if k % 3 == 1:
+            a = cls(*[mixed_component(field, rng) for _ in range(cls.ARITY)])
+        elif k % 3 == 2 and cls is TElem:
+            a = a.omega()
+        out.append(a)
+    return out
+
+
+def test_bounded_norm_products_equal_the_plain_formulas():
+    """N, (u, v), omega and R keep every term and every precision of the
+    plain formulas, whose products are formed in full."""
+    rng = random.Random(21)
+    seen = {"cut": 0, "empty": 0, "zero": 0}
+    for cap in (64, 8):
+        f3, f2 = hahn(3, support_cap=cap), hahn(2, support_cap=cap)
+        for a in parity_draws(TElem, f3, rng, 90):
+            n, uv = plain_t(a)
+            assert a.norm() == n
+            assert a._uv(a._shared()) == uv
+            want = outcome(lambda: plain_omega(n, uv, a.t))
+            assert outcome(lambda: TElem.COORDS(a.omega())) == want
+            for c in a.COORDS(a):
+                seen["cut"] += len(c.terms) == cap
+                seen["empty"] += not c.terms and c.prec is not None
+                seen["zero"] += not c.terms and c.prec is None
+        for a in parity_draws(SElem, f2, rng, 60):
+            assert a.norm() == plain_r(a)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_add_product_equals_the_plain_sum():
+    """self + sign * a * b * c, term for term and precision for precision,
+    on running sums and factors of every kind."""
+    rng = random.Random(22)
+    for char in (2, 3):
+        for cap in (64, 8):
+            f = hahn(char, support_cap=cap)
+            for _ in range(150):
+                acc = mixed_component(f, rng)
+                factors = [mixed_component(f, rng) for _ in range(rng.randint(1, 3))]
+                if rng.random() < 0.2:
+                    factors.append(factors[-1])  # a square
+                sign = rng.choice((1, -1))
+                plain = acc + prod(factors) if sign > 0 else acc - prod(factors)
+                assert outcome(lambda: acc.add_product(sign, *factors)) == outcome(lambda: plain)
+    # an exact product is not cut at the support cap: here the sum cancels
+    # the 9th of its 9 terms (t^4), and keeps the precision 40 of the sum
+    f = hahn(3, support_cap=8)
+    a, b = (
+        sum((f.monomial(f.unlat((e, 0))) for e in exps), f.zero())
+        for exps in ((0, 1, 2), (0, 3, 6))
+    )
+    acc = f.parse("2*t^(4)")
+    assert acc.add_product(1, a, b) == acc + a * b
+    assert len((acc + a * b).terms) == 8 and (acc + a * b).prec == f.prec_key
+    f27 = TitsField(FieldCfg(char=3, mode="finite", m=3))
+    for _ in range(200):
+        acc, *factors = (f27.from_coeff(rng.randrange(27)) for _ in range(rng.randint(2, 4)))
+        sign = rng.choice((1, -1))
+        plain = acc + prod(factors) if sign > 0 else acc - prod(factors)
+        assert acc.add_product(sign, *factors) is plain
+
+
+def test_squares_equal_the_general_product():
+    """A support passed as both operands is squared in one pass, to the
+    product the general loop forms from two distinct sequences."""
+    rng = random.Random(23)
+    for p, m in ((2, 1), (2, 3), (3, 1), (3, 3)):
+        cf = CoeffField(p, m)
+        for _ in range(200):
+            lats = {rand_lat(rng, 20): rng.randrange(1, cf.q) for _ in range(rng.randint(1, 14))}
+            items = sorted((kpy.exp_key(e, g, p), c) for (e, g), c in lats.items())
+            full = kpy.ser_mul(items, list(items), cf.q, cf.addf, cf.mulf, None)
+            view = dict(items).items()
+            assert kpy.ser_mul(view, view, cf.q, cf.addf, cf.mulf, None) == full
+            assert kpy.ser_mul(items, items, cf.q, cf.addf, cf.mulf, None) == full
+            (k1, _c1), (k2, _c2) = rng.choice(items), rng.choice(items)
+            for bound in (k1 + k2, k1 + k2 + 1, k1 + k2 - 1, 2 * items[0][0]):
+                got = kpy.ser_mul(items, items, cf.q, cf.addf, cf.mulf, bound)
+                assert got == kpy.ser_mul(items, list(items), cf.q, cf.addf, cf.mulf, bound)
+                assert got == kpy.ser_trunc(full, bound)
