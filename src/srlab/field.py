@@ -159,10 +159,8 @@ class CoeffField:
         te = p ** (self.n + 1)
         self.theta_exp = te
         self.thetaf = [0] * q
-        self.frobf = [0] * q
         for x in range(1, q):
             self.thetaf[x] = self.exp[(self.log[x] * te) % (q - 1)]
-            self.frobf[x] = self.exp[(self.log[x] * p) % (q - 1)]
 
     def mul(self, x: int, y: int) -> int:
         return self.mulf[x * self.q + y]

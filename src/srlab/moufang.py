@@ -3,8 +3,9 @@
 Points are the group elements together with one point at infinity.  The
 group acts by left translations; the inverting map omega exchanges infinity
 with the identity point and applies the norm-divided involution elsewhere.
-The derived maps rho_a act diagonally through twisted powers of the norm,
-and in finite mode the full permutation group can be enumerated by closure.
+The derived maps rho_a are checked against the torus action of
+`groups.h_action`, and in finite mode the full permutation group, read off
+the Cayley table, can be enumerated by closure.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Callable, Sequence
 
 from .errors import ConfigError, ResourceBoundError
 from .field import TitsField
-from .groups import TElem
+from .groups import TElem, h_action
 from .report import CheckResult
-from .samplers import finite_elems, finite_index
+from .samplers import cayley_table, finite_elems, finite_index
 
 Point = TElem | None  # None is the point at infinity
 
@@ -65,15 +66,11 @@ def rho_map(a: TElem) -> Callable[[Point], Point]:
 
 
 def rho_scalar_check(a: TElem, sample_points: Sequence[TElem]) -> CheckResult:
-    """rho_a acts on coordinates as (w, u, v) -> (z w, z^(th+1) u, z^(th+2) v)
-    with z = N(a)^(2-theta), and z^(th+2) recovers N(a)."""
-    act = rho_map(a)
-    n = a.norm()
-    z = n.twisted_pow(2, -1)
-    z1 = z * z.theta()
-    z2 = z * z1
-    if not z2.agrees(n):
-        return CheckResult(False, "z^(theta+2) does not recover the norm")
+    """rho_a is the torus action through a (`h_action`), whose scalar on the
+    central coordinate is the norm N(a)."""
+    act, scale = rho_map(a), h_action(a)
+    if not scale(TElem.center(a.field.one())).t.agrees(a.norm()):
+        return CheckResult(False, "the central scalar is not the norm")
     if act(None) is not None:
         return CheckResult(False, "infinity moved")
     fixed0 = act(TElem.identity(a.field))
@@ -83,12 +80,11 @@ def rho_scalar_check(a: TElem, sample_points: Sequence[TElem]) -> CheckResult:
         img = act(x)
         if img is None:
             return CheckResult(False, f"finite point sent to infinity: {x!r}")
-        want = TElem(z * x.r, z1 * x.s, z2 * x.t)
-        if not img.agrees(want):
+        if not img.agrees(scale(x)):
             return CheckResult(
                 False, "action is not the diagonal twisted scaling", {"x": repr(x)}
             )
-    return CheckResult(True, data={"z": str(z)})
+    return CheckResult(True)
 
 
 @dataclass(frozen=True)
@@ -122,19 +118,10 @@ def enumerate_group(field: TitsField, max_order: int = 500000) -> PermGroupStats
         raise ResourceBoundError(f"group closure exceeded the bound {max_order}")
     elems = finite_elems(TElem, field)
     npoints = len(elems) + 1
-
-    def key(x: Point) -> int:
-        return 0 if x is None else finite_index(x) + 1
-
-    def as_perm(f: Callable[[Point], Point]) -> tuple[int, ...]:
-        out = [0] * npoints
-        out[0] = key(f(None))
-        for i, x in enumerate(elems):
-            out[i + 1] = key(f(x))
-        return tuple(out)
-
-    gens = {as_perm(lambda x, a=a: translate(a, x)) for a in elems if not a.is_identity()}
-    gens.add(as_perm(lambda x: omega_point(field, x)))
+    # a translation fixes infinity (point 0) and sends point j + 1 to the
+    # product's index + 1; omega swaps infinity with the identity (point 1)
+    gens = {(0, *(k + 1 for k in row)) for row in cayley_table(elems)[1:]}
+    gens.add((1, 0, *(finite_index(x.omega()) + 1 for x in elems[1:])))
     identity = tuple(range(npoints))
     els: set[tuple[int, ...]] = {identity} | gens
     frontier = list(els)

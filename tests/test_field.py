@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import cache, cmp_to_key
+from functools import cache, cmp_to_key, reduce
 from math import isqrt
 
 import pytest
@@ -32,7 +32,7 @@ def test_twist_squares_to_frobenius_everywhere():
     for p, m in ((2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (3, 5)):
         cf = CoeffField(p, m)
         for x in range(cf.q):
-            assert cf.theta(cf.theta(x)) == cf.frobf[x]
+            assert cf.theta(cf.theta(x)) == reduce(cf.mul, [x] * p)
             for y in range(cf.q):
                 assert cf.theta(cf.mul(x, y)) == cf.mul(cf.theta(x), cf.theta(y))
 
@@ -337,7 +337,7 @@ def test_finite_results_are_interned(p, m):
         assert f.parse(a.emit()) is a
         assert -a is e[cf.negf[x]]
         assert a.theta() is e[cf.thetaf[x]]
-        assert a**p is e[cf.frobf[x]]
+        assert a**p is e[reduce(cf.mul, [x] * p)]
         assert a.twisted_pow(2, 1) is e[cf.twisted_pow(x, 2, 1)]
         assert a**3 is e[cf.twisted_pow(x, 3, 0)]
         if x:

@@ -182,32 +182,45 @@ def test_norm_val_formula_s():
     assert a.norm().val() == val_norm_exact(a)
 
 
+def scales_norm_twice(h, act, x) -> bool:
+    """The torus action through h multiplies the norm (N for T, R for S) by
+    the square of the norm of h."""
+    n = h.norm()
+    return act(x).norm().agrees(n * n * x.norm())
+
+
 def test_h_action_automorphism_finite():
     field = f27()
     elems = finite_elems(TElem, field)
     rng = random.Random(4)
     for _ in range(60):
-        act = h_action(elems[rng.randrange(1, len(elems))])
+        h = elems[rng.randrange(1, len(elems))]
+        act = h_action(h)
         x = elems[rng.randrange(len(elems))]
         y = elems[rng.randrange(len(elems))]
         assert act(x * y).agrees(act(x) * act(y))
+        assert scales_norm_twice(h, act, x) and scales_norm_twice(h, act, y)
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
     selems = finite_elems(SElem, f8)
     for _ in range(60):
-        act = h_action(selems[rng.randrange(1, len(selems))])
+        h = selems[rng.randrange(1, len(selems))]
+        act = h_action(h)
         x = selems[rng.randrange(len(selems))]
         y = selems[rng.randrange(len(selems))]
         assert act(x * y).agrees(act(x) * act(y))
+        assert scales_norm_twice(h, act, x) and scales_norm_twice(h, act, y)
 
 
 def test_h_action_map_serves_a_series_product_and_its_factors():
     rng = random.Random(6)
     for cls, field in ((TElem, hahn(3)), (SElem, hahn(2))):
-        act = h_action(rand_elem(cls, field, rng))
+        h = rand_elem(cls, field, rng)
+        act = h_action(h)
         assert act is not None
         for _ in range(5):
             x, y = rand_elem(cls, field, rng), rand_elem(cls, field, rng)
             assert act(x * y).agrees(act(x) * act(y))
+            assert scales_norm_twice(h, act, x) and scales_norm_twice(h, act, y)
     assert h_action(TElem.identity(hahn(3))) is None
     assert h_action(SElem.identity(hahn(2))) is None
 

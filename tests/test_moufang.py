@@ -14,6 +14,7 @@ from srlab.moufang import (
     translate,
 )
 from srlab.scalar import QuadExt
+from srlab.suites import RunConfig, run_suite
 
 
 def f3():
@@ -114,3 +115,14 @@ def test_rho_scalar_hahn_single_slot():
     ]
     a = TElem(hf.zero(), hf.zero(), hf.monomial(QuadExt(2), 2))
     assert rho_scalar_check(a, points).ok
+
+
+def test_scaling_checks_see_a_wrong_torus_table(monkeypatch):
+    """rho_a is checked against `h_action`, so a wrong but self-consistent T
+    table fails exactly the two diagonal-scaling entries."""
+    monkeypatch.setattr(TElem, "ACTION_EXPONENTS", ((1, 0), (1, 1), (2, 1)))
+    checks = run_suite("moufang", RunConfig(samples=5))["checks"]
+    assert [c["name"] for c in checks if not c["ok"]] == [
+        "scaling-map-diagonal-F27",
+        "scaling-map-diagonal-hahn",
+    ]
