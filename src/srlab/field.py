@@ -118,12 +118,16 @@ class CoeffField:
             return out
 
         digs = [to_digits(k) for k in range(q)]
-        self.addf = [0] * (q * q)
-        for x in range(q):
-            for y in range(x, q):
-                s = from_digits([(a + b) % p for a, b in zip(digs[x], digs[y])])
-                self.addf[x * q + y] = s
-                self.addf[y * q + x] = s
+        # digit-wise addition has no carries: the lowest digit of x + y is
+        # (x % p + y % p) % p, and the higher ones are the sum x // p + y // p
+        # in a row built before row x (row 0 adds nothing)
+        his = [y // p for y in range(q)]
+        los = [y % p for y in range(q)]
+        self.addf = addf = [0] * (q * q)
+        addf[:q] = range(q)
+        for x in range(1, q):
+            sub, d = addf[x // p * q:x // p * q + q], x % p
+            addf[x * q:x * q + q] = [sub[h] * p + (d + lo) % p for h, lo in zip(his, los)]
         self.negf = [from_digits([(-a) % p for a in digs[x]]) for x in range(q)]
 
         # F_p[x]/(modulus) has an element of multiplicative order q - 1
@@ -148,11 +152,12 @@ class CoeffField:
         for k, val in enumerate(walk):
             self.log[val] = k
 
+        # log x + log y < 2(q - 1), so one doubled exp table needs no reduction
+        exp2, logs = walk + walk, self.log[1:]
         self.mulf = [0] * (q * q)
         for x in range(1, q):
             lx = self.log[x]
-            for y in range(1, q):
-                self.mulf[x * q + y] = self.exp[(lx + self.log[y]) % (q - 1)]
+            self.mulf[x * q + 1:x * q + q] = [exp2[lx + ly] for ly in logs]
         self.invf = [0] * q
         for x in range(1, q):
             self.invf[x] = self.exp[(-self.log[x]) % (q - 1)]
@@ -674,10 +679,22 @@ class SeriesElem(FieldElem):
         return self + acc if sign > 0 else self - acc
 
     def __pow__(self, e: int) -> "FieldElem":
+        f = self.field
         if e == 0:
-            return self.field.one()
-        # the product starts from the first factor: a leading one * x would
-        # return x's own terms and precision, at most cut to the support cap
+            return f.one()
+        if e == f.p and self.prec is None:
+            # the Frobenius is additive in characteristic p, so an exact p-th
+            # power maps each term c t^g to c^p t^(pg): keys are linear, so
+            # p k keys pg, and no two images meet.  It is the product's
+            # element, which an exact product never cuts at the support cap.
+            p, cp, low = e, f.coeff.twisted_pow, self._low
+            if low is not None:
+                low = (p * low[0], p * low[1])
+            terms = {p * k: cp(c, p, 0) for k, c in self.terms.items()}
+            return SeriesElem(f, terms, None, self._span * p, low)
+        # every other power is a left-to-right product.  It starts from the
+        # first factor: a leading one * x would return x's own terms and
+        # precision, at most cut to the support cap
         base = self if e > 0 else self.inv()
         out = base
         for _ in range(abs(e) - 1):

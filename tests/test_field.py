@@ -16,6 +16,7 @@ from srlab.errors import (
     ResourceBoundError,
 )
 from srlab.field import CoeffField, FieldCfg, SeriesElem, TitsField
+from srlab.samplers import rand_lat
 from srlab.scalar import INFINITY, ExtVal, QuadExt, quad_str
 from srlab.suites import RunConfig, run_suite
 
@@ -76,6 +77,31 @@ def test_coeff_field_accepts_exactly_irreducible_moduli(p, m):
             assert sorted(cf.exp) == list(range(1, cf.q))
             accepted += 1
     assert accepted > 0
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 3), (3, 3), (2, 5), (3, 5)])
+def test_coeff_tables_are_digit_polynomial_arithmetic(p, m):
+    """Index k is the polynomial with base-p digits of k, and the tables are
+    sums, negatives and products of those polynomials modulo the modulus."""
+    cf = CoeffField(p, m)
+    q, mod = cf.q, cf.modulus
+    digits = [[(k // p**i) % p for i in range(m)] for k in range(q)]
+    index = {tuple(d): k for k, d in enumerate(digits)}
+
+    def mulmod(a, b):
+        out = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        for d in range(2 * m - 2, m - 1, -1):
+            out[d - m:d] = [c - out[d] * r for c, r in zip(out[d - m:d], mod)]
+        return tuple(c % p for c in out[:m])
+
+    for x, dx in enumerate(digits):
+        assert cf.negf[x] == index[tuple(-a % p for a in dx)]
+        sums = [tuple((a + b) % p for a, b in zip(dx, dy)) for dy in digits]
+        assert cf.addf[x * q:x * q + q] == [index[s] for s in sums]
+        assert cf.mulf[x * q:x * q + q] == [index[mulmod(dx, dy)] for dy in digits]
 
 
 def test_bad_modulus_rejected():
@@ -377,6 +403,72 @@ def test_twisted_pow():
     assert a.twisted_pow(0, 0).agrees(f.one())
 
 
+def frobenius_draws(f, rng):
+    """Exact elements: zero, one, monomials, random sums, and sums on an
+    arithmetic progression of exponents, whose products by themselves have
+    cross terms that meet and cancel (in (1 + t + t^2)^2, say)."""
+
+    def mono(lat):
+        return f.monomial(f.unlat(lat), rng.randrange(1, f.q))
+
+    draws = [f.zero(), f.one(), sum((f.monomial(k) for k in range(3)), f.zero())]
+    for _ in range(40):
+        draws.append(mono(rand_lat(rng, 20)))
+        draws.append(sum((mono(rand_lat(rng, 20)) for _ in range(rng.randint(2, 12))), f.zero()))
+    for _ in range(20):
+        (e, g), (de, dg) = rand_lat(rng, 20), rand_lat(rng, 3)
+        n = rng.randint(2, 8)
+        draws.append(sum((mono((e + k * de, g + k * dg)) for k in range(n)), f.zero()))
+    assert all(a.prec is None for a in draws)
+    return draws
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 3), (3, 3)])
+def test_exact_pth_power_is_the_product(p, m):
+    """An exact a ** p maps each term c t^g to c^p t^(pg): the element that
+    p - 1 general products form, with the same span and least exponent.
+    Over F_p every c^p is c, so only m = 3 sees the coefficient map."""
+    f = TitsField(FieldCfg(char=p, mode="hahn", m=m))
+    rng = random.Random(29 + p + m)
+    for a in frobenius_draws(f, rng):
+        copy = a + f.zero()  # a distinct element, so `*` takes the general loop
+        product = reduce(lambda x, y: x * y, [a] + [copy] * (p - 1))
+        power = a**p
+        assert power == product
+        assert power._span == product._span
+        assert power.val() == product.val()
+        assert power._low in (None, kpy.ser_min(power.terms, p))
+
+
+def test_inexact_powers_keep_the_product():
+    """An inexact x ** e is the left-to-right product, in terms and
+    precision, including where the support cap cuts it."""
+    rng = random.Random(31)
+    for p in (2, 3):
+        for f in (hahn(char=p), hahn(char=p, support_cap=8)):
+            for a in frobenius_draws(f, rng)[1:]:
+                x = f.parse(a.emit())
+                assert x.prec is not None
+                want = x * x
+                assert x**2 == want
+                assert x**3 == want * x
+
+
+def test_exact_pth_power_forms_no_product(monkeypatch):
+    calls = []
+    ser_mul = kpy.ser_mul
+    monkeypatch.setattr(kpy, "ser_mul", lambda *args: calls.append(1) or ser_mul(*args))
+    for p in (2, 3):
+        f = hahn(char=p)
+        exact = f.monomial(0) + f.monomial(Fraction(1, 2), p - 1) + f.monomial(3)
+        inexact = f.parse(exact.emit())
+        calls.clear()
+        exact**p
+        assert calls == []
+        inexact**p
+        assert len(calls) == p - 1
+
+
 def test_inverse_monomial_exact():
     f = hahn()
     m = f.monomial(QuadExt(Fraction(5, 2), -1, 3), 2)
@@ -625,6 +717,15 @@ def test_products_and_theta_raise_exactly_at_the_key_limit():
             mono(0, g + 1).theta()
         with pytest.raises(ResourceBoundError):
             (mono(1, 0) + mono(0, -g - 1)).theta()
+        # an exact p-th power maps (e, f) to (p*e, p*f) and raises where the
+        # p - 1 products raise
+        assert (mono(g, 0) ** p).val() == ExtVal.of(f.unlat((p * g, 0)))
+        assert ((mono(-1, -g) + mono(5, 0)) ** p).val() == ExtVal.of(f.unlat((-p, -p * g)))
+        for x in (mono(g + 1, 0), mono(0, -g - 1), mono(1, 0) + mono(-g - 1, 2)):
+            with pytest.raises(ResourceBoundError):
+                x**p
+            with pytest.raises(ResourceBoundError):
+                reduce(lambda y, z: y * z, [x] * p)
         # one-term inexact inverse: t^e + O(t^(e + 40)) inverts to
         # t^-e + O(t^(40 - e)), so its precision moves to prec - 2e
         one = f.parse("1*t^(0)")

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from srlab.errors import UnsupportedAngleError
-from srlab.roots import QuadExt, angle_from_gram, dot, get_system
+from srlab.roots import FoldedSystem, QuadExt, angle_from_gram, dot, get_system
+from srlab.suites import RunConfig, run_suite
 
 KINDS = ("A1", "B2", "G2", "F4")
 
@@ -281,3 +282,14 @@ def test_folded_reflection_involutive():
     for i in range(folded.count):
         for j in range(folded.count):
             assert folded.reflect_idx(i, folded.reflect_idx(i, j)) == j
+
+
+def test_folding_check_sees_a_reflection_map_that_is_not_the_reflection(monkeypatch):
+    """(2m + 3 - i) mod c is an involution in i, but on the 16 rays of F4 it
+    is not the reflection s_m; on the two rays of B2 and G2 it is."""
+    def fault(self, m, i):
+        return (2 * m + 3 - i) % self.count
+
+    monkeypatch.setattr(FoldedSystem, "reflect_idx", fault)
+    checks = run_suite("folding", RunConfig(samples=5))["checks"]
+    assert [c["name"] for c in checks if not c["ok"]] == ["folded-reflections-involutive"]
