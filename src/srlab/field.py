@@ -31,16 +31,16 @@ from .scalar import INFINITY, ExtVal, QuadExt, quad_str, read_int
 
 Lat = tuple[int, int]
 
-_DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 1): (0, 1),
-    (3, 1): (0, 1),
+# the supported coefficient fields F_{p^m}, each by a primitive modulus
+# (coefficients lowest first, monic), so x generates its multiplicative group
+_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
+    (2, 1): (1, 1),            # x + 1
     (2, 3): (1, 1, 0, 1),      # x^3 + x + 1
     (2, 5): (1, 0, 1, 0, 0, 1),  # x^5 + x^2 + 1
+    (3, 1): (1, 1),            # x + 1
     (3, 3): (1, 2, 0, 1),      # x^3 + 2x + 1
     (3, 5): (1, 2, 0, 0, 0, 1),  # x^5 + 2x + 1
 }
-
-_MAX_ORDER = 243
 
 # a coefficient: a prime-subfield digit or a generator power g[^k]
 _COEFF = r"(([0-9]+)|g(?:\^([+-]?[0-9]+))?)"
@@ -57,103 +57,55 @@ _FINITE = re.compile(_COEFF)
 _KEY_LIMIT = kernel.KEY_LIMIT
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], p: int, mod: tuple[int, ...]) -> list[int]:
-    m = len(mod) - 1
-    out = [0] * (len(a) + len(b) - 1 or 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce by the monic modulus
-    for d in range(len(out) - 1, m - 1, -1):
-        c = out[d]
-        if c:
-            out[d] = 0
-            for k in range(m):
-                out[d - m + k] = (out[d - m + k] - c * mod[k]) % p
-    return _poly_trim(out)
-
-
 class CoeffField:
     """F_{p^m} with element indices encoding base-p digit polynomials."""
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None) -> None:
-        if p not in (2, 3):
-            raise ConfigError(f"characteristic must be 2 or 3, got {p}")
-        if m < 1 or m % 2 == 0:
-            raise ConfigError(f"coefficient degree must be odd and positive, got {m}")
-        q = p**m
-        if q > _MAX_ORDER:
-            raise ConfigError(f"field order {q} exceeds the supported bound {_MAX_ORDER}")
+    def __init__(self, p: int, m: int) -> None:
+        modulus = _MODULI.get((p, m))
         if modulus is None:
-            modulus = _DEFAULT_MODULI.get((p, m))
-            if modulus is None:
-                raise ConfigError(f"no default modulus for p={p}, m={m}")
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[m] != 1:
-            raise ConfigError("modulus must be monic of degree m")
+            raise ConfigError(
+                f"no coefficient field for p={p}, m={m}; supported (p, m): "
+                + ", ".join(map(str, _MODULI))
+            )
         self.p = p
         self.m = m
-        self.q = q
+        self.q = q = p**m
         self.modulus = modulus
         self.n = (m - 1) // 2
 
-        def to_digits(k: int) -> list[int]:
-            out = []
-            for _ in range(m):
-                out.append(k % p)
-                k //= p
-            return out
-
-        def from_digits(d: list[int]) -> int:
-            out = 0
-            for c in reversed(d[:m] + [0] * (m - len(d))):
-                out = out * p + c
-            return out
-
-        digs = [to_digits(k) for k in range(q)]
         # digit-wise addition has no carries: the lowest digit of x + y is
         # (x % p + y % p) % p, and the higher ones are the sum x // p + y // p
-        # in a row built before row x (row 0 adds nothing)
+        # in a row built before row x (row 0 adds nothing); negation likewise
         his = [y // p for y in range(q)]
         los = [y % p for y in range(q)]
         self.addf = addf = [0] * (q * q)
         addf[:q] = range(q)
+        self.negf = negf = [0] * q
         for x in range(1, q):
             sub, d = addf[x // p * q:x // p * q + q], x % p
             addf[x * q:x * q + q] = [sub[h] * p + (d + lo) % p for h, lo in zip(his, los)]
-        self.negf = [from_digits([(-a) % p for a in digs[x]]) for x in range(q)]
+            negf[x] = negf[x // p] * p + -x % p
 
-        # F_p[x]/(modulus) has an element of multiplicative order q - 1
-        # exactly when the modulus is irreducible, so the search for a
-        # generator also certifies the modulus; its walk fills exp and log.
-        for cand in range(1, q):
-            cp = _poly_trim(digs[cand][:])
-            power = [1]
-            walk = []
-            for _ in range(q - 1):
-                walk.append(from_digits(power))
-                power = _poly_mulmod(power, cp, p, modulus)
-                if power == [1]:
-                    break
-            if power == [1] and len(walk) == q - 1:
-                break
-        else:
-            raise ConfigError("modulus is reducible")
-        self.generator = cand
-        self.exp = walk
+        # x * a shifts a's digits up one place and adds back its top digit c
+        # times x^m, which is -c times the modulus below x^m; the walk of x's
+        # powers from 1 fills exp and log, and returns to 1 after exactly
+        # q - 1 steps only when x generates, which certifies the modulus
+        top = p ** (m - 1)
+        back = [sum(-c * r % p * p**i for i, r in enumerate(modulus[:m])) for c in range(p)]
+        exp = [1]
+        for _ in range(q - 1):
+            a = exp[-1]
+            exp.append(addf[a % top * p * q + back[a // top]])
+        if exp.pop() != 1 or exp.count(1) > 1:
+            raise ConfigError("modulus is not primitive")
+        self.generator = exp[1] if q > 2 else 1  # x, which is 1 in F2
+        self.exp = exp
         self.log = [0] * q
-        for k, val in enumerate(walk):
+        for k, val in enumerate(exp):
             self.log[val] = k
 
         # log x + log y < 2(q - 1), so one doubled exp table needs no reduction
-        exp2, logs = walk + walk, self.log[1:]
+        exp2, logs = exp + exp, self.log[1:]
         self.mulf = [0] * (q * q)
         for x in range(1, q):
             lx = self.log[x]

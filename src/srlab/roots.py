@@ -307,6 +307,8 @@ class FoldedSystem:
         for r in self.projection.values():
             mult[r] += 1
         self.multiplicities = mult
+        # every exact product of two rays, read by the angle and reflection checks
+        self.gram = [[dot(u, v) for v in self.rays] for u in self.rays]
         self.kind = "I8" if self.count == 16 else "A1"
         if self.kind == "A1" and self.count != 2:
             raise ConfigError(f"unexpected folded ray count {self.count}")
@@ -340,9 +342,8 @@ class FoldedSystem:
 
     def cos2_between(self, i: int, j: int) -> QuadExt:
         """Exact squared cosine between rays i and j."""
-        wi, wj = self.ray(i), self.ray(j)
-        d = dot(wi, wj)
-        return (d * d) / (dot(wi, wi) * dot(wj, wj))
+        g, i, j = self.gram, i % self.count, j % self.count
+        return (g[i][j] * g[i][j]) / (g[i][i] * g[j][j])
 
     def preimages(self, idx: int) -> list[int]:
         idx %= self.count

@@ -24,7 +24,7 @@ from .field import FieldCfg, FieldElem, TitsField
 from .groups import SElem, TElem, h_action, val_norm_exact
 from .moufang import enumerate_group, rho_scalar_check
 from .report import CheckResult, SuiteReport
-from .roots import FoldedSystem, dot, get_system
+from .roots import FoldedSystem, get_system
 from .samplers import (
     cayley_table,
     finite_elem,
@@ -198,18 +198,17 @@ def _suite_folding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
     # reflect_idx(m, .) is an involution, and it is the reflection
     # s_m(w) = w - 2 (w.w_m)/(w_m.w_m) w_m on the rays: s_m(w_i) points along
     # ray k = reflect_idx(m, i) when its product d with w_k is positive and
-    # d^2 = |s_m(w_i)|^2 |w_k|^2, where |s_m(w_i)|^2 = |w_i|^2.  One Gram
-    # matrix per fold holds every product this reads.
-    def reflects(f: FoldedSystem, gram: list, m: int, i: int) -> bool:
-        k = f.reflect_idx(m, i)
+    # d^2 = |s_m(w_i)|^2 |w_k|^2, where |s_m(w_i)|^2 = |w_i|^2.  The fold's
+    # Gram matrix holds every product this reads.
+    def reflects(f: FoldedSystem, m: int, i: int) -> bool:
+        k, gram = f.reflect_idx(m, i), f.gram
         gm, gi = gram[m], gram[i]
         d = gi[k] - (gi[m] + gi[m]) / gm[m] * gm[k]
         return d.sign() > 0 and d * d == gi[i] * gram[k][k]
 
-    grams = [(f, [[dot(u, v) for v in f.rays] for u in f.rays]) for f in folded.values()]
     rep.check("folded-reflections-involutive", all(
-        f.reflect_idx(m, f.reflect_idx(m, i)) == i and reflects(f, gram, m, i)
-        for f, gram in grams
+        f.reflect_idx(m, f.reflect_idx(m, i)) == i and reflects(f, m, i)
+        for f in folded.values()
         for m in range(f.count)
         for i in range(f.count)
     ))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlab import _kernel_py as kpy
+from srlab import field
 from srlab.errors import (
     ConfigError,
     InsufficientPrecisionError,
@@ -39,13 +40,17 @@ def test_twist_squares_to_frobenius_everywhere():
 
 
 def test_generator_order():
-    cf = CoeffField(3, 3)
-    seen = set()
-    x = 1
-    for _ in range(cf.q - 1):
-        seen.add(x)
-        x = cf.mul(x, cf.generator)
-    assert len(seen) == cf.q - 1
+    """The generator is x: index p for m > 1, and x = -1 = p - 1 for m = 1."""
+    for p, m in ((2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (3, 5)):
+        cf = CoeffField(p, m)
+        assert cf.generator == (p if m > 1 else p - 1)
+        seen = set()
+        x = 1
+        for _ in range(cf.q - 1):
+            seen.add(x)
+            x = cf.mul(x, cf.generator)
+        assert x == 1
+        assert len(seen) == cf.q - 1
 
 
 def _has_low_degree_factor(mod, p):
@@ -64,19 +69,28 @@ def _has_low_degree_factor(mod, p):
     return False
 
 
-@pytest.mark.parametrize("p, m", [(2, 3), (3, 3), (2, 5)])
-def test_coeff_field_accepts_exactly_irreducible_moduli(p, m):
-    accepted = 0
-    for k in range(p**m):
-        mod = tuple((k // p**i) % p for i in range(m)) + (1,)
-        if _has_low_degree_factor(mod, p):
-            with pytest.raises(ConfigError, match="modulus is reducible"):
-                CoeffField(p, m, mod)
-        else:
-            cf = CoeffField(p, m, mod)
-            assert sorted(cf.exp) == list(range(1, cf.q))
-            accepted += 1
-    assert accepted > 0
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (3, 5)])
+def test_coeff_field_walk_certifies_its_modulus(p, m):
+    """Each table modulus is irreducible, and x's walk visits every nonzero index."""
+    mod = field._MODULI[p, m]
+    assert not _has_low_degree_factor(mod, p)
+    cf = CoeffField(p, m)
+    assert cf.modulus == mod
+    assert sorted(cf.exp) == list(range(1, cf.q))
+
+
+@pytest.mark.parametrize(
+    "p, mod, irreducible",
+    [
+        (2, (1, 0, 0, 1), False),  # x^3 + 1 = (x + 1)(x^2 + x + 1)
+        (3, (2, 0, 1, 1), True),  # x^3 + x^2 + 2: x has order 13, not 26
+    ],
+)
+def test_coeff_field_rejects_a_non_primitive_modulus(monkeypatch, p, mod, irreducible):
+    assert _has_low_degree_factor(mod, p) is not irreducible
+    monkeypatch.setitem(field._MODULI, (p, 3), mod)
+    with pytest.raises(ConfigError, match="modulus is not primitive"):
+        CoeffField(p, 3)
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 3), (3, 3), (2, 5), (3, 5)])
@@ -105,12 +119,12 @@ def test_coeff_tables_are_digit_polynomial_arithmetic(p, m):
 
 
 def test_bad_modulus_rejected():
-    with pytest.raises(ConfigError):
-        CoeffField(2, 3, (1, 0, 0, 1))  # x^3 + 1 = (x + 1)(x^2 + x + 1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="supported"):
         CoeffField(3, 2)  # even extension degree has no twist
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="supported"):
         CoeffField(5, 1)
+    with pytest.raises(ConfigError, match="supported"):
+        CoeffField(2, 7)  # beyond the table of moduli
 
 
 def test_finite_mode_arithmetic():
