@@ -22,7 +22,7 @@ from .roots import get_system
 from .suites import SUITE_NAMES, RunConfig, run_all
 from .valuation import CASES
 
-_COUNT_KEYS = {"samples", "jobs", "field.denom", "field.precision", "field.support_cap"}
+_COUNT_KEYS = {"samples", "field.denom", "field.precision", "field.support_cap"}
 _CONFIG_KEYS = _COUNT_KEYS | {"case", "seed", "suites", "out", "timings"}
 _CASES = tuple(CASES)
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -133,7 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--samples", type=int, help="override documented sample counts")
     run.add_argument("--seed", type=int, help=f"run seed (default SRLAB_SEED or {RunConfig.seed})")
     run.add_argument("--out", help="write the report to this path instead of stdout")
-    run.add_argument("--jobs", type=int, help="worker threads across suites (default: none, suites run in turn)")
+    # suites run in turn in one thread; the flag is kept, hidden and taking only
+    # 1, because the srlab-run workload passes it (perfbench/workloads.py:283)
+    run.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     run.add_argument("--config", help="key=value config file")
     run.add_argument("--timings", action="store_true", default=None, help="attach wall-clock timings to the report")
 
@@ -169,14 +171,15 @@ def _check_out_folder(out: str) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """Each setting is its flag, then its config file value, then the default
-    of `RunConfig` or `run_all`."""
+    of `RunConfig`."""
+    if args.jobs not in (None, 1):
+        raise ConfigError(f"jobs must be 1, got {args.jobs}")
     file_cfg = parse_config_file(args.config) if args.config else {}
     settings = {key.removeprefix("field."): value for key, value in file_cfg.items()}
     flags = {
         "case": args.case,
         "samples": _count(args.samples, "samples"),
         "seed": args.seed,
-        "jobs": _count(args.jobs, "jobs"),
         "suites": args.suite and _distinct(args.suite),
         "out": args.out or None,  # an empty --out counts as not given
         "timings": args.timings,
@@ -188,8 +191,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if out:
         _check_out_folder(out)
     suites = settings.pop("suites", None)
-    jobs = {"jobs": settings.pop("jobs")} if "jobs" in settings else {}
-    report = run_all(RunConfig(**settings), suites, **jobs)
+    report = run_all(RunConfig(**settings), suites)
     _emit(render_report(report), out)
     return 0 if report["ok"] else 1
 

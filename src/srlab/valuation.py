@@ -72,13 +72,6 @@ _G2_PRINTED_SIGNS = {
 }
 
 
-@functools.cache
-def _g2_comm_signs() -> dict[tuple[int, int, int], int]:
-    """The printed signs keyed by root indices (i, j, k), built on first use."""
-    pos = get_system("G2").position_root
-    return {(pos(a), pos(b), pos(c)): sign for (a, b, c), sign in _G2_PRINTED_SIGNS.items()}
-
-
 # interval coefficient -> twisted exponent (m, n): 1, 2, sqrt(p) -> 1, 2, theta
 _WEIGHT_EXP = {
     p: {QuadExt(1): (1, 0), QuadExt(2): (2, 0), QuadExt.sqrt(p): (0, 1)} for p in (2, 3)
@@ -116,7 +109,10 @@ def _factor_recipe(
 ) -> tuple[tuple[int, tuple[int, int], tuple[int, int], bool], ...]:
     """(k, twisted exponents of s, of t, negate) for each interval root of
     (i, j) whose two coefficients are both weights, in interval order."""
-    signs = _g2_comm_signs() if p == 3 else {}
+    signs = {}
+    if p == 3:  # the hexagonal system: printed signs keyed by root index
+        pos = system.position_root
+        signs = {(pos(a), pos(b), pos(c)): sign for (a, b, c), sign in _G2_PRINTED_SIGNS.items()}
     weights = _WEIGHT_EXP[p]
     out = []
     for k, pc, qc in system.interval(i, j):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from srlab.field import FieldCfg
 from srlab.groups import SElem, TElem
 from srlab.report import CheckResult
 from srlab.scalar import INFINITY, QuadExt, ext_min
-from srlab.suites import RunConfig, run_all
+from srlab.suites import RunConfig, run_all, run_suite
+from srlab.valuation import check_v3
 
 
 def run_report(tmp_path, name, argv):
@@ -177,11 +180,18 @@ def test_stats_count_the_samples_a_stopped_check_drew(monkeypatch):
         assert stats("embedding", 20)["g_hahn_pairs"] == 2
 
 
-def test_run_jobs_deterministic(tmp_path):
-    args = ["--suite", "scalars", "--suite", "roots", "--suite", "folding", "--samples", "25"]
-    _, serial = run_report(tmp_path, "s.json", args)
-    _, parallel = run_report(tmp_path, "p.json", [*args, "--jobs", "3"])
-    assert serial == parallel
+def test_each_conjugation_draw_is_checked_once(monkeypatch):
+    """The self-shift entry reads the diagonal draws the conjugation entry
+    checked: one check_v3 call per root pair, 4^2 for B2 and 6^2 for G2."""
+    calls = Counter()
+
+    def counted(*args):
+        calls["n"] += 1
+        return check_v3(*args)
+
+    monkeypatch.setattr(suites, "check_v3", counted)
+    assert suites.run_suite("valuation-axioms", RunConfig(seed=0, samples=5))["ok"]
+    assert calls["n"] == 16 + 36
 
 
 def test_run_report_shape(tmp_path):
@@ -264,7 +274,7 @@ def test_config_file_rejects_repeated_key(tmp_path):
 def test_config_file_rejects_non_integer_value(tmp_path):
     cfg = tmp_path / "bad.cfg"
     out = tmp_path / "x.json"
-    for key in ("seed", "samples", "jobs", "field.denom", "field.precision", "field.support_cap"):
+    for key in ("seed", "samples", "field.denom", "field.precision", "field.support_cap"):
         cfg.write_text(f"suites = scalars\n{key} = x\n")
         with pytest.raises(ConfigError) as err:
             parse_config_file(str(cfg))
@@ -344,7 +354,7 @@ def test_suite_flag_named_twice_exits_two(tmp_path, capsys):
         ([], "field.denom = -3\n"),
         ([], "field.support_cap = 0\n"),
     ],
-    ids=["samples-flag-negative", "samples-flag-zero", "samples-zero", "jobs-negative",
+    ids=["samples-flag-negative", "samples-flag-zero", "samples-zero", "jobs-key-unknown",
          "precision-zero", "denom-negative", "support-cap-zero"],
 )
 def test_count_settings_below_one_exit_two(tmp_path, flags, config):
@@ -360,13 +370,11 @@ def test_count_settings_below_one_exit_two(tmp_path, flags, config):
     [
         ("samples", []),
         ("samples", ["--samples", "3"]),
-        ("jobs", ["--jobs", "1"]),
         ("field.precision", []),
         ("field.denom", []),
         ("field.support_cap", []),
     ],
-    ids=["samples", "samples-flag-given", "jobs-flag-given", "precision", "denom",
-         "support-cap"],
+    ids=["samples", "samples-flag-given", "precision", "denom", "support-cap"],
 )
 def test_config_count_below_one_names_file_and_line(tmp_path, capsys, key, flags):
     cfg = tmp_path / "run.cfg"
@@ -396,20 +404,26 @@ def test_config_field_settings_checked_when_read(tmp_path, capsys, line, message
     assert not out.exists()
 
 
-def test_explicit_jobs_one_wins_over_config(tmp_path, monkeypatch):
-    seen = []
+def test_suites_run_in_turn_on_the_calling_thread(tmp_path, monkeypatch):
+    threads = []
 
-    def record_jobs(cfg, suites, jobs):
-        seen.append(jobs)
-        return run_all(cfg, suites, jobs=jobs)
+    def record_thread(name, cfg):
+        threads.append(threading.get_ident())
+        return run_suite(name, cfg)
 
-    monkeypatch.setattr(cli, "run_all", record_jobs)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("suites = scalars\nsamples = 5\njobs = 2\n")
+    monkeypatch.setattr(suites, "run_suite", record_thread)
     out = tmp_path / "j.json"
-    assert main(["run", "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 0
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert seen == [1, 2]
+    argv = ["run", "--suite", "scalars", "--suite", "folding", "--samples", "5", "--out", str(out)]
+    assert main(argv) == 0
+    assert main([*argv, "--jobs", "1"]) == 0
+    assert threads == [threading.get_ident()] * 4
+    out.unlink()
+    assert main([*argv, "--jobs", "2"]) == 2
+    assert len(threads) == 4 and not out.exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jobs = 1\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}:1: unknown config key 'jobs'")):
+        parse_config_file(str(cfg))
 
 
 @pytest.mark.parametrize(
@@ -442,9 +456,9 @@ def test_enumerate_beyond_default_bound_exits_one_at_once(tmp_path, capsys):
 def test_config_field_settings_reach_the_run(tmp_path, monkeypatch):
     seen = []
 
-    def record_cfg(cfg, suites, **kwargs):
+    def record_cfg(cfg, suites):
         seen.append(cfg)
-        return run_all(cfg, suites, **kwargs)
+        return run_all(cfg, suites)
 
     monkeypatch.setattr(cli, "run_all", record_cfg)
     cfg = tmp_path / "run.cfg"

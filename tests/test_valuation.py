@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from srlab import valuation
 from srlab.errors import InsufficientPrecisionError, ResourceBoundError, UnsupportedAngleError
 from srlab.field import FieldCfg, TitsField
 from srlab.groups import TElem
@@ -29,6 +30,7 @@ from srlab.valuation import (
     ree_word,
     resolve_assignment,
     solve_suzuki_word,
+    torus_conj,
     word_rho,
     words_agree,
 )
@@ -423,3 +425,88 @@ def test_suzuki_word_checks():
         assert check_embedding_rho("B", a).ok
         for b in elems[:5]:
             assert check_embedding_hom("B", a, b).ok
+
+
+# (case, m) of the finite fields the word checks below run over
+F3_G, F27_G, F8_B = ("G", 1), ("G", 3), ("B", 3)
+
+
+def rand_word(f, system, rng, length):
+    """`length` factors on random positive positions, with nonzero parameters."""
+    return [
+        (rng.randint(1, system.n), f.from_coeff(rng.randrange(1, f.q))) for _ in range(length)
+    ]
+
+
+def finite_case(case, m):
+    system = ambient_system(case)
+    return TitsField(FieldCfg(char=valuation.case_char(case), mode="finite", m=m)), system
+
+
+def torus_image(case, system, alpha, u, word):
+    """Each factor of `word` conjugated by the torus element h_alpha(u)."""
+    out = []
+    for pos, t in word:
+        root, t = torus_conj(case, system, alpha, u, system.position_root(pos), t)
+        out.append((system.root_position(root), t))
+    return out
+
+
+def torus_mismatches(case, m, words=300, seed=5):
+    """Words whose collection does not commute with conjugation by h_alpha(u),
+    for a uniform root alpha and a nonzero u per word."""
+    f, system = finite_case(case, m)
+    rng = random.Random(seed)
+    bad = 0
+    for _ in range(words):
+        word = rand_word(f, system, rng, 4)
+        alpha, u = rng.randrange(system.count), f.from_coeff(rng.randrange(1, f.q))
+        got = collect(case, system, torus_image(case, system, alpha, u, word))
+        want = torus_image(case, system, alpha, u, collect(case, system, word))
+        bad += not words_agree(got, want)
+    return bad
+
+
+@pytest.mark.parametrize("case_m", [F27_G, F8_B], ids=["G", "B"])
+def test_torus_conjugation_commutes_with_collection(case_m):
+    assert torus_mismatches(*case_m) == 0
+
+
+@pytest.mark.parametrize(
+    "p, angle, wrong",
+    [(3, 150, (0, -1)), (3, 30, (0, 1)), (3, 120, (-1, 0)), (2, 135, (0, -1))],
+    ids=["G-150", "G-30", "G-120", "B-135"],
+)
+def test_torus_check_sees_a_wrong_weight(monkeypatch, p, angle, wrong):
+    monkeypatch.setitem(valuation._TORUS_EXP[p], angle, wrong)
+    assert torus_mismatches(*(F27_G if p == 3 else F8_B)) > 0
+
+
+def associativity_failures(case, m, triples, seed=11):
+    """Triples of collected 3-factor words a, b, c whose two bracketings
+    collect(collect(a + b) + c) and collect(a + collect(b + c)) disagree."""
+    f, system = finite_case(case, m)
+    rng = random.Random(seed)
+    bad = 0
+    for _ in range(triples):
+        a, b, c = (collect(case, system, rand_word(f, system, rng, 3)) for _ in range(3))
+        left = collect(case, system, collect(case, system, a + b) + c)
+        right = collect(case, system, a + collect(case, system, b + c))
+        bad += not words_agree(left, right)
+    return bad
+
+
+@pytest.mark.parametrize("case_m, triples", [(F3_G, 1000), (F8_B, 300)], ids=["G", "B"])
+def test_collection_is_associative(case_m, triples):
+    assert associativity_failures(*case_m, triples) == 0
+
+
+def test_associativity_sees_each_flipped_printed_sign(monkeypatch):
+    for key, sign in valuation._G2_PRINTED_SIGNS.items():
+        valuation._factor_recipe.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setitem(valuation._G2_PRINTED_SIGNS, key, -sign)
+                assert associativity_failures(*F3_G, 1000) > 0, key
+        finally:
+            valuation._factor_recipe.cache_clear()
