@@ -22,6 +22,10 @@ from .samplers import cayley_table, finite_elems, finite_index
 
 Point = TElem | None  # None is the point at infinity
 
+# the largest group `enumerate_group` closes: Ree(3) has order 1512, and over
+# F27 the group has at least (27^3 + 1) 27^3 elements
+ORDER_BOUND = 500000
+
 
 def translate(a: TElem, x: Point) -> Point:
     """Left translation by a: fixes infinity, multiplies elsewhere."""
@@ -98,7 +102,7 @@ class PermGroupStats:
     two_point_stab: int
 
 
-def enumerate_group(field: TitsField, max_order: int = 500000) -> PermGroupStats:
+def enumerate_group(field: TitsField) -> PermGroupStats:
     """Close the translations and the inverting map into a permutation group.
 
     Finite mode only.  Points are indexed with infinity first, then the
@@ -108,14 +112,14 @@ def enumerate_group(field: TitsField, max_order: int = 500000) -> PermGroupStats
 
     The translations fix infinity and act regularly on the q^3 finite
     points, and omega moves infinity, so the group is transitive and its
-    order is at least (q^3 + 1) q^3; a bound below that is refused before
-    any permutation is built.
+    order is at least (q^3 + 1) q^3; a field for which that exceeds
+    `ORDER_BOUND` is refused before any permutation is built.
     """
     if field.mode != "finite":
         raise ConfigError("group enumeration needs a finite field")
     finite_points = field.q**3
-    if (finite_points + 1) * finite_points > max_order:
-        raise ResourceBoundError(f"group closure exceeded the bound {max_order}")
+    if (finite_points + 1) * finite_points > ORDER_BOUND:
+        raise ResourceBoundError(f"group closure exceeded the bound {ORDER_BOUND}")
     elems = finite_elems(TElem, field)
     npoints = len(elems) + 1
     # a translation fixes infinity (point 0) and sends point j + 1 to the
@@ -135,9 +139,9 @@ def enumerate_group(field: TitsField, max_order: int = 500000) -> PermGroupStats
                 if prod not in els:
                     els.add(prod)
                     new.append(prod)
-                    if len(els) > max_order:
+                    if len(els) > ORDER_BOUND:
                         raise ResourceBoundError(
-                            f"group closure exceeded the bound {max_order}"
+                            f"group closure exceeded the bound {ORDER_BOUND}"
                         )
         frontier = new
 

@@ -100,13 +100,7 @@ class QuadExt:
         """Common radicand of two values; TypeError unless both are QuadExt."""
         if not isinstance(other, QuadExt):
             raise TypeError(f"cannot combine a QuadExt with {type(other).__name__}")
-        if self.p is None:
-            return other.p
-        if other.p is None or other.p == self.p:
-            return self.p
-        raise RadicandMismatchError(
-            f"cannot combine sqrt({self.p}) value with sqrt({other.p}) value"
-        )
+        return _join(self.b, self.p, other.b, other.p)
 
     def __add__(self, other: "QuadExt") -> "QuadExt":
         p = self._join(other)

@@ -19,7 +19,7 @@ from functools import reduce
 from typing import Callable, Sequence
 
 from .errors import ConfigError
-from .field import FieldCfg, FieldElem, TitsField
+from .field import _MODULI, FieldCfg, FieldElem, TitsField
 from .groups import SElem, TElem, h_action, val_norm_exact
 from .moufang import enumerate_group, rho_scalar_check
 from .report import CheckResult, SuiteReport
@@ -217,7 +217,7 @@ def _suite_folding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
 
 
 def _suite_field(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
-    for char, m in ((2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (3, 5)):
+    for char, m in _MODULI:
         field = TitsField(FieldCfg(char=char, mode="finite", m=m))
         cf, xs = field.coeff, range(field.q)
         rep.check(f"F{field.q}-twist-squares-to-frobenius", all(
@@ -387,11 +387,10 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random, rep: SuiteReport
     n = cfg.samples or 100
 
     fields = {"B": cfg.hahn_field(2), "G": cfg.hahn_field(3)}
-    for case in ("B", "G"):
-        field = fields[case]
-        system = ambient_system(case)
-        nu = TAdicValuation()
-        phi = PhiAssignment(case, system, nu, twisted_class=1)
+    nu = TAdicValuation()
+    phis = {case: PhiAssignment(case, ambient_system(case), nu, twisted_class=1) for case in fields}
+    for case, phi in phis.items():
+        field, system = fields[case], phi.system
         pairs = [
             (rand_short(field, rng, rng.randint(1, 2)), rand_short(field, rng, 1))
             for _ in range(n)
@@ -420,7 +419,6 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random, rep: SuiteReport
 
     f4 = ambient_system("F")
     field = fields["B"]
-    nu = TAdicValuation()
     phi4 = PhiAssignment("F", f4, nu, twisted_class=1)
     all_pairs = f4.interval_pairs()
     chosen = [all_pairs[rng.randrange(len(all_pairs))] for _ in range(100)]
@@ -433,10 +431,8 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random, rep: SuiteReport
     ))
     rep.stats["F_pairs_checked"] = len(chosen)
 
-    for case in ("B", "G"):
-        field = fields[case]
-        system = ambient_system(case)
-        phi = PhiAssignment(case, system, TAdicValuation(), twisted_class=1)
+    for case, phi in phis.items():
+        field, system = fields[case], phi.system
         roots = [system.position_root(pos) for pos in range(1, system.n + 1)]
         draws = [
             (alpha, beta, rand_monomial(field, rng), [rand_monomial(field, rng) for _ in range(20)])
@@ -458,13 +454,10 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random, rep: SuiteReport
         )
         rep.check(f"{case}-double-reflection-shift", res)
 
-    g_field = fields["G"]
-    system = ambient_system("G")
-    params = [rand_monomial(g_field, rng) for _ in range(30)]
-    phi = PhiAssignment("G", system, TAdicValuation(), twisted_class=1)
-    rep.check("G-flip-invariance-tadic", check_rho_invariance(phi, params))
+    params = [rand_monomial(fields["G"], rng) for _ in range(30)]
+    rep.check("G-flip-invariance-tadic", check_rho_invariance(phis["G"], params))
     skew = PhiAssignment(
-        "G", system, LatticeOrderValuation(QuadExt(0, 2, 3)), twisted_class=1
+        "G", phis["G"].system, LatticeOrderValuation(QuadExt(0, 2, 3)), twisted_class=1
     )
     res = check_rho_invariance(skew, params)
     rep.check("G-flip-breaks-for-skew-order", not res.ok)

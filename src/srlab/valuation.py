@@ -126,12 +126,14 @@ def _factor_recipe(
 
 WordFactors = list[tuple[int, FieldElem]]
 
+# merge and swap steps `collect` takes before it gives up on a word
+COLLECT_FUEL = 200000
+
 
 def collect(
     case: str,
     system: Rank2System,
     factors: Sequence[tuple[int, FieldElem]],
-    fuel: int = 200000,
 ) -> WordFactors:
     """Normal form of a word given as (position, parameter) factors.
 
@@ -141,6 +143,7 @@ def collect(
     raises InsufficientPrecisionError.
     """
     w: WordFactors = [(pos, param) for pos, param in factors if not param.is_zero()]
+    fuel = COLLECT_FUEL
     # one pass suffices: w[:idx + 1] always ascends strictly, and every merge
     # or swap touches only w[idx:] and steps back by one
     idx = 0

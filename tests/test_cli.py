@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from srlab import cli, suites, valuation
+from srlab import cli, moufang, suites, valuation
 from srlab.cli import main, parse_config_file
 from srlab.errors import ConfigError
 from srlab.field import FieldCfg
@@ -40,6 +40,22 @@ def test_run_matches_benchmark_reference_digest(tmp_path):
     code, raw = run_report(tmp_path, "ref.json", ["--seed", "0", "--samples", "5", "--jobs", "1"])
     assert code == 0
     assert hashlib.sha256(raw).hexdigest() == want
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["fold", "B2"], "cda032fd6e32eda44a319dfabea271fbd37c17bdd0f374b78088243673298d96"),
+        (["fold", "G2"], "e89b659546ca665ab06b23c5bc6915a92828889d980c63fa8f6d2421a998ad54"),
+        (["fold", "F4"], "d016d8d04c03c6825e6603a2c28a41fca66e4765486b8bcb71ddff850cf323d4"),
+        (["enumerate"], "268eec0468951430fad1a6437e309a92c2176a1afea4601ff66b71cc608a6fbe"),
+    ],
+    ids=["fold-B2", "fold-G2", "fold-F4", "enumerate"],
+)
+def test_fold_and_enumerate_match_pinned_digest(tmp_path, argv, want):
+    out = tmp_path / "o.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 def test_embedding_checks_a_series_pair_at_few_samples(tmp_path):
@@ -215,18 +231,6 @@ def test_run_timings_flag(tmp_path):
     assert report["timings"]["scalars"]["seconds"] >= 0.0
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    args = ["--suite", "scalars", "--samples", "10"]
-    monkeypatch.setenv("SRLAB_SEED", "11")
-    _, via_env = run_report(tmp_path, "env.json", args)
-    monkeypatch.delenv("SRLAB_SEED")
-    _, via_flag = run_report(tmp_path, "flag.json", [*args, "--seed", "11"])
-    _, default = run_report(tmp_path, "zero.json", args)
-    assert via_env == via_flag
-    assert json.loads(via_env)["seed"] == 11
-    assert json.loads(default)["seed"] == 0
-
-
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "srlab.cfg"
     cfg.write_text("# settings\nseed = 5\nsuites = scalars\nsamples = 10\n")
@@ -286,7 +290,9 @@ def test_config_file_rejects_non_integer_value(tmp_path):
 def test_bad_values_exit_two(tmp_path):
     out = tmp_path / "x.json"
     assert main(["run", "--jobs", "0", "--out", str(out)]) == 2
-    assert main(["enumerate", "--q", "9", "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exit_:  # enumerate takes no field size
+        main(["enumerate", "--q", "3", "--out", str(out)])
+    assert exit_.value.code == 2
 
 
 def test_fold_output(tmp_path):
@@ -304,8 +310,9 @@ def test_fold_output(tmp_path):
 
 def test_enumerate_output(tmp_path):
     out = tmp_path / "enum.json"
-    assert main(["enumerate", "--q", "3", "--out", str(out)]) == 0
+    assert main(["enumerate", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
+    assert payload["q"] == 3
     assert payload["order"] == 1512
     assert payload["npoints"] == 28
     assert payload["transitivity"] == 2
@@ -431,7 +438,7 @@ def test_suites_run_in_turn_on_the_calling_thread(tmp_path, monkeypatch):
     [
         ["run", "--suite", "roots", "--samples", "1"],
         ["fold", "B2"],
-        ["enumerate", "--q", "3"],
+        ["enumerate"],
     ],
     ids=["run", "fold", "enumerate"],
 )
@@ -446,10 +453,12 @@ def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, argv):
     assert ran == []  # a missing folder is refused before any suite runs
 
 
-def test_enumerate_beyond_default_bound_exits_one_at_once(tmp_path, capsys):
+def test_enumerate_beyond_the_order_bound_exits_one_at_once(tmp_path, capsys, monkeypatch):
+    # below (3^3 + 1) 3^3 = 756 the bound is refused before the closure starts
+    monkeypatch.setattr(moufang, "ORDER_BOUND", 700)
     out = tmp_path / "enum.json"
-    assert main(["enumerate", "--q", "27", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "srlab: group closure exceeded the bound 500000\n"
+    assert main(["enumerate", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "srlab: group closure exceeded the bound 700\n"
     assert not out.exists()
 
 

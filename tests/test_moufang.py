@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from srlab import moufang
 from srlab.errors import ConfigError, ResourceBoundError
 from srlab.field import FieldCfg, TitsField
 from srlab.groups import TElem
@@ -86,9 +87,12 @@ def test_enumerate_group_shape():
     assert stats.two_point_stab == 2
 
 
-def test_enumerate_group_bound():
-    with pytest.raises(ResourceBoundError):
-        enumerate_group(f3(), max_order=100)
+def test_enumerate_group_bound(monkeypatch):
+    # 1000 is above the pre-check's (3^3 + 1) 3^3 = 756, so it is the check
+    # inside the closure that stops Ree(3) short of its order 1512
+    monkeypatch.setattr(moufang, "ORDER_BOUND", 1000)
+    with pytest.raises(ResourceBoundError, match="exceeded the bound 1000"):
+        enumerate_group(f3())
 
 
 def test_enumerate_group_refuses_a_bound_below_the_transitive_order():

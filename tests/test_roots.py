@@ -33,9 +33,15 @@ def ref_index(system, v):
     return idx
 
 
-def ref_reflect(system, mirror, idx):
+def ref_gram(system):
+    """The exact dot products of all pairs of unit vectors."""
+    units = [system.unit(k) for k in range(system.count)]
+    return [[dot(u, v) for v in units] for u in units]
+
+
+def ref_reflect(system, gram, mirror, idx):
     r, v = system.unit(mirror), system.unit(idx)
-    two_d = QuadExt(2) * dot(v, r)
+    two_d = QuadExt(2) * gram[idx][mirror]
     return ref_index(system, tuple(x - two_d * y for x, y in zip(v, r)))
 
 
@@ -73,24 +79,24 @@ def ref_involution(system):
     return out
 
 
-def ref_interval(system, i, j):
+def ref_interval(system, gram, i, j):
     ui, uj = system.unit(i), system.unit(j)
-    c = dot(ui, uj)
-    denom = _ONE - c * c
+    c = gram[i][j]
+    inv_denom = (_ONE - c * c).inv()
     out = []
     for k in range(system.count):
         if k in (i, j):
             continue
         uk = system.unit(k)
-        di, dj = dot(uk, ui), dot(uk, uj)
-        p = (di - dj * c) / denom
-        q = (dj - di * c) / denom
+        di, dj = gram[k][i], gram[k][j]
+        p = (di - dj * c) * inv_denom
+        q = (dj - di * c) * inv_denom
         if p.sign() <= 0 or q.sign() <= 0:
             continue
         if tuple(p * x + q * y for x, y in zip(ui, uj)) != uk:
             continue
         out.append((k, p, q))
-    out.sort(key=lambda t: dot(system.unit(t[0]), ui), reverse=True)
+    out.sort(key=lambda t: gram[t[0]][i], reverse=True)
     return out
 
 
@@ -98,22 +104,23 @@ def ref_interval(system, i, j):
 def test_tables_match_exact_unit_vectors(kind):
     system = get_system(kind)
     n = system.count
+    gram = ref_gram(system)
     for i in range(n):
-        assert dot(system.unit(i), system.unit(i)) == _ONE
+        assert gram[i][i] == _ONE
         neg = tuple(-x for x in system.unit(i))
         assert system.negate_idx(i) == ref_index(system, neg)
     assert [system.chamber_involution_idx(k) for k in range(n)] == ref_involution(system)
     for i in range(n):
         for j in range(n):
-            c = dot(system.unit(i), system.unit(j))
+            c = gram[i][j]
             assert system.angle_deg(i, j) == ref_angle(c)
-            assert system.reflect_idx(i, j) == ref_reflect(system, i, j)
+            assert system.reflect_idx(i, j) == ref_reflect(system, gram, i, j)
             if c * c == _ONE:
                 with pytest.raises(ValueError):
                     system.interval(i, j)
                 continue
             got = system.interval(i, j)
-            want = ref_interval(system, i, j)
+            want = ref_interval(system, gram, i, j)
             assert [k for k, _, _ in got] == [k for k, _, _ in want]
             for (_, p, q), (_, rp, rq) in zip(got, want):
                 assert (p.a, p.b, p.den, p.p) == (rp.a, rp.b, rp.den, rp.p)

@@ -206,14 +206,16 @@ def test_collect_confluent_over_shuffles():
     assert words_agree(collect("G", sys2, base), base)
 
 
-def test_collect_fuel_bounds_the_swaps():
+def test_collect_fuel_bounds_the_swaps(monkeypatch):
     """A reversed G2 word needs dozens of merge and swap steps: it runs out
     of a small fuel and collects to ascending positions under the default."""
     f = hahn(3)
     sys2 = g2()
     word = [(pos, f.monomial(QuadExt(pos), 1)) for pos in (6, 5, 4, 3, 2, 1)]
-    with pytest.raises(ResourceBoundError, match="collection fuel exhausted"):
-        collect("G", sys2, word, fuel=10)
+    with monkeypatch.context() as patch:
+        patch.setattr(valuation, "COLLECT_FUEL", 10)
+        with pytest.raises(ResourceBoundError, match="collection fuel exhausted"):
+            collect("G", sys2, word)
     positions = [pos for pos, _ in collect("G", sys2, word)]
     assert positions == sorted(set(positions)) and positions[0] == 1
 
