@@ -27,8 +27,7 @@ pairs, 2 c_i c_j, which vanish in characteristic 2.
 Every stored exponent, precisions included, keeps |e| and |f| below
 KEY_LIMIT = 2^29.  This module does not check it; `SeriesElem.__init__` in
 `srlab.field` does, for every series element it builds, and raises
-ResourceBoundError for an exponent at or past the limit.  `irr_sign`, the
-exact sign of a + b*sqrt(p), is shared with `srlab.scalar`.
+ResourceBoundError for an exponent at or past the limit.
 
 This is the library's only kernel; the layers above reach it through
 `srlab.core.kernel`.
@@ -49,21 +48,6 @@ _F_HALF = 1 << 31
 _F_MASK = (1 << 32) - 1
 # the key of the exponent sqrt(p): (R_p << 32) + 1
 _F_UNIT = {p: (isqrt(p << 128) << 32) + 1 for p in (2, 3)}
-
-
-def irr_sign(a: int, b: int, p: int | None) -> int:
-    """Exact sign of a + b*sqrt(p) for integers a, b (p is unused when b == 0)."""
-    if a == 0 and b == 0:
-        return 0
-    if a >= 0 and b >= 0:
-        return 1
-    if a <= 0 and b <= 0:
-        return -1
-    s = a * a - p * b * b
-    # p is squarefree, so s == 0 would force a == b == 0, excluded above.
-    if a > 0:
-        return 1 if s > 0 else -1
-    return 1 if s < 0 else -1
 
 
 def lat_span(e: int, f: int) -> int:

@@ -70,7 +70,6 @@ class CoeffField:
         self.p = p
         self.m = m
         self.q = q = p**m
-        self.modulus = modulus
         self.n = (m - 1) // 2
 
         # digit-wise addition has no carries: the lowest digit of x + y is
@@ -98,7 +97,6 @@ class CoeffField:
             exp.append(addf[a % top * p * q + back[a // top]])
         if exp.pop() != 1 or exp.count(1) > 1:
             raise ConfigError("modulus is not primitive")
-        self.generator = exp[1] if q > 2 else 1  # x, which is 1 in F2
         self.exp = exp
         self.log = [0] * q
         for k, val in enumerate(exp):
@@ -141,10 +139,12 @@ class CoeffField:
 
 @dataclass(frozen=True)
 class FieldCfg:
-    """Configuration of a field with a Tits endomorphism.
+    """Configuration of a field with a Tits endomorphism, checked by
+    `TitsField`.
 
-    Its `denom`, `precision` and `support_cap` defaults are the only ones
-    in srlab: a run's settings (`suites.RunConfig`) default to them.
+    Every series field of a suite run takes the `denom`, `precision` and
+    `support_cap` defaults, and the run's report states them; tests and
+    library callers build fields with other values.
     """
 
     char: int
@@ -153,23 +153,6 @@ class FieldCfg:
     denom: int = 2
     precision: int = 40
     support_cap: int = 64
-
-    def broken_rule(self) -> tuple[tuple[str, ...], str] | None:
-        """The first rule on the exponent settings that this configuration
-        breaks, as (the settings the rule reads, message), or None."""
-        if self.denom < 1:
-            return ("denom",), f"exponent denominator must be positive, got {self.denom}"
-        if self.precision <= 0:
-            return ("precision",), f"precision must be positive, got {self.precision}"
-        if self.support_cap < 8:
-            return ("support_cap",), f"support cap must be at least 8, got {self.support_cap}"
-        scaled = self.precision * self.denom
-        if scaled >= _KEY_LIMIT:
-            return ("precision", "denom"), (
-                f"precision * denom must be below the exact order key's limit"
-                f" 2^{_KEY_LIMIT.bit_length() - 1}, got {scaled}"
-            )
-        return None
 
 
 class _ExpText(dict):
@@ -198,9 +181,18 @@ class TitsField:
     def __init__(self, cfg: FieldCfg) -> None:
         if cfg.mode not in ("finite", "hahn"):
             raise ConfigError(f"mode must be 'finite' or 'hahn', got {cfg.mode!r}")
-        broken = cfg.broken_rule()
-        if broken:
-            raise ConfigError(broken[1])
+        if cfg.denom < 1:
+            raise ConfigError(f"exponent denominator must be positive, got {cfg.denom}")
+        if cfg.precision <= 0:
+            raise ConfigError(f"precision must be positive, got {cfg.precision}")
+        if cfg.support_cap < 8:
+            raise ConfigError(f"support cap must be at least 8, got {cfg.support_cap}")
+        self.prec_span = cfg.precision * cfg.denom
+        if self.prec_span >= _KEY_LIMIT:
+            raise ConfigError(
+                f"precision * denom must be below the exact order key's limit"
+                f" 2^{_KEY_LIMIT.bit_length() - 1}, got {self.prec_span}"
+            )
         self.cfg = cfg
         self.coeff = CoeffField(cfg.char, cfg.m)
         self.p = cfg.char
@@ -208,7 +200,6 @@ class TitsField:
         self.D = cfg.denom
         self.mode = cfg.mode
         # the precision stamped on parsed elements, as an exponent key
-        self.prec_span = cfg.precision * cfg.denom
         self.prec_key = kernel.exp_key(self.prec_span, 0, self.p)
         # the text of each coefficient index: prime-subfield digits as
         # themselves, the rest as powers of the generator

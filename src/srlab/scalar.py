@@ -8,8 +8,9 @@ finite values are unnormalised int tuples (e, f, den, p), so a valuation, a
 scaled bound and a comparison cost a few integer products and no gcd; a
 QuadExt is built from one only to show or hand out the value.  Each combines
 only with its own kind: ints and Fractions enter through the constructors and
-ExtVal.of.  `read_int` reads the integers of every literal, of scalars here
-and of field elements.
+ExtVal.of.  `irr_sign`, the exact sign of a + b*sqrt(p), decides every sign
+and comparison of both.  `read_int` reads the integers of every literal, of
+scalars here and of field elements.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from functools import total_ordering
 from math import gcd, lcm
 from typing import Union
 
-from .core import kernel
 from .errors import ParseError, RadicandMismatchError
 
 RationalLike = Union[int, Fraction]
@@ -29,6 +29,21 @@ _ALLOWED_RADICANDS = (2, 3)
 
 _setattr = object.__setattr__
 _new = object.__new__
+
+
+def irr_sign(a: int, b: int, p: int | None) -> int:
+    """Exact sign of a + b*sqrt(p) for integers a, b (p is unused when b == 0)."""
+    if a == 0 and b == 0:
+        return 0
+    if a >= 0 and b >= 0:
+        return 1
+    if a <= 0 and b <= 0:
+        return -1
+    s = a * a - p * b * b
+    # p is squarefree, so s == 0 would force a == b == 0, excluded above.
+    if a > 0:
+        return 1 if s > 0 else -1
+    return 1 if s < 0 else -1
 
 
 def _to_fraction(x: RationalLike) -> Fraction:
@@ -133,7 +148,7 @@ class QuadExt:
         return QuadExt.from_ints(self.den * a, -self.den * b, a * a - (p or 0) * b * b, p)
 
     def sign(self) -> int:
-        return kernel.irr_sign(self.a, self.b, self.p)
+        return irr_sign(self.a, self.b, self.p)
 
     def __bool__(self) -> bool:
         return not (self.a == 0 and self.b == 0)
@@ -150,7 +165,7 @@ class QuadExt:
         p = self._join(other)
         d1, d2 = self.den, other.den
         # both denominators are positive, so the sign of the cross difference decides
-        return kernel.irr_sign(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, p) < 0
+        return irr_sign(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, p) < 0
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.den, self.p))
@@ -247,7 +262,7 @@ class ExtVal:
     The payload `v` is the int tuple (e, f, den, p) with den > 0, kept as the
     arithmetic left it: no gcd is taken, and p may be set while f == 0.  None
     is +infinity, the value of a zero element.  Sums, comparisons and scaling
-    work on cross products of the ints and the exact sign `kernel.irr_sign`;
+    work on cross products of the ints and the exact sign `irr_sign`;
     a QuadExt is built only for `finite` and `str`, and the hash normalises
     so that equal values hash alike.
     """
@@ -349,7 +364,7 @@ class ExtVal:
         e1, f1, d1, p1 = x
         e2, f2, d2, p2 = y
         # both denominators are positive, so the sign of the cross difference decides
-        return kernel.irr_sign(e1 * d2 - e2 * d1, f1 * d2 - f2 * d1, _join(f1, p1, f2, p2)) < 0
+        return irr_sign(e1 * d2 - e2 * d1, f1 * d2 - f2 * d1, _join(f1, p1, f2, p2)) < 0
 
     def __hash__(self) -> int:
         return hash((True, None)) if self.v is None else hash((False, self.finite))

@@ -59,22 +59,14 @@ from .valuation import (
 class RunConfig:
     """Knobs shared by all suites; None keeps a suite's documented default.
 
-    The series settings `precision`, `denom` and `support_cap` default to
-    `FieldCfg`'s, which owns them.
+    Every series field a suite builds takes `FieldCfg`'s settings, which the
+    report's config block states.
     """
 
     case: str = "G"
     samples: int | None = None
     seed: int = 0
-    precision: int = FieldCfg.precision
-    denom: int = FieldCfg.denom
-    support_cap: int = FieldCfg.support_cap
     timings: bool = False
-
-    def hahn_field(self, char: int) -> TitsField:
-        """The series field of characteristic `char` under this run's settings."""
-        cfg = FieldCfg(char, denom=self.denom, precision=self.precision, support_cap=self.support_cap)
-        return TitsField(cfg)
 
 
 def suite_seed(seed: int, suite: str) -> int:
@@ -228,7 +220,7 @@ def _suite_field(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
         ))
     n = cfg.samples or 120
     for char in (2, 3):
-        field = cfg.hahn_field(char)
+        field = TitsField(FieldCfg(char=char))
         draws = [
             (
                 rand_short(field, rng, terms=rng.randint(1, 3)),
@@ -306,7 +298,7 @@ def _suite_groups(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     rep.timing["omega_finite_seconds"] = round(time.perf_counter() - t0, 3)
 
     n = cfg.samples or 1000
-    hf = cfg.hahn_field(3)
+    hf = TitsField(FieldCfg(char=3))
     t0 = time.perf_counter()
     ks = iter(range(n))
     draws = (rand_elem(TElem, hf, rng) for _ in ks)
@@ -321,7 +313,7 @@ def _suite_groups(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
         a.norm().is_zero() == a.is_identity() for a in finite_elems(SElem, f8)
     ))
 
-    for tag, cls, field in (("T", TElem, hf), ("S", SElem, cfg.hahn_field(2))):
+    for tag, cls, field in (("T", TElem, hf), ("S", SElem, TitsField(FieldCfg(char=2)))):
         acts = (h_action(rand_elem(cls, field, rng)) for _ in range(40))
         # x and y are drawn only for an h of nonzero norm
         draws = [
@@ -338,7 +330,7 @@ def _suite_groups(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
 
 
 def _suite_appendix(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
-    hf2 = cfg.hahn_field(2)
+    hf2 = TitsField(FieldCfg(char=2))
     n_pre = (cfg.samples or 1000) * 10
     ks = iter(range(n_pre))
     # every tenth draw is an engineered collision of the two norm levels
@@ -358,7 +350,7 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> Non
     rep.stats["s_prevalidation_samples"] = drawn
     rep.stats["s_prevalidation_ties"] = len(range(0, drawn, 10))
 
-    hf3 = cfg.hahn_field(3)
+    hf3 = TitsField(FieldCfg(char=3))
     n = cfg.samples or 1000
     tie_count = max(50, min(60, n // 2)) if n >= 50 else n
     samples = tie_samples_t(hf3, rng, tie_count)
@@ -386,7 +378,7 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> Non
 def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     n = cfg.samples or 100
 
-    fields = {"B": cfg.hahn_field(2), "G": cfg.hahn_field(3)}
+    fields = {"B": TitsField(FieldCfg(char=2)), "G": TitsField(FieldCfg(char=3))}
     nu = TAdicValuation()
     phis = {case: PhiAssignment(case, ambient_system(case), nu, twisted_class=1) for case in fields}
     for case, phi in phis.items():
@@ -474,7 +466,7 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> No
     ))
     rep.check("G-word-flip-invariance-F3", all(check_embedding_rho("G", a).ok for a in t_all))
 
-    hf3 = cfg.hahn_field(3)
+    hf3 = TitsField(FieldCfg(char=3))
     n = max(1, (cfg.samples or 1000) // 5)  # never pass on zero pairs
     ks = iter(range(n))
     draws = ((rand_elem(TElem, hf3, rng), rand_elem(TElem, hf3, rng)) for _ in ks)
@@ -505,7 +497,7 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> No
     rep.check("B-word-checks-F8", all(
         check_embedding_hom("B", a, b).ok for a, b in zip(pick[::2], pick[1::2])
     ) and all(check_embedding_rho("B", a).ok for a in pick[:50]))
-    hf2 = cfg.hahn_field(2)
+    hf2 = TitsField(FieldCfg(char=2))
     draws = ((rand_elem(SElem, hf2, rng), rand_elem(SElem, hf2, rng)) for _ in range(100))
     rep.check("B-word-checks-hahn", all(
         check_embedding_hom("B", a, b).ok and check_embedding_rho("B", a).ok for a, b in draws
@@ -541,7 +533,7 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
     # after two norm inversions, so the diagonal shape is spot checked on
     # single-slot points under a central scaling element; general position
     # is covered by the finite-field checks above.
-    hf3 = cfg.hahn_field(3)
+    hf3 = TitsField(FieldCfg(char=3))
     hs = []
     for _ in range(9):
         comps = [hf3.zero(), hf3.zero(), hf3.zero()]
@@ -559,7 +551,7 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
 
     n = cfg.samples or 100
     nu = TAdicValuation()
-    for case, field, count in (("G", hf3, n), ("B", cfg.hahn_field(2), max(1, n // 2))):
+    for case, field, count in (("G", hf3, n), ("B", TitsField(FieldCfg(char=2)), max(1, n // 2))):
         draws = (rand_monomial(field, rng) for _ in range(count))
         rep.check(f"{case}-round-trip-on-monomials", all(
             nu_from_center(case, nu, t) == nu.of(t) for t in draws
@@ -614,9 +606,9 @@ def run_all(cfg: RunConfig, names: Sequence[str] | None = None) -> dict:
         "config": {
             "case": cfg.case,
             "samples": cfg.samples,
-            "precision": cfg.precision,
-            "denom": cfg.denom,
-            "support_cap": cfg.support_cap,
+            "precision": FieldCfg.precision,
+            "denom": FieldCfg.denom,
+            "support_cap": FieldCfg.support_cap,
         },
         "suites": suites,
         "ok": all(payload["ok"] for payload in suites.values()),

@@ -1,20 +1,19 @@
+import argparse
 import hashlib
 import json
-import re
 import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from srlab import cli, moufang, suites, valuation
-from srlab.cli import main, parse_config_file
-from srlab.errors import ConfigError
+from srlab import cli, field, moufang, suites, valuation
+from srlab.cli import main
 from srlab.field import FieldCfg
 from srlab.groups import SElem, TElem
 from srlab.report import CheckResult
 from srlab.scalar import INFINITY, QuadExt, ext_min
-from srlab.suites import RunConfig, run_all, run_suite
+from srlab.suites import RunConfig, run_suite
 from srlab.valuation import check_v3
 
 
@@ -56,6 +55,23 @@ def test_fold_and_enumerate_match_pinned_digest(tmp_path, argv, want):
     out = tmp_path / "o.json"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def test_subcommand_options_are_pinned():
+    """Each subcommand's option strings, so adding or dropping a setting shows
+    as a diff here.  The help text is not pinned: its layout depends on the
+    terminal width and the Python version."""
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [a.option_strings or [a.dest] for a in parser._actions]
+        for name, parser in sub.choices.items()
+    }
+    assert options == {
+        "run": [["-h", "--help"], ["--suite"], ["--case"], ["--samples"], ["--seed"], ["--out"],
+                ["--jobs"], ["--timings"]],
+        "fold": [["-h", "--help"], ["kind"], ["--out"]],
+        "enumerate": [["-h", "--help"], ["--out"]],
+    }
 
 
 def test_embedding_checks_a_series_pair_at_few_samples(tmp_path):
@@ -231,68 +247,32 @@ def test_run_timings_flag(tmp_path):
     assert report["timings"]["scalars"]["seconds"] >= 0.0
 
 
-def test_config_file_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "srlab.cfg"
-    cfg.write_text("# settings\nseed = 5\nsuites = scalars\nsamples = 10\n")
-    out = tmp_path / "c.json"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["seed"] == 5
-    assert list(report["suites"]) == ["scalars"]
-    assert main(["run", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["seed"] == 9
-
-
-def test_config_file_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("speed = 4\n")
-    with pytest.raises(ConfigError, match="bad.cfg:1"):
-        parse_config_file(str(cfg))
-    assert main(["run", "--config", str(cfg)]) == 2
-
-
-def test_config_file_rejects_non_boolean_timings(tmp_path):
-    cfg = tmp_path / "t.cfg"
-    cfg.write_text("suites = scalars\nsamples = 5\ntimings = ture\n")
-    with pytest.raises(ConfigError, match="t.cfg:3"):
-        parse_config_file(str(cfg))
-    out = tmp_path / "x.json"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not out.exists()
-    for word, attached in (("Yes", True), ("0", False)):
-        cfg.write_text(f"suites = scalars\nsamples = 5\ntimings = {word}\n")
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        assert ("timings" in json.loads(out.read_text())) is attached
-
-
-def test_config_file_rejects_repeated_key(tmp_path):
-    cfg = tmp_path / "r.cfg"
-    cfg.write_text("suites = scalars\nseed = 3\n# again\nseed = 4\n")
-    with pytest.raises(ConfigError, match="r.cfg:4: .*given twice"):
-        parse_config_file(str(cfg))
-    out = tmp_path / "x.json"
-    assert main(["run", "--config", str(cfg), "--samples", "5", "--out", str(out)]) == 2
-    assert not out.exists()
-
-
-def test_config_file_rejects_non_integer_value(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    out = tmp_path / "x.json"
-    for key in ("seed", "samples", "field.denom", "field.precision", "field.support_cap"):
-        cfg.write_text(f"suites = scalars\n{key} = x\n")
-        with pytest.raises(ConfigError) as err:
-            parse_config_file(str(cfg))
-        assert str(err.value) == f"{cfg}:2: {key} must be an integer, got 'x'"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not out.exists()
-
-
 def test_bad_values_exit_two(tmp_path):
     out = tmp_path / "x.json"
     assert main(["run", "--jobs", "0", "--out", str(out)]) == 2
-    with pytest.raises(SystemExit) as exit_:  # enumerate takes no field size
-        main(["enumerate", "--q", "3", "--out", str(out)])
-    assert exit_.value.code == 2
+    assert not out.exists()
+    for argv in (
+        ["run", "--case", "H"],
+        ["run", "--seed", "x"],
+        ["run", "--config", "any.cfg"],  # a run is set by its flags alone
+        ["enumerate", "--q", "3"],  # enumerate takes no field size
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--out", str(out)])
+        assert exit_.value.code == 2, argv
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--samples", "-5"], ["--samples", "0"]],
+    ids=["samples-flag-negative", "samples-flag-zero"],
+)
+def test_count_settings_below_one_exit_two(tmp_path, capsys, flags):
+    out = tmp_path / "x.json"
+    assert main(["run", "--suite", "scalars", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"srlab: samples must be at least 1, got {flags[1]}\n"
+    assert not out.exists()
 
 
 def test_fold_output(tmp_path):
@@ -320,94 +300,11 @@ def test_enumerate_output(tmp_path):
     assert payload["two_point_stab"] == 2
 
 
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("suites = ,", "suites must name at least one suite"),
-        ("suites =", "suites must name at least one suite"),
-        ("suites = scalars, rootz", "unknown suite 'rootz'"),
-        ("suites = folding, scalars, folding", "suite 'folding' named twice"),
-        ("case = H", "case must be one of B, F, G, got 'H'"),
-        ("out =", "out must name a file"),
-    ],
-    ids=["suites-comma", "suites-blank", "suites-unknown", "suites-repeated", "case-unknown",
-         "out-empty"],
-)
-def test_config_file_rejects_bad_suites_and_case(tmp_path, capsys, line, message):
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text(f"samples = 1\n{line}\n")
-    out = tmp_path / "x.json"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"srlab: {cfg}:2: {message}\n"
-    assert not out.exists()
-
-
 def test_suite_flag_named_twice_exits_two(tmp_path, capsys):
     out = tmp_path / "x.json"
     argv = ["run", "--suite", "folding", "--suite", "folding", "--samples", "1", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == "srlab: suite 'folding' named twice\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "flags, config",
-    [
-        (["--samples", "-5"], ""),
-        (["--samples", "0"], ""),
-        ([], "samples = 0\n"),
-        ([], "jobs = -1\n"),
-        ([], "field.precision = 0\n"),
-        ([], "field.denom = -3\n"),
-        ([], "field.support_cap = 0\n"),
-    ],
-    ids=["samples-flag-negative", "samples-flag-zero", "samples-zero", "jobs-key-unknown",
-         "precision-zero", "denom-negative", "support-cap-zero"],
-)
-def test_count_settings_below_one_exit_two(tmp_path, flags, config):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"suites = scalars\n{config}")
-    out = tmp_path / "x.json"
-    assert main(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 2
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "key, flags",
-    [
-        ("samples", []),
-        ("samples", ["--samples", "3"]),
-        ("field.precision", []),
-        ("field.denom", []),
-        ("field.support_cap", []),
-    ],
-    ids=["samples", "samples-flag-given", "precision", "denom", "support-cap"],
-)
-def test_config_count_below_one_names_file_and_line(tmp_path, capsys, key, flags):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"suites = scalars\n{key} = 0\n")
-    out = tmp_path / "x.json"
-    assert main(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"srlab: {cfg}:2: {key} must be at least 1, got 0\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("field.precision = 300000000",
-         "precision * denom must be below the exact order key's limit 2^29, got 600000000"),
-        ("field.support_cap = 5", "support cap must be at least 8, got 5"),
-    ],
-    ids=["precision-past-key-limit", "support-cap-below-eight"],
-)
-def test_config_field_settings_checked_when_read(tmp_path, capsys, line, message):
-    # the roots suite builds no series field, so only the config check sees them
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"suites = roots\n{line}\n")
-    out = tmp_path / "x.json"
-    assert main(["run", "--config", str(cfg), "--samples", "1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"srlab: {cfg}:2: {message}\n"
     assert not out.exists()
 
 
@@ -427,10 +324,6 @@ def test_suites_run_in_turn_on_the_calling_thread(tmp_path, monkeypatch):
     out.unlink()
     assert main([*argv, "--jobs", "2"]) == 2
     assert len(threads) == 4 and not out.exists()
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("jobs = 1\n")
-    with pytest.raises(ConfigError, match=re.escape(f"{cfg}:1: unknown config key 'jobs'")):
-        parse_config_file(str(cfg))
 
 
 @pytest.mark.parametrize(
@@ -463,23 +356,22 @@ def test_enumerate_beyond_the_order_bound_exits_one_at_once(tmp_path, capsys, mo
 
 
 def test_config_field_settings_reach_the_run(tmp_path, monkeypatch):
-    seen = []
+    """Every series field a run builds has `FieldCfg`'s settings, and the
+    report's config block states them."""
+    built = []
+    init = field.TitsField.__init__
 
-    def record_cfg(cfg, suites):
-        seen.append(cfg)
-        return run_all(cfg, suites)
+    def record_cfg(self, cfg):
+        built.append(cfg)
+        init(self, cfg)
 
-    monkeypatch.setattr(cli, "run_all", record_cfg)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("suites = folding\nfield.precision = 30\nfield.denom = 3\nfield.support_cap = 32\n")
+    monkeypatch.setattr(field.TitsField, "__init__", record_cfg)
     out = tmp_path / "f.json"
-    assert main(["run", "--config", str(cfg), "--samples", "1", "--out", str(out)]) == 0
+    assert main(["run", "--samples", "1", "--out", str(out)]) == 0
+    series = [cfg for cfg in built if cfg.mode == "hahn"]
+    assert {cfg.char for cfg in series} == {2, 3}
+    assert all(cfg == FieldCfg(char=cfg.char) for cfg in series)
     config = json.loads(out.read_text())["config"]
-    assert (config["precision"], config["denom"], config["support_cap"]) == (30, 3, 32)
-    want = FieldCfg(char=3, precision=30, denom=3, support_cap=32)
-    assert seen[0].hahn_field(3).cfg == want
-
-    assert main(["run", "--suite", "folding", "--samples", "1", "--out", str(out)]) == 0
-    assert seen[1] == RunConfig(samples=1)
-    for p in (2, 3):
-        assert seen[1].hahn_field(p).cfg == FieldCfg(char=p)
+    assert (config["precision"], config["denom"], config["support_cap"]) == (
+        FieldCfg.precision, FieldCfg.denom, FieldCfg.support_cap
+    ) == (40, 2, 64)

@@ -18,7 +18,7 @@ from srlab.errors import (
 )
 from srlab.field import CoeffField, FieldCfg, SeriesElem, TitsField
 from srlab.samplers import rand_lat
-from srlab.scalar import INFINITY, ExtVal, QuadExt, quad_str
+from srlab.scalar import INFINITY, ExtVal, QuadExt, irr_sign, quad_str
 from srlab.suites import RunConfig, run_suite
 
 
@@ -43,12 +43,13 @@ def test_generator_order():
     """The generator is x: index p for m > 1, and x = -1 = p - 1 for m = 1."""
     for p, m in ((2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (3, 5)):
         cf = CoeffField(p, m)
-        assert cf.generator == (p if m > 1 else p - 1)
+        g = cf.exp[1 % (cf.q - 1)]  # exp[0] = 1 in F2
+        assert g == (p if m > 1 else p - 1)
         seen = set()
         x = 1
         for _ in range(cf.q - 1):
             seen.add(x)
-            x = cf.mul(x, cf.generator)
+            x = cf.mul(x, g)
         assert x == 1
         assert len(seen) == cf.q - 1
 
@@ -75,7 +76,6 @@ def test_coeff_field_walk_certifies_its_modulus(p, m):
     mod = field._MODULI[p, m]
     assert not _has_low_degree_factor(mod, p)
     cf = CoeffField(p, m)
-    assert cf.modulus == mod
     assert sorted(cf.exp) == list(range(1, cf.q))
 
 
@@ -98,7 +98,7 @@ def test_coeff_tables_are_digit_polynomial_arithmetic(p, m):
     """Index k is the polynomial with base-p digits of k, and the tables are
     sums, negatives and products of those polynomials modulo the modulus."""
     cf = CoeffField(p, m)
-    q, mod = cf.q, cf.modulus
+    q, mod = cf.q, field._MODULI[p, m]
     digits = [[(k // p**i) % p for i in range(m)] for k in range(q)]
     index = {tuple(d): k for k, d in enumerate(digits)}
 
@@ -125,6 +125,40 @@ def test_bad_modulus_rejected():
         CoeffField(5, 1)
     with pytest.raises(ConfigError, match="supported"):
         CoeffField(2, 7)  # beyond the table of moduli
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"mode": "padic"}, "mode must be 'finite' or 'hahn', got 'padic'"),
+        ({"denom": 0}, "exponent denominator must be positive, got 0"),
+        ({"denom": -3}, "exponent denominator must be positive, got -3"),
+        ({"precision": 0}, "precision must be positive, got 0"),
+        ({"support_cap": 7}, "support cap must be at least 8, got 7"),
+        ({"precision": 2**28},
+         "precision * denom must be below the exact order key's limit 2^29, got 536870912"),
+        ({"precision": 2**28 - 1}, None),
+        # the rules are checked in this order, so the first broken one is named
+        ({"mode": "padic", "denom": 0}, "mode must be 'finite' or 'hahn', got 'padic'"),
+        ({"denom": 0, "precision": 0, "support_cap": 0},
+         "exponent denominator must be positive, got 0"),
+        ({"precision": -1, "support_cap": 0}, "precision must be positive, got -1"),
+        ({"support_cap": 0, "precision": 2**29}, "support cap must be at least 8, got 0"),
+        ({"mode": "finite", "m": 3, "support_cap": 5}, "support cap must be at least 8, got 5"),
+    ],
+    ids=["mode", "denom-zero", "denom-negative", "precision-zero", "support-cap-seven",
+         "key-limit", "below-key-limit", "mode-first", "denom-first", "precision-first",
+         "support-cap-first", "finite-mode-too"],
+)
+def test_field_settings_rules(settings, message):
+    """Each rule on a field's settings raises ConfigError with its message."""
+    cfg = FieldCfg(char=3, **settings)
+    if message is None:
+        assert TitsField(cfg).prec_span == cfg.precision * cfg.denom
+        return
+    with pytest.raises(ConfigError) as err:
+        TitsField(cfg)
+    assert str(err.value) == message
 
 
 def test_finite_mode_arithmetic():
@@ -592,7 +626,7 @@ def key_sign(x, y, p):
 
 
 def lat_sign(x, y, p):
-    return kpy.irr_sign(x[0] - y[0], x[1] - y[1], p)
+    return irr_sign(x[0] - y[0], x[1] - y[1], p)
 
 
 def key_terms(lats, p):
@@ -617,11 +651,11 @@ def test_irr_sign_big_ints():
             root = isqrt(p * b * b)
             for a in (root - 1, root, root + 1, root + 2):
                 # a < 0 < b side: -a + b*sqrt(p) > 0 exactly when a <= root
-                assert kpy.irr_sign(-a, b, p) == (1 if a <= root else -1), (a, b, p)
+                assert irr_sign(-a, b, p) == (1 if a <= root else -1), (a, b, p)
                 # mirrored a > 0 > b side: a - b*sqrt(p) > 0 exactly when a > root
-                assert kpy.irr_sign(a, -b, p) == (1 if a > root else -1), (a, b, p)
-        assert kpy.irr_sign(big, -big, p) == -1
-        assert kpy.irr_sign(-big + 1, big, p) == 1
+                assert irr_sign(a, -b, p) == (1 if a > root else -1), (a, b, p)
+        assert irr_sign(big, -big, p) == -1
+        assert irr_sign(-big + 1, big, p) == 1
 
 
 def near_ties(p):
@@ -849,7 +883,7 @@ def test_emit_matches_the_term_by_term_text(denom, char, m, draws):
     lats = {}
     for e, g, c in draws:
         # an exponent at or past the precision is negated to lie below it
-        if kpy.irr_sign(e - f.prec_span, g, f.p) >= 0:
+        if irr_sign(e - f.prec_span, g, f.p) >= 0:
             e, g = -e, -g
         lats[(e, g)] = (c - 1) % (f.q - 1) + 1
     x = f.zero()
