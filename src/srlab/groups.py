@@ -13,6 +13,7 @@ trivial, so the formulas read the same in both characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import attrgetter
 from typing import Callable, ClassVar, TypeVar
 
@@ -30,17 +31,14 @@ class RankOneElem:
     """An element of a twisted rank-one group, held as its field coordinates.
 
     A subclass annotates its coordinates, and nothing else, as dataclass
-    fields with the central one, t, last.  It sets its characteristic CHAR,
-    the weight of each coordinate in the valuation of its norm
-    (NORM_WEIGHTS) and the twisted exponent of the norm that scales each
-    coordinate under the torus action (ACTION_EXPONENTS), and it supplies
-    only its group law, inverse and norm.  Its COORDS (the
-    coordinates of an element, as a tuple in order) and ARITY are set here
-    from those annotations.
+    fields with the central one, t, last.  It sets its characteristic CHAR
+    and the twisted exponent of the norm that scales each coordinate under
+    the torus action (ACTION_EXPONENTS), and it supplies only its group
+    law, inverse and norm.  Its COORDS (the coordinates of an element, as a
+    tuple in order) and ARITY are set here from those annotations.
     """
 
     CHAR: ClassVar[int]
-    NORM_WEIGHTS: ClassVar[tuple[QuadExt, ...]]
     ACTION_EXPONENTS: ClassVar[tuple[tuple[int, int], ...]]
     ARITY: ClassVar[int]
     COORDS: ClassVar[Callable[[RankOneElem], tuple[FieldElem, ...]]]
@@ -90,7 +88,6 @@ class SElem(RankOneElem):
     """Element (s, t) of the two-parameter twisted group (characteristic 2)."""
 
     CHAR = 2
-    NORM_WEIGHTS = (QuadExt(2, 1, 2), QuadExt(0, 1, 2))  # 2+sqrt2, sqrt2
     ACTION_EXPONENTS = ((2, -1), (0, 1))
     s: FieldElem
     t: FieldElem
@@ -115,7 +112,6 @@ class TElem(RankOneElem):
     """Element (r, s, t) of the three-parameter twisted group (characteristic 3)."""
 
     CHAR = 3
-    NORM_WEIGHTS = (QuadExt(4, 2, 3), QuadExt(1, 1, 3), QuadExt(2))  # 4+2sqrt3, 1+sqrt3, 2
     ACTION_EXPONENTS = ((2, -1), (-1, 1), (1, 0))
     r: FieldElem
     s: FieldElem
@@ -192,10 +188,19 @@ class TElem(RankOneElem):
         return n, TElem(-(v * ninv), -(u * ninv), -(self.t * ninv))
 
 
+@cache
+def _norm_weights(p: int, exponents: tuple[tuple[int, int], ...]) -> tuple[QuadExt, ...]:
+    """The weight 2/E of each coordinate, E = a + b sqrt(p) the value of its
+    action exponent (a, b): N(h x) = N(h)^2 N(x) forces weight * E = 2."""
+    return tuple(QuadExt(2) / QuadExt(a, b, p) for a, b in exponents)
+
+
 def val_norm_exact(a: RankOneElem) -> ExtVal:
     """Valuation of the norm of a predicted from the component valuations:
-    the least of each coordinate's valuation scaled by the class's weight."""
-    return ext_min(*(c.val().scale(w) for c, w in zip(a.COORDS(a), a.NORM_WEIGHTS)))
+    the least of each coordinate's valuation scaled by its weight, which
+    the class's torus table (ACTION_EXPONENTS) fixes."""
+    weights = _norm_weights(a.CHAR, a.ACTION_EXPONENTS)
+    return ext_min(*(c.val().scale(w) for c, w in zip(a.COORDS(a), weights)))
 
 
 def h_action(h: Elem) -> Callable[[Elem], Elem] | None:

@@ -11,6 +11,7 @@ the Cayley table, can be enumerated by closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import perm
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -146,15 +147,13 @@ def enumerate_group(field: TitsField) -> PermGroupStats:
         frontier = new
 
     order = len(els)
-    pair_orbit = {(g[0], g[1]) for g in els}
-    triple_orbit = {(g[0], g[1], g[2]) for g in els}
+    # k-transitive: the orbit of the points (0, ..., k - 1) holds every
+    # k-tuple of distinct points
     transitivity = 0
-    if len({g[0] for g in els}) == npoints:
-        transitivity = 1
-    if transitivity and len(pair_orbit) == npoints * (npoints - 1):
-        transitivity = 2
-    if transitivity == 2 and len(triple_orbit) == npoints * (npoints - 1) * (npoints - 2):
-        transitivity = 3
+    for k in (1, 2, 3):
+        if len({g[:k] for g in els}) != perm(npoints, k):
+            break
+        transitivity = k
     point_stab = sum(1 for g in els if g[0] == 0)
     if transitivity >= 1 and point_stab * npoints != order:
         raise ConfigError("stabilizer count disagrees with orbit-stabilizer")

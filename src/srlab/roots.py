@@ -350,27 +350,21 @@ class FoldedSystem:
         return sorted(k for k, r in self.projection.items() if r == idx)
 
 
-_SYSTEMS: dict[str, RootSystem] = {}
-
 _ID2 = [[1, 0], [0, 1]]
 # hexagonal coordinates: basis vectors of equal length at 60 degrees
 _HEX_FRAME = ((_ONE, _ZERO), (_HALF, QuadExt(0, Fraction(1, 2), 3)))
 
 
+@functools.cache
 def get_system(kind: str) -> RootSystem:
     """Shared instance of the root system named A1, B2, G2, or F4."""
-    sys = _SYSTEMS.get(kind)
-    if sys is None:
-        if kind == "A1":
-            sys = Rank2System("A1", [(1, 0)], _ID2)
-        elif kind == "B2":
-            sys = Rank2System("B2", [(1, 0), (1, 1), (0, 1), (-1, 1)], _ID2)
-        elif kind == "G2":
-            half = [(1, 0), (1, 1), (0, 1), (-1, 2), (-1, 1), (-2, 1)]
-            sys = Rank2System("G2", half, [[2, 1], [1, 2]], _HEX_FRAME)
-        elif kind == "F4":
-            sys = F4System()
-        else:
-            raise ConfigError(f"unknown root system kind {kind!r}")
-        _SYSTEMS[kind] = sys
-    return sys
+    if kind == "A1":
+        return Rank2System("A1", [(1, 0)], _ID2)
+    if kind == "B2":
+        return Rank2System("B2", [(1, 0), (1, 1), (0, 1), (-1, 1)], _ID2)
+    if kind == "G2":
+        half = [(1, 0), (1, 1), (0, 1), (-1, 2), (-1, 1), (-2, 1)]
+        return Rank2System("G2", half, [[2, 1], [1, 2]], _HEX_FRAME)
+    if kind == "F4":
+        return F4System()
+    raise ConfigError(f"unknown root system kind {kind!r}")

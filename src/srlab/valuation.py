@@ -433,24 +433,15 @@ def check_rho_invariance(phi: PhiAssignment, params: Sequence[FieldElem]) -> Che
     return CheckResult(True)
 
 
-@dataclass
-class AssignmentResolution:
-    passes: dict[int, bool]
-    chosen: int | None
-
-    @property
-    def exactly_one(self) -> bool:
-        return sum(1 for ok in self.passes.values() if ok) == 1
-
-
 def resolve_assignment(
     case: str,
     nu: Valuation,
     sample_pairs: Callable[[], Sequence[tuple[FieldElem, FieldElem]]],
     pair_list: Sequence[tuple[int, int]],
-) -> AssignmentResolution:
-    """Run the containment bound under both class-to-rule assignments,
-    drawing each interval pair's samples from a fresh `sample_pairs()` call."""
+) -> dict[int, bool]:
+    """Whether the containment bound holds under each class-to-rule
+    assignment, keyed by its twisted class, drawing each interval pair's
+    samples from a fresh `sample_pairs()` call."""
     system = ambient_system(case)
     passes: dict[int, bool] = {}
     for twisted_class in (0, 1):
@@ -458,14 +449,13 @@ def resolve_assignment(
         passes[twisted_class] = all(
             check_v2_pair(phi, i, j, sample_pairs()) for i, j in pair_list
         )
-    chosen = next((tc for tc, ok in passes.items() if ok), None)
-    return AssignmentResolution(passes, chosen)
+    return passes
 
 
 def check_unique_valuation(
     case: str,
     nu: Valuation,
-    resolution: AssignmentResolution,
+    passes: dict[int, bool],
     params: Sequence[FieldElem],
 ) -> CheckResult:
     """The assignments surviving the containment bound define one valuation.
@@ -476,7 +466,7 @@ def check_unique_valuation(
     nu(theta x) = sqrt(char) * nu(x), so both survive and agree; under
     LatticeOrderValuation both can survive and still differ.
     """
-    survivors = [tc for tc, ok in sorted(resolution.passes.items()) if ok]
+    survivors = [tc for tc, ok in sorted(passes.items()) if ok]
     data: dict = {"survivors": survivors}
     if not survivors:
         return CheckResult(False, "no class-to-rule assignment survives the containment bound", data)

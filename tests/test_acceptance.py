@@ -168,7 +168,7 @@ def test_criterion_5_valuation_axioms(capsys):
     v1_ok = True
     v3_ok = True
     refl_ok = True
-    resolutions = {}
+    passes = {}
     for case in ("B", "G"):
         field = fields[case]
         system = ambient_system(case)
@@ -186,7 +186,7 @@ def test_criterion_5_valuation_axioms(capsys):
                 for _ in range(n)
             ]
 
-        resolutions[case] = resolve_assignment(case, nu, sample_pairs, system.interval_pairs())
+        passes[case] = resolve_assignment(case, nu, sample_pairs, system.interval_pairs())
 
         for alpha_pos in range(1, system.n + 1):
             for beta_pos in range(1, system.n + 1):
@@ -220,14 +220,14 @@ def test_criterion_5_valuation_axioms(capsys):
         case: check_unique_valuation(
             case,
             nu,
-            res,
+            case_passes,
             [rand_monomial(fields[case], rng) for _ in range(n)]
             + [rand_short(fields[case], rng, rng.randint(2, 3)) for _ in range(n)],
         )
-        for case, res in resolutions.items()
+        for case, case_passes in passes.items()
     }
 
-    chosen_ok = all(res.chosen is not None for res in resolutions.values())
+    chosen_ok = all(any(case_passes.values()) for case_passes in passes.values())
     unique_ok = all(u.ok for u in uniqueness.values())
     ok = v1_ok and v3_ok and refl_ok and f4_ok and chosen_ok and unique_ok
     _report(capsys, 5, ok)

@@ -341,6 +341,22 @@ def test_norm_check_sees_a_nonzero_norm_at_the_identity(monkeypatch):
     assert failed_group_checks() == ["T-norm-anisotropic"]
 
 
+@pytest.mark.parametrize(
+    "cls, table, failed",
+    [
+        (SElem, ((1, 0), (1, 1)), "S-norm-level-prevalidation"),
+        (TElem, ((1, 0), (1, 1), (2, 1)), "T-norm-level-formula"),
+    ],
+    ids=["S", "T"],
+)
+def test_norm_level_checks_see_a_wrong_torus_table(monkeypatch, cls, table, failed):
+    """The norm-level formula reads its weights off the torus table, so a
+    wrong table fails the appendix check of that formula."""
+    monkeypatch.setattr(cls, "ACTION_EXPONENTS", table)
+    checks = run_suite("appendix", RunConfig(samples=5))["checks"]
+    assert [c["name"] for c in checks if not c["ok"]] == [failed]
+
+
 # --- the bounded norm products against the plain formulas ---
 
 
