@@ -13,7 +13,6 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import asdict
 
 from .errors import ConfigError, SrlabError
 from .field import FieldCfg, TitsField
@@ -115,7 +114,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     """Ree(3) over F3: over F27 and beyond the group outgrows the closure's
     order bound."""
     stats = enumerate_group(TitsField(FieldCfg(char=3, mode="finite", m=1)))
-    payload = {"q": 3, **asdict(stats)}
+    payload = {"q": 3, **vars(stats)}
     _emit(render_report(payload), args.out)
     return 0
 

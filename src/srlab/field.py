@@ -15,7 +15,6 @@ class.  Elements are immutable and may be shared.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import kernel
@@ -27,6 +26,7 @@ from .errors import (
     RadicandMismatchError,
     ResourceBoundError,
 )
+from .record import Record, set_field
 from .scalar import INFINITY, ExtVal, QuadExt, quad_str, read_int
 
 Lat = tuple[int, int]
@@ -137,8 +137,7 @@ class CoeffField:
         return self.exp[(self.log[x] * (em + en * self.theta_exp)) % (self.q - 1)]
 
 
-@dataclass(frozen=True)
-class FieldCfg:
+class FieldCfg(Record):
     """Configuration of a field with a Tits endomorphism, checked by
     `TitsField`.
 
@@ -153,6 +152,22 @@ class FieldCfg:
     denom: int = 2
     precision: int = 40
     support_cap: int = 64
+
+    def __init__(
+        self,
+        char: int,
+        mode: str = mode,
+        m: int = m,
+        denom: int = denom,
+        precision: int = precision,
+        support_cap: int = support_cap,
+    ) -> None:
+        set_field(self, "char", char)
+        set_field(self, "mode", mode)
+        set_field(self, "m", m)
+        set_field(self, "denom", denom)
+        set_field(self, "precision", precision)
+        set_field(self, "support_cap", support_cap)
 
 
 class _ExpText(dict):

@@ -12,13 +12,13 @@ trivial, so the formulas read the same in both characteristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter
 from typing import Callable, ClassVar, TypeVar
 
 from .errors import ConfigError
 from .field import FieldElem, TitsField
+from .record import Frozen, set_field
 from .scalar import ExtVal, QuadExt, ext_min
 
 
@@ -26,16 +26,19 @@ _COUNT = {2: "two", 3: "three"}
 Elem = TypeVar("Elem", bound="RankOneElem")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class RankOneElem:
+class RankOneElem(Frozen):
     """An element of a twisted rank-one group, held as its field coordinates.
 
-    A subclass annotates its coordinates, and nothing else, as dataclass
-    fields with the central one, t, last.  It sets its characteristic CHAR
-    and the twisted exponent of the norm that scales each coordinate under
-    the torus action (ACTION_EXPONENTS), and it supplies only its group
-    law, inverse and norm.  Its COORDS (the coordinates of an element, as a
-    tuple in order) and ARITY are set here from those annotations.
+    A subclass annotates its coordinates, and nothing else, with the
+    central one, t, last, and its constructor takes them in that order,
+    guards the characteristic (`_wrong_char`) and writes them with
+    `set_field`, so `vars(a)` is exactly a's coordinates.  It sets
+    its characteristic CHAR and the twisted exponent of the norm that
+    scales each coordinate under the torus action (ACTION_EXPONENTS), and
+    it supplies only its group law, inverse and norm.  Its COORDS (the
+    coordinates of an element, as a tuple in order) and ARITY are set here
+    from those annotations.  Elements are read-only and compare by
+    identity.
     """
 
     CHAR: ClassVar[int]
@@ -49,11 +52,11 @@ class RankOneElem:
         cls.COORDS = attrgetter(*names)
         cls.ARITY = len(names)
 
-    def __post_init__(self) -> None:
-        if self.t.field.p != self.CHAR:
-            raise ConfigError(
-                f"the {_COUNT[self.ARITY]}-parameter group needs characteristic {self.CHAR}"
-            )
+    @classmethod
+    def _wrong_char(cls) -> ConfigError:
+        return ConfigError(
+            f"the {_COUNT[cls.ARITY]}-parameter group needs characteristic {cls.CHAR}"
+        )
 
     @property
     def field(self) -> TitsField:
@@ -83,7 +86,6 @@ class RankOneElem:
         return f"{type(self).__name__}({', '.join(map(str, self.COORDS(self)))})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SElem(RankOneElem):
     """Element (s, t) of the two-parameter twisted group (characteristic 2)."""
 
@@ -91,6 +93,12 @@ class SElem(RankOneElem):
     ACTION_EXPONENTS = ((2, -1), (0, 1))
     s: FieldElem
     t: FieldElem
+
+    def __init__(self, s: FieldElem, t: FieldElem) -> None:
+        if t.field.p != self.CHAR:
+            raise self._wrong_char()
+        set_field(self, "s", s)
+        set_field(self, "t", t)
 
     def __mul__(self, other: "SElem") -> "SElem":
         s, t = self.s, self.t
@@ -107,7 +115,6 @@ class SElem(RankOneElem):
         return s.twisted_pow(2, 1).add_product(1, s, t) + t.theta()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TElem(RankOneElem):
     """Element (r, s, t) of the three-parameter twisted group (characteristic 3)."""
 
@@ -116,6 +123,13 @@ class TElem(RankOneElem):
     r: FieldElem
     s: FieldElem
     t: FieldElem
+
+    def __init__(self, r: FieldElem, s: FieldElem, t: FieldElem) -> None:
+        if t.field.p != self.CHAR:
+            raise self._wrong_char()
+        set_field(self, "r", r)
+        set_field(self, "s", s)
+        set_field(self, "t", t)
 
     def __mul__(self, other: "TElem") -> "TElem":
         r, s, t = self.r, self.s, self.t

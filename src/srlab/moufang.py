@@ -10,7 +10,6 @@ the Cayley table, can be enumerated by closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import perm
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -18,6 +17,7 @@ from typing import Callable, Sequence
 from .errors import ConfigError, ResourceBoundError
 from .field import TitsField
 from .groups import TElem, h_action
+from .record import Record, set_field
 from .report import CheckResult
 from .samplers import cayley_table, finite_elems, finite_index
 
@@ -92,15 +92,17 @@ def rho_scalar_check(a: TElem, sample_points: Sequence[TElem]) -> CheckResult:
     return CheckResult(True)
 
 
-@dataclass(frozen=True)
-class PermGroupStats:
+class PermGroupStats(Record):
     """Summary of an enumerated permutation group."""
 
-    npoints: int
-    order: int
-    transitivity: int
-    point_stab: int
-    two_point_stab: int
+    def __init__(
+        self, npoints: int, order: int, transitivity: int, point_stab: int, two_point_stab: int
+    ) -> None:
+        set_field(self, "npoints", npoints)
+        set_field(self, "order", order)
+        set_field(self, "transitivity", transitivity)
+        set_field(self, "point_stab", point_stab)
+        set_field(self, "two_point_stab", two_point_stab)
 
 
 def enumerate_group(field: TitsField) -> PermGroupStats:

@@ -10,16 +10,15 @@ identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class CheckResult:
     """Outcome of one check: pass/fail, a reason, and its witness data."""
 
-    ok: bool
-    detail: str = ""
-    data: dict = field(default_factory=dict)
+    def __init__(self, ok: bool, detail: str = "", data: dict | None = None) -> None:
+        self.ok = ok
+        self.detail = detail
+        self.data = {} if data is None else data
 
     def __bool__(self) -> bool:
         return self.ok

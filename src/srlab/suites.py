@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
@@ -22,6 +21,7 @@ from .errors import ConfigError
 from .field import _MODULI, FieldCfg, FieldElem, TitsField
 from .groups import SElem, TElem, h_action, val_norm_exact
 from .moufang import enumerate_group, rho_scalar_check
+from .record import Record, set_field
 from .report import CheckResult, SuiteReport
 from .roots import FoldedSystem, get_system
 from .samplers import (
@@ -55,8 +55,7 @@ from .valuation import (
     solve_suzuki_word,
 )
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Knobs shared by all suites; None keeps a suite's documented default.
 
     Every series field a suite builds takes `FieldCfg`'s settings, which the
@@ -67,6 +66,18 @@ class RunConfig:
     samples: int | None = None
     seed: int = 0
     timings: bool = False
+
+    def __init__(
+        self,
+        case: str = case,
+        samples: int | None = samples,
+        seed: int = seed,
+        timings: bool = timings,
+    ) -> None:
+        set_field(self, "case", case)
+        set_field(self, "samples", samples)
+        set_field(self, "seed", seed)
+        set_field(self, "timings", timings)
 
 
 def suite_seed(seed: int, suite: str) -> int:
@@ -512,7 +523,7 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
     t0 = time.perf_counter()
     g = enumerate_group(f3)
     rep.timing["enumerate_seconds"] = round(time.perf_counter() - t0, 3)
-    rep.stats["group"] = asdict(g)
+    rep.stats["group"] = dict(vars(g))
     rep.check(
         "finite-group-shape",
         g.order == 1512

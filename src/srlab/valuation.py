@@ -20,7 +20,6 @@ the same valuation of the root datum.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -282,7 +281,6 @@ class LatticeOrderValuation(Valuation):
         )
 
 
-@dataclass
 class PhiAssignment:
     """A valuation of the root datum: one measuring rule per length class.
 
@@ -291,17 +289,16 @@ class PhiAssignment:
     is measured directly.
     """
 
-    case: str
-    system: RootSystem
-    nu: Valuation
-    twisted_class: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, case: str, system: RootSystem, nu: Valuation, twisted_class: int) -> None:
+        self.case = case
+        self.system = system
+        self.nu = nu
+        self.twisted_class = twisted_class
         # per root: None for the direct rule, else the factor 1/sqrt(char)
-        inv_sqrt = _INV_SQRT[case_char(self.case)]
+        inv_sqrt = _INV_SQRT[case_char(case)]
         self._rule = [
-            inv_sqrt if self.system.length_class(k) == self.twisted_class else None
-            for k in range(self.system.count)
+            inv_sqrt if system.length_class(k) == twisted_class else None
+            for k in range(system.count)
         ]
 
     def phi(self, root_idx: int, param: FieldElem) -> ExtVal:

@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -9,8 +12,9 @@ import pytest
 
 from srlab import cli, field, moufang, suites, valuation
 from srlab.cli import main
-from srlab.field import FieldCfg
+from srlab.field import FieldCfg, TitsField
 from srlab.groups import SElem, TElem
+from srlab.moufang import PermGroupStats
 from srlab.report import CheckResult
 from srlab.scalar import INFINITY, QuadExt, ext_min
 from srlab.suites import RunConfig, run_suite
@@ -375,3 +379,39 @@ def test_config_field_settings_reach_the_run(tmp_path, monkeypatch):
     assert (config["precision"], config["denom"], config["support_cap"]) == (
         FieldCfg.precision, FieldCfg.denom, FieldCfg.support_cap
     ) == (40, 2, 64)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """srlab's records are plain classes, so importing the command line pays
+    for neither module.  pytest has loaded both already, so the import runs
+    in a fresh interpreter."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = "import sys, srlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_records_are_read_only():
+    """Group elements, field and run settings and group stats reject
+    assignment and deletion of their fields."""
+    f2 = TitsField(FieldCfg(char=2, mode="finite", m=1))
+    f3 = TitsField(FieldCfg(char=3, mode="finite", m=1))
+    records = [
+        (TElem.identity(f3), "r", f3.one()),
+        (TElem.identity(f3), "t", f3.one()),
+        (SElem.identity(f2), "s", f2.one()),
+        (FieldCfg(char=3), "precision", 80),
+        (RunConfig(), "seed", 1),
+        (PermGroupStats(28, 1512, 2, 54, 2), "order", 1),
+    ]
+    for record, name, value in records:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is before

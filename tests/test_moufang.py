@@ -8,6 +8,7 @@ from srlab.errors import ConfigError, ResourceBoundError
 from srlab.field import FieldCfg, TitsField
 from srlab.groups import TElem
 from srlab.moufang import (
+    PermGroupStats,
     enumerate_group,
     omega_point,
     rho_map,
@@ -85,6 +86,37 @@ def test_enumerate_group_shape():
     assert stats.transitivity == 2
     assert stats.point_stab == 54
     assert stats.two_point_stab == 2
+
+
+@pytest.mark.parametrize("sign, stats", [
+    # x -> 1/x has determinant -1, a non-square in F27: PGL(2, 27)
+    (1, PermGroupStats(28, 19656, 3, 702, 26)),
+    # x -> -1/x has determinant 1: PSL(2, 27), 2- but not 3-transitive
+    (-1, PermGroupStats(28, 9828, 2, 351, 13)),
+], ids=["PGL", "PSL"])
+def test_enumerate_group_measures_three_transitivity(monkeypatch, sign, stats):
+    """The translations x -> x + a of F27 and one inversion close to a group
+    of the projective line over F27, whose 3-transitivity Ree(3) cannot show.
+    The 27 points stand in for group elements, one per coefficient index,
+    with F27's addition table as their Cayley table."""
+    c = f27().coeff
+    q = c.q
+
+    class Point:
+        def __init__(self, k):
+            self.k = k
+
+        def omega(self):
+            inv = c.invf[self.k]
+            return points[inv if sign == 1 else c.negf[inv]]
+
+    points = [Point(k) for k in range(q)]
+    monkeypatch.setattr(moufang, "finite_elems", lambda cls, field: points)
+    monkeypatch.setattr(
+        moufang, "cayley_table", lambda elems: [c.addf[a * q:a * q + q] for a in range(q)]
+    )
+    monkeypatch.setattr(moufang, "finite_index", lambda x: x.k)
+    assert enumerate_group(f3()) == stats
 
 
 def test_enumerate_group_bound(monkeypatch):
