@@ -3,12 +3,13 @@
 Each of the two modes has its own element class under the FieldElem
 interface.  In finite mode the field is F_{p^m} with m odd, presented through
 exp/log tables, with twisting endomorphism x -> x^{p^{n+1}} where m = 2n + 1
-and the trivial valuation; it builds its q FiniteElem once, as `elems`, and
-every factory and operation returns one of them by a table lookup.  In hahn
-mode a SeriesElem is a finitely supported series sum c_i * t^{g_i} with
-exponents g_i in (1/D) Z[sqrt(p)] and coefficients in F_{p^m}; inexact
-elements carry an upper truncation exponent (their precision) and every
-operation propagates it honestly.  Only the field's factories choose the
+and the trivial valuation; it builds its q FiniteElem once, as `elems`, each
+holding its own rows of the sum and product tables, and every factory and
+operation returns one of them by a table lookup.  In hahn mode a SeriesElem
+is a finitely supported series sum c_i * t^{g_i} with exponents g_i in
+(1/D) Z[sqrt(p)] and coefficients in F_{p^m}, whose products and sums read
+the CoeffField tables; inexact elements carry an upper truncation exponent
+(their precision) and every operation propagates it honestly.  Only the field's factories choose the
 class.  Elements are immutable and may be shared.
 """
 
@@ -230,9 +231,19 @@ class TitsField:
         D, p = self.D, self.p
         self.e_text = _ExpText(lambda e: quad_str(e, 0, D, p))
         self.f_text = _ExpText(lambda f: quad_str(0, f, D, p)[1:])
-        self.elems: list[FiniteElem] | None = (
-            [FiniteElem(self, k) for k in range(self.q)] if self.mode == "finite" else None
-        )
+        self.elems: list[FiniteElem] | None = None
+        if self.mode == "finite":
+            # each element holds its rows of the sum and product tables, its
+            # negation and its theta image, all as the field's elements
+            q, cf = self.q, self.coeff
+            elems = self.elems = [FiniteElem(self, k) for k in range(q)]
+            pick = elems.__getitem__
+            for x in elems:
+                row = x.k * q
+                x.add_row = list(map(pick, cf.addf[row:row + q]))
+                x.mul_row = list(map(pick, cf.mulf[row:row + q]))
+                x.neg = elems[cf.negf[x.k]]
+                x.theta_image = elems[cf.thetaf[x.k]]
 
     # --- factories ---
 
@@ -275,9 +286,15 @@ class TitsField:
             raise ConfigError("monomials exist only in hahn mode")
         if not 0 <= coeff < self.q:
             raise ValueError(f"coefficient index out of range: {coeff}")
-        e, g = lat = self.lat(exp)
+        return self.monomial_at(self.lat(exp), coeff)
+
+    def monomial_at(self, lat: Lat, coeff: int = 1) -> "FieldElem":
+        """coeff * t^((e + g*sqrt(p))/D) for lat = (e, g): `monomial` past its
+        checks, for callers that hold a lattice pair of a hahn field and a
+        coefficient index in range."""
         if not coeff:
             return SeriesElem(self, {})
+        e, g = lat
         key = kernel.exp_key(e, g, self.p)
         return SeriesElem(self, {key: coeff}, None, kernel.lat_span(e, g), lat)
 
@@ -401,10 +418,14 @@ class FiniteElem(FieldElem):
     """An element of a finite field, held as its coefficient index k.
 
     A finite field builds each of its elements once (`TitsField.elems`), so
-    equality is identity and every operation is a table lookup.
+    equality is identity.  Each element holds its own rows of the field's
+    sum and product tables (`add_row[j]` is self plus the element of index
+    j, `mul_row[j]` self times it), its negation and its theta image, so
+    `+`, `*`, unary `-` and `theta` are one list index or one attribute
+    read; inversion and powers go through the field's log tables.
     """
 
-    __slots__ = ("k",)
+    __slots__ = ("k", "add_row", "mul_row", "neg", "theta_image")
     # read alike on both element classes (precision, support-cap counters)
     terms = prec = None
 
@@ -413,42 +434,35 @@ class FiniteElem(FieldElem):
         self.k = k
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        f = self.field
-        if other.field is not f:
+        # a row indexed by another field's k would answer wrongly, not raise
+        if other.field is not self.field:
             raise ValueError("elements belong to different fields")
-        return f.elems[f.coeff.addf[self.k * f.q + other.k]]
+        return self.add_row[other.k]
 
     def __neg__(self) -> "FieldElem":
-        f = self.field
-        return f.elems[f.coeff.negf[self.k]]
+        return self.neg
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        f = self.field
-        if other.field is not f:
+        if other.field is not self.field:
             raise ValueError("elements belong to different fields")
-        return f.elems[f.coeff.mulf[self.k * f.q + other.k]]
+        return self.mul_row[other.k]
 
     def add_product(self, sign: int, *factors: "FieldElem") -> "FieldElem":
-        """self + sign * the product of factors, in one pass over the tables."""
+        """self + sign * the product of factors, walked through the rows."""
         f = self.field
-        coeff, q = f.coeff, f.q
-        mulf = coeff.mulf
-        k = 1  # the index of one
+        prod = f.elems[1]  # one
         for x in factors:
             if x.field is not f:
                 raise ValueError("elements belong to different fields")
-            k = mulf[k * q + x.k]
-        if sign < 0:
-            k = coeff.negf[k]
-        return f.elems[coeff.addf[self.k * q + k]]
+            prod = prod.mul_row[x.k]
+        return self.add_row[(prod.neg if sign < 0 else prod).k]
 
     def __pow__(self, e: int) -> "FieldElem":
         return self.twisted_pow(e, 0)
 
     def theta(self) -> "FieldElem":
         """Apply the Tits endomorphism."""
-        f = self.field
-        return f.elems[f.coeff.thetaf[self.k]]
+        return self.theta_image
 
     def twisted_pow(self, em: int, en: int) -> "FieldElem":
         """Compute self^em * theta(self)^en for integer exponents."""

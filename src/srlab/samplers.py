@@ -23,8 +23,7 @@ def rand_lat(rng: random.Random, span: int = 6) -> tuple[int, int]:
 
 
 def rand_monomial(field: TitsField, rng: random.Random) -> FieldElem:
-    exp = field.unlat(rand_lat(rng))
-    return field.monomial(exp, rng.randrange(1, field.q))
+    return field.monomial_at(rand_lat(rng), rng.randrange(1, field.q))
 
 
 def rand_short(field: TitsField, rng: random.Random, terms: int = 2) -> FieldElem:
@@ -115,7 +114,7 @@ def tie_samples_t(field: TitsField, rng: random.Random, count: int) -> list[TEle
             e, f = levels[1 - mode]
             levels[1 - mode] = (e + rng.randint(1, 3), f)
             gs, gt = levels
-            r = field.monomial(field.unlat(gr), coeff())
+            r = field.monomial_at(gr, coeff())
         else:  # s-level == t-level with r zero
             e = rng.randint(-4, 4)
             f = rng.randint(-2, 2)
@@ -123,7 +122,7 @@ def tie_samples_t(field: TitsField, rng: random.Random, count: int) -> list[TEle
             gs = (e, f)
             gt = ((e + 3 * f) // 2, (e + f) // 2)
             r = field.zero()
-        s = field.monomial(field.unlat(gs), coeff())
-        t = field.monomial(field.unlat(gt), coeff())
+        s = field.monomial_at(gs, coeff())
+        t = field.monomial_at(gt, coeff())
         out.append(TElem(r, s, t))
     return out

@@ -18,7 +18,7 @@ from functools import reduce
 from typing import Callable, Sequence
 
 from .errors import ConfigError
-from .field import _MODULI, FieldCfg, FieldElem, TitsField
+from .field import _MODULI, CoeffField, FieldCfg, FieldElem, TitsField
 from .groups import SElem, TElem, h_action, val_norm_exact
 from .moufang import enumerate_group, rho_scalar_check
 from .record import Record, set_field
@@ -221,12 +221,12 @@ def _suite_folding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
 
 def _suite_field(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     for char, m in _MODULI:
-        field = TitsField(FieldCfg(char=char, mode="finite", m=m))
-        cf, xs = field.coeff, range(field.q)
-        rep.check(f"F{field.q}-twist-squares-to-frobenius", all(
+        cf = CoeffField(char, m)
+        xs = range(cf.q)
+        rep.check(f"F{cf.q}-twist-squares-to-frobenius", all(
             cf.theta(cf.theta(x)) == reduce(cf.mul, [x] * char) for x in xs
         ))
-        rep.check(f"F{field.q}-twist-multiplicative", all(
+        rep.check(f"F{cf.q}-twist-multiplicative", all(
             cf.theta(cf.mul(x, y)) == cf.mul(cf.theta(x), cf.theta(y)) for x in xs for y in xs
         ))
     n = cfg.samples or 120
@@ -349,8 +349,8 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> Non
         SElem(rand_monomial(hf2, rng), rand_monomial(hf2, rng))
         if k % 10
         else SElem(
-            hf2.monomial(hf2.unlat(gs := rand_lat(rng, 4))),
-            hf2.monomial(hf2.unlat(lat_mul_quad(gs, 1, 1, 2))),
+            hf2.monomial_at(gs := rand_lat(rng, 4)),
+            hf2.monomial_at(lat_mul_quad(gs, 1, 1, 2)),
         )
         for k in ks
     )
@@ -548,12 +548,12 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
     hs = []
     for _ in range(9):
         comps = [hf3.zero(), hf3.zero(), hf3.zero()]
-        comps[rng.randrange(3)] = hf3.monomial(
-            hf3.unlat((rng.randint(-2, 2), rng.randint(-1, 1))), rng.randrange(1, 3)
+        comps[rng.randrange(3)] = hf3.monomial_at(
+            (rng.randint(-2, 2), rng.randint(-1, 1)), rng.randrange(1, 3)
         )
         hs.append(TElem(*comps))
     draws = [
-        hf3.monomial(hf3.unlat((rng.randint(-2, 2), rng.randint(-1, 1))), rng.randrange(1, 3))
+        hf3.monomial_at((rng.randint(-2, 2), rng.randint(-1, 1)), rng.randrange(1, 3))
         for _ in range(6)
     ]
     rep.check("scaling-map-diagonal-hahn", all(

@@ -238,11 +238,21 @@ class Valuation:
     def of(self, x: FieldElem) -> ExtVal:
         raise NotImplementedError
 
+    def of_twisted(self, x: FieldElem) -> ExtVal:
+        """The twisted rule nu(theta(x)) / sqrt(p), p the field's characteristic."""
+        return self.of(x.theta()).scale(_INV_SQRT[x.field.p])
+
 
 class TAdicValuation(Valuation):
     """The valuation carried by the field itself."""
 
     def of(self, x: FieldElem) -> ExtVal:
+        return x.val()
+
+    def of_twisted(self, x: FieldElem) -> ExtVal:
+        # theta sends each exponent g to sqrt(p) * g and keeps every
+        # coefficient nonzero, so nu(theta(x)) / sqrt(p) is nu(x), for an
+        # inexact x too; an uncertified zero raises as on the theta route
         return x.val()
 
 
@@ -285,27 +295,23 @@ class PhiAssignment:
     """A valuation of the root datum: one measuring rule per length class.
 
     Parameters on roots of length class `twisted_class` are measured through
-    the twisting endomorphism and scaled back by sqrt(char); the other class
-    is measured directly.
+    the twisting endomorphism and scaled back by sqrt(char)
+    (`Valuation.of_twisted`); the other class is measured directly.
     """
 
     def __init__(self, case: str, system: RootSystem, nu: Valuation, twisted_class: int) -> None:
+        _case(case)  # an unknown case raises here
         self.case = case
         self.system = system
         self.nu = nu
         self.twisted_class = twisted_class
-        # per root: None for the direct rule, else the factor 1/sqrt(char)
-        inv_sqrt = _INV_SQRT[case_char(case)]
-        self._rule = [
-            inv_sqrt if system.length_class(k) == twisted_class else None
-            for k in range(system.count)
-        ]
+        # per root: whether it takes the twisted rule
+        self._twisted = [system.length_class(k) == twisted_class for k in range(system.count)]
 
     def phi(self, root_idx: int, param: FieldElem) -> ExtVal:
-        inv_sqrt = self._rule[root_idx]
-        if inv_sqrt is None:
-            return self.nu.of(param)
-        return self.nu.of(param.theta()).scale(inv_sqrt)
+        if self._twisted[root_idx]:
+            return self.nu.of_twisted(param)
+        return self.nu.of(param)
 
 
 def check_v1(

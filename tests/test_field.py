@@ -17,7 +17,7 @@ from srlab.errors import (
     ResourceBoundError,
 )
 from srlab.field import CoeffField, FieldCfg, SeriesElem, TitsField
-from srlab.samplers import rand_lat
+from srlab.samplers import rand_lat, rand_monomial
 from srlab.scalar import INFINITY, ExtVal, QuadExt, irr_sign, quad_str
 from srlab.suites import RunConfig, run_suite
 
@@ -399,7 +399,7 @@ def test_twist_ring_map_check_sees_a_theta_that_does_not_square_to_frobenius(mon
     ]
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 3), (3, 3), (3, 5)])
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 3), (2, 5), (3, 3), (3, 5)])
 def test_finite_results_are_interned(p, m):
     f = finite(p, m)
     cf, e = f.coeff, f.elems
@@ -424,6 +424,11 @@ def test_finite_results_are_interned(p, m):
             assert a * b is e[cf.mulf[x * cf.q + y]]
             if y:
                 assert a / b is e[cf.mulf[x * cf.q + cf.invf[y]]]
+            factors = (b, e[(x + y) % cf.q], e[(x * y + 1) % cf.q])
+            for n in (1, 2, 3):
+                k = reduce(cf.mul, [c.k for c in factors[:n]])
+                assert a.add_product(1, *factors[:n]) is e[cf.addf[x * cf.q + k]]
+                assert a.add_product(-1, *factors[:n]) is e[cf.addf[x * cf.q + cf.negf[k]]]
 
 
 def test_distinct_fields_do_not_mix():
@@ -437,10 +442,41 @@ def test_distinct_fields_do_not_mix():
             lambda: a / b,
             lambda: a.agrees(b),
             lambda: a.add_product(1, a, b),
+            lambda: a.add_product(1, b),
+            lambda: b.add_product(-1, a, a),
         ):
             with pytest.raises(ValueError, match="different fields"):
                 op()
     assert hahn().elems is None
+
+
+def test_field_suite_builds_no_finite_elements(monkeypatch):
+    """The field suite checks the coefficient tables themselves, so it
+    builds no finite field's elements (nor their table rows)."""
+    built = []
+    init = field.FiniteElem.__init__
+
+    def counted(self, f, k):
+        built.append(k)
+        init(self, f, k)
+
+    monkeypatch.setattr(field.FiniteElem, "__init__", counted)
+    assert run_suite("field", RunConfig(samples=5))["checks"]
+    assert built == []
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_monomial_at_is_monomial_from_the_pair(char):
+    """A draw through the lattice pair is the element the exponent route
+    builds, and it leaves the random stream where that route leaves it."""
+    f = hahn(char)
+    old_rng, new_rng = random.Random(char), random.Random(char)
+    for _ in range(2000):
+        a = f.monomial(f.unlat(rand_lat(old_rng)), old_rng.randrange(1, f.q))
+        b = rand_monomial(f, new_rng)
+        assert (a.terms, a.prec, a._span, a._low) == (b.terms, b.prec, b._span, b._low)
+    assert old_rng.getstate() == new_rng.getstate()
+    assert f.monomial_at((3, -1), 0).agrees(f.zero())
 
 
 def test_twisted_pow():

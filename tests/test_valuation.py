@@ -5,7 +5,8 @@ import pytest
 
 from srlab import valuation
 from srlab.errors import InsufficientPrecisionError, ResourceBoundError, UnsupportedAngleError
-from srlab.field import FieldCfg, TitsField
+from srlab.field import FieldCfg, SeriesElem, TitsField
+from srlab.samplers import biased_component, rand_short
 from srlab.groups import TElem
 from srlab.scalar import ExtVal, QuadExt
 from srlab.valuation import (
@@ -290,6 +291,52 @@ def test_both_assignments_pass_containment():
     assert passes[0] and passes[1]
     assert next(tc for tc, ok in passes.items() if ok) == 0
     assert sum(passes.values()) != 1
+
+
+def twisted_draws(f, rng):
+    """Series elements from the suites' samplers, exact and inexact (an
+    inverse and its products), plus an exact zero."""
+    xs = [biased_component(f, rng) for _ in range(40)] + [rand_short(f, rng, 3) for _ in range(20)]
+    inexact = [rand_short(f, rng, 2).inv() for _ in range(10)]
+    inexact += [a * b for a, b in zip(inexact, xs)]
+    assert any(x.prec is not None and x.terms for x in inexact)
+    return xs + inexact + [f.zero()]
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_t_adic_twisted_rule_skips_theta(char):
+    """Under the t-adic valuation nu(theta x)/sqrt(p) is nu(x): the direct
+    answer agrees with the theta route on series draws, on exact and
+    inexact zero and on finite elements, and an uncertified zero raises on
+    both routes."""
+    nu = TAdicValuation()
+    f = hahn(char)
+    finite_field = TitsField(FieldCfg(char=char, mode="finite", m=3))
+    for x in twisted_draws(f, random.Random(char)) + finite_field.elems:
+        assert nu.of_twisted(x) == valuation.Valuation.of_twisted(nu, x) == nu.of(x)
+    uncertified = f.parse("0")
+    assert not uncertified.terms and uncertified.prec is not None
+    for route in (nu.of_twisted, lambda x: valuation.Valuation.of_twisted(nu, x)):
+        with pytest.raises(InsufficientPrecisionError):
+            route(uncertified)
+
+
+def test_t_adic_phi_reads_no_theta(monkeypatch):
+    """The t-adic phi on a twisted root answers from the parameter itself."""
+    f = hahn(3)
+    system = g2()
+    phi = PhiAssignment("G", system, TAdicValuation(), twisted_class=1)
+    root = next(k for k in range(system.count) if system.length_class(k) == 1)
+
+    def no_theta(self):
+        raise AssertionError("theta applied")
+
+    monkeypatch.setattr(SeriesElem, "theta", no_theta)
+    u = f.monomial(QuadExt(1, 2, 3), 2) + f.one()
+    assert phi.phi(root, u) == ExtVal.of(0)
+    assert phi.phi(root, f.monomial(QuadExt(Fraction(3, 2), -1, 3), 1)) == ExtVal.of(
+        QuadExt(Fraction(3, 2), -1, 3)
+    )
 
 
 def test_unique_valuation_under_t_adic():
