@@ -22,7 +22,11 @@ division using dynamic arrays, heaps, and packed exponent vectors", CASC
 `ser_mul` visits each pair of terms of its two supports (a bounded product
 only the pairs keyed below its bound).  A square, one support passed as both
 operands, visits each unordered pair once: its cross terms come in equal
-pairs, 2 c_i c_j, which vanish in characteristic 2.
+pairs, 2 c_i c_j, which vanish in characteristic 2.  A bounded product
+makes about one term per five pairs it visits on the series omega round
+trips, so it adds every pair into its key's sum and drops zero sums once;
+an unbounded one, whose pairs mostly land on new keys, deletes a key as
+soon as its sum cancels.
 
 Every stored exponent, precisions included, keeps |e| and |f| below
 KEY_LIMIT = 2^29.  This module does not check it; `SeriesElem.__init__` in
@@ -96,7 +100,7 @@ def ser_trunc(terms: dict, bound: int) -> dict:
     return {k: c for k, c in terms.items() if k < bound}
 
 
-def ser_add(ta: dict, tb: dict, q: int, addf: list, bound) -> dict:
+def ser_add(ta: dict, tb: dict, q: int, addf: list) -> dict:
     out = dict(ta)
     for key, c in tb.items():
         prev = out.get(key)
@@ -108,8 +112,6 @@ def ser_add(ta: dict, tb: dict, q: int, addf: list, bound) -> dict:
                 out[key] = s
             else:
                 del out[key]
-    if bound is not None:
-        out = ser_trunc(out, bound)
     return out
 
 
@@ -158,17 +160,8 @@ def ser_mul(ta, tb, q: int, addf: list, mulf: list, bound) -> dict:
             if k2 >= lim:
                 break
             k = k1 + k2
-            c = mulf[row + c2]
-            prev = get(k)
-            if prev is None:
-                out[k] = c
-            else:
-                s = addf[prev * q + c]
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    return out
+            out[k] = addf[get(k, 0) * q + mulf[row + c2]]
+    return {k: c for k, c in out.items() if c}
 
 
 def _ser_square(ta, q: int, addf: list, mulf: list, bound) -> dict:

@@ -561,10 +561,16 @@ class SeriesElem(FieldElem):
         f = self.field
         if other.field is not f:
             raise ValueError("elements belong to different fields")
+        # each operand's terms lie below its own precision, so only the
+        # operand less precise than the sum can hold terms to drop
+        ta, tb = self.terms, other.terms
         prec, op = self.prec, other.prec
-        if prec is None or (op is not None and op < prec):
-            prec = op
-        terms = kernel.ser_add(self.terms, other.terms, f.q, f.coeff.addf, prec)
+        if prec is not op:
+            if prec is None or (op is not None and op < prec):
+                ta, prec = kernel.ser_trunc(ta, op), op
+            elif op is None or prec < op:
+                tb = kernel.ser_trunc(tb, prec)
+        terms = kernel.ser_add(ta, tb, f.q, f.coeff.addf)
         span = self._span if self._span >= other._span else other._span
         return self._capped(terms, prec, span)
 
@@ -738,15 +744,18 @@ class SeriesElem(FieldElem):
                 rel_span = _exact_span(f, {}, rel)
         cap = f.cfg.support_cap
         acc: dict[int, int] = {0: 1}
-        power = dict(neg_x)
+        power = {k: c for k, c in neg_x if k < rel}
         power_span = step
         rounds = 0
+        # acc and power lie below rel, so only the cap cuts their sum, and
+        # it lowers rel to its first dropped key; the bounded product forms
+        # nothing from power's terms past rel, as neg_x's keys are positive
         while power:
-            acc = kernel.ser_add(acc, power, q, addf, rel)
+            acc = kernel.ser_add(acc, power, q, addf)
             if len(acc) > cap:
-                rel = sorted(acc)[cap]
-                acc = kernel.ser_trunc(acc, rel)
-                power = kernel.ser_trunc(power, rel)
+                kept = sorted(acc.items())
+                rel = kept[cap][0]
+                acc = dict(kept[:cap])
             power = kernel.ser_mul(sorted(power.items()), neg_x, q, addf, mulf, rel)
             power_span += step
             if power_span >= _KEY_LIMIT:

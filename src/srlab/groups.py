@@ -150,15 +150,19 @@ class TElem(RankOneElem):
         Each is formed in full, exactly as the formulas below would form it
         on its own (left to right, powers by repeated multiplication, a
         square in one kernel pass), so sharing them changes no term and no
-        precision.  The formulas add each summand after the first through
-        `add_product`, which forms it only below the precision of the sum
-        so far; the shared products are formed before that is known.
+        precision.  theta(r)^2 is the theta-image of r^2: theta is a ring
+        endomorphism that maps exponent keys linearly and keeps their order,
+        so the product's terms, its precision (each factor's precision plus
+        the other's least exponent) and its support-cap cut all map across.
+        The formulas add each summand after the first through `add_product`,
+        which forms it only below the precision of the sum so far; the
+        shared products are formed before that is known.
         """
         r, s = self.r, self.s
         tr = r.theta()
         r2 = r * r
         r3 = r2 * r
-        return tr, s.theta(), self.t.theta(), r2, r3, r2 * s, r3 * tr, tr * tr
+        return tr, s.theta(), self.t.theta(), r2, r3, r2 * s, r3 * tr, r2.theta()
 
     def _norm(self, shared: tuple[FieldElem, ...]) -> FieldElem:
         r, s, t = self.r, self.s, self.t
@@ -177,9 +181,11 @@ class TElem(RankOneElem):
         r, s, t = self.r, self.s, self.t
         tr, ts, tt, r2, r3, r2s, r3tr, tr2 = shared
         u = r2s.add_product(-1, r, t) + ts - r3tr
+        # theta(r) theta(s) is theta(rs) (see _shared); + rs * s is + r * s * s
+        rs = r * s
         v = (
-            (tr * ts - tt)
-            .add_product(1, r, s, s)
+            (rs.theta() - tt)
+            .add_product(1, rs, s)
             .add_product(1, s, t)
             .add_product(-1, r3, tr2)
         )
@@ -199,7 +205,9 @@ class TElem(RankOneElem):
         n = self._norm(shared)
         ninv = n.inv()
         u, v = self._uv(shared)
-        return n, TElem(-(v * ninv), -(u * ninv), -(self.t * ninv))
+        # x (-1/N) is -(x/N), whose terms, precision and cap cut it negates
+        neg = -ninv
+        return n, TElem(v * neg, u * neg, self.t * neg)
 
 
 @cache

@@ -45,6 +45,23 @@ def test_run_matches_benchmark_reference_digest(tmp_path):
     assert hashlib.sha256(raw).hexdigest() == want
 
 
+def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """A fresh interpreter with another string hash seed writes the bytes
+    that the benchmark reference pins for `run --seed 0 --samples 5`: no
+    report byte depends on str hashing."""
+    root = Path(__file__).resolve().parent.parent
+    want = json.loads((root / "perfbench" / "reference.json").read_text())["srlab-run"]["0"]
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="987")
+    proc = subprocess.run(
+        [sys.executable, "-m", "srlab.cli", "run", "--seed", "0", "--samples", "5",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [

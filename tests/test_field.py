@@ -15,9 +15,10 @@ from srlab.errors import (
     ParseError,
     RadicandMismatchError,
     ResourceBoundError,
+    SrlabError,
 )
 from srlab.field import CoeffField, FieldCfg, SeriesElem, TitsField
-from srlab.samplers import rand_lat, rand_monomial
+from srlab.samplers import rand_lat, rand_monomial, rand_short
 from srlab.scalar import INFINITY, ExtVal, QuadExt, irr_sign, quad_str
 from srlab.suites import RunConfig, run_suite
 
@@ -883,6 +884,146 @@ def test_bounded_product_is_truncated_product():
                 full = kpy.ser_mul(ia, ib, cf.q, cf.addf, cf.mulf, None)
                 got = kpy.ser_mul(ia, ib, cf.q, cf.addf, cf.mulf, kb)
                 assert got == kpy.ser_trunc(full, kb)
+
+
+def delete_on_zero_product(ta, tb, q, addf, mulf, bound):
+    """The bounded product as a loop that deletes a key whose sum cancels."""
+    out = {}
+    if not ta or not tb:
+        return out
+    for k1, c1 in ta:
+        lim = bound - k1
+        if tb[0][0] >= lim:
+            break
+        for k2, c2 in tb:
+            if k2 >= lim:
+                break
+            k = k1 + k2
+            s = addf[out.get(k, 0) * q + mulf[c1 * q + c2]]
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def test_bounded_product_equals_the_delete_on_zero_loop():
+    """The bounded product accumulates and drops zero sums at the end; it
+    forms the support of the loop that deletes each cancelled key at once."""
+    rng = random.Random(27)
+    cancelled = 0
+    for p, m in ((2, 1), (3, 1), (2, 3), (3, 3)):
+        cf = CoeffField(p, m)
+        for _ in range(200):
+            # a small grid of exponents, so pair sums meet and cancel often
+            a, b = (
+                {(rng.randint(0, 6), rng.randint(-1, 1)): rng.randrange(1, cf.q) for _ in range(rng.randrange(1, 12))}
+                for _ in range(2)
+            )
+            ia, ib = sorted(key_terms(a, p).items()), sorted(key_terms(b, p).items())
+            sums = {ka + kb for ka, _ca in ia for kb, _cb in ib}
+            for kb in (max(sums) + 1, rng.choice(sorted(sums)), kpy.exp_key(rng.randint(0, 12), 0, p)):
+                got = kpy.ser_mul(ia, ib, cf.q, cf.addf, cf.mulf, kb)
+                assert got == delete_on_zero_product(ia, ib, cf.q, cf.addf, cf.mulf, kb)
+                assert all(got.values())
+                cancelled += len({k for k in sums if k < kb} - got.keys())
+    assert cancelled >= 200, cancelled
+
+
+def series_draws(f, rng, n):
+    """Exact sums of up to six terms, some past the field's precision;
+    geometric-series inverses (cut at the support cap when they have more
+    terms) and their products with exact terms; inexact-empty differences;
+    and sums whose terms cancel: (x + y) - y for an inexact y."""
+    out = []
+    for k in range(n):
+        exact = f.zero()
+        for _ in range(rng.randint(1, 6)):
+            exact = exact + f.monomial_at((rng.randint(-20, 100), rng.randint(-6, 6)), rng.randrange(1, f.q))
+        y = rand_short(f, rng, 3)
+        if len(y.terms) > 1:
+            y = y.inv()
+        kind = k % 5
+        if kind == 0:
+            out.append(exact)
+        elif kind == 1:
+            out.append(y)
+        elif kind == 2:
+            out.append(y * rand_short(f, rng, 2))
+        elif kind == 3:
+            out.append(y - y)
+        else:
+            out.append((exact + y) - y)
+    return out
+
+
+def raised(fn):
+    """fn()'s value, or the type of the srlab error it raised."""
+    try:
+        return fn()
+    except SrlabError as exc:
+        return type(exc)
+
+
+def geometric_inverse(x):
+    """x^-1 by the geometric series with every sum cut at the working bound
+    rel, and both the sum and the power cut again when the support cap
+    lowers rel."""
+    f = x.field
+    if len(x.terms) < 2:
+        return x.inv()
+    q, coeff, cap = f.q, f.coeff, f.cfg.support_cap
+    addf, mulf = coeff.addf, coeff.mulf
+    items = sorted(x.terms.items())
+    g, c = items[0]
+    cinv = coeff.invf[c]
+    neg_x = [(k - g, coeff.negf[mulf[cc * q + cinv]]) for k, cc in items[1:]]
+    rel = f.prec_key if x.prec is None else x.prec - g
+    acc, power = {0: 1}, dict(neg_x)
+    while power:
+        acc = kpy.ser_trunc(kpy.ser_add(acc, power, q, addf), rel)
+        if len(acc) > cap:
+            rel = sorted(acc)[cap]
+            acc = kpy.ser_trunc(acc, rel)
+            power = kpy.ser_trunc(power, rel)
+        power = kpy.ser_mul(sorted(power.items()), neg_x, q, addf, mulf, rel)
+    return SeriesElem(f, {k - g: mulf[cc * q + cinv] for k, cc in acc.items()}, rel - g)
+
+
+def test_inverse_equals_the_geometric_loop_that_cuts_every_sum():
+    """inv, which cuts its running sum only at the support cap, gives the
+    terms and precision of the loop that cuts every sum, on exact, inexact,
+    inexact-empty, cancelling and support-cap-8 inputs, and on exact ones
+    with terms past the field's precision."""
+    rng = random.Random(28)
+    seen = {"past": 0, "cut": 0, "empty": 0}
+    for char in (2, 3):
+        for cap in (64, 8):
+            f = hahn(char, support_cap=cap)
+            for x in series_draws(f, rng, 100):
+                got = raised(x.inv)
+                assert got == raised(lambda: geometric_inverse(x))
+                seen["past"] += x.prec is None and max(x.terms, default=0) >= f.prec_key
+                seen["cut"] += isinstance(got, SeriesElem) and len(got.terms) == cap
+                seen["empty"] += got is InsufficientPrecisionError
+    assert min(seen.values()) >= 10, seen
+
+
+def test_sum_is_the_sum_cut_at_the_lesser_precision():
+    """x + y truncates only the operand less precise than the sum, and is
+    ser_add's sum cut at the lesser precision, then at the support cap."""
+    rng = random.Random(29)
+    for char in (2, 3):
+        for cap in (64, 8):
+            f = hahn(char, support_cap=cap)
+            draws = series_draws(f, rng, 60)
+            for x, y in zip(draws, rng.sample(draws, len(draws))):
+                precs = [p for p in (x.prec, y.prec) if p is not None]
+                prec = min(precs, default=None)
+                terms = kpy.ser_add(x.terms, y.terms, f.q, f.coeff.addf)
+                if prec is not None:
+                    terms = kpy.ser_trunc(terms, prec)
+                assert x + y == x._capped(terms, prec, 0)
 
 
 # lattice coordinates: small ones (zero and negative parts) and ones up to

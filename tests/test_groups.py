@@ -517,3 +517,46 @@ def test_squares_equal_the_general_product():
                 got = kpy.ser_mul(items, items, cf.q, cf.addf, cf.mulf, bound)
                 assert got == kpy.ser_mul(items, list(items), cf.q, cf.addf, cf.mulf, bound)
                 assert got == kpy.ser_trunc(full, bound)
+
+
+def test_theta_of_a_product_is_the_product_of_theta_images():
+    """theta(x y) is theta(x) theta(y) and theta(x^2) is theta(x)^2, term for
+    term and precision for precision, support-cap cuts included, so the norm
+    and (u, v) may form theta(r)^2 and theta(r) theta(s) as theta-images.
+    Over the m = 3 coefficient fields theta also moves the coefficients."""
+    rng = random.Random(24)
+    seen = {"cut": 0, "inexact": 0, "moved": 0}
+    for char, m in ((2, 1), (3, 1), (2, 3), (3, 3)):
+        for cap in (64, 8):
+            f = TitsField(FieldCfg(char=char, mode="hahn", m=m, support_cap=cap))
+            for _ in range(100):
+                x, y = mixed_component(f, rng), mixed_component(f, rng)
+                xy, sq = x * y, x * x
+                assert xy.theta() == x.theta() * y.theta()
+                assert sq.theta() == x.theta() * x.theta()
+                seen["cut"] += (len(xy.terms) == cap) + (len(sq.terms) == cap)
+                seen["inexact"] += sq.prec is not None
+                seen["moved"] += any(f.coeff.thetaf[c] != c for c in xy.terms.values())
+    assert min(seen.values()) >= 10, seen
+
+
+def test_omega_negates_the_inverse_norm_once():
+    """x (-y) is -(x y), so omega's coordinates v (-1/N), u (-1/N) and
+    t (-1/N) are the negated products -(v/N), -(u/N) and -(t/N)."""
+    rng = random.Random(25)
+    elems = finite_elems(TElem, f3())[1:]
+    for cap in (64, 8):
+        for char in (2, 3):
+            f = hahn(char, support_cap=cap)
+            for _ in range(100):
+                x, y = mixed_component(f, rng), mixed_component(f, rng)
+                assert x * -y == -(x * y)
+        elems += parity_draws(TElem, hahn(3, support_cap=cap), rng, 60)
+    for a in elems:
+
+        def negated_products(a=a):
+            ninv = a.norm().inv()
+            u, v = a._uv(a._shared())
+            return -(v * ninv), -(u * ninv), -(a.t * ninv)
+
+        assert outcome(lambda: TElem.COORDS(a.omega())) == outcome(negated_products)
