@@ -24,9 +24,9 @@ only the pairs keyed below its bound).  A square, one support passed as both
 operands, visits each unordered pair once: its cross terms come in equal
 pairs, 2 c_i c_j, which vanish in characteristic 2.  A bounded product
 makes about one term per five pairs it visits on the series omega round
-trips, so it adds every pair into its key's sum and drops zero sums once;
-an unbounded one, whose pairs mostly land on new keys, deletes a key as
-soon as its sum cancels.
+trips, so it adds every pair into its key's sum and drops zero sums once,
+and so does every square; an unbounded general product, whose pairs mostly
+land on new keys, deletes a key as soon as its sum cancels.
 
 Every stored exponent, precisions included, keeps |e| and |f| below
 KEY_LIMIT = 2^29.  This module does not check it; `SeriesElem.__init__` in
@@ -167,8 +167,10 @@ def ser_mul(ta, tb, q: int, addf: list, mulf: list, bound) -> dict:
 def _ser_square(ta, q: int, addf: list, mulf: list, bound) -> dict:
     """The square of a support, visiting each unordered pair of its terms
     once: c_i^2 at 2 k_i, and 2 c_i c_j at k_i + k_j for i < j, which
-    vanishes in characteristic 2.  With a bound, `ta` is in increasing key
-    order, and the rows stop as `ser_mul`'s do."""
+    vanishes in characteristic 2.  Every pair is added into its key's sum
+    and zero sums are dropped once, as in the bounded `ser_mul`.  With a
+    bound, `ta` is in increasing key order, and the rows stop as
+    `ser_mul`'s do."""
     out: dict = {}
     get = out.get
     items = ta if isinstance(ta, list) else list(ta)
@@ -180,16 +182,7 @@ def _ser_square(ta, q: int, addf: list, mulf: list, bound) -> dict:
         if k1 >= lim:
             break
         k = k1 + k1
-        c = mulf[c1 * q + c1]
-        prev = get(k)
-        if prev is None:
-            out[k] = c
-        else:
-            s = addf[prev * q + c]
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+        out[k] = addf[get(k, 0) * q + mulf[c1 * q + c1]]
         twice = addf[c1 * q + c1]
         if not twice:
             continue
@@ -198,17 +191,8 @@ def _ser_square(ta, q: int, addf: list, mulf: list, bound) -> dict:
             if k2 >= lim:
                 break
             k = k1 + k2
-            c = mulf[row + c2]
-            prev = get(k)
-            if prev is None:
-                out[k] = c
-            else:
-                s = addf[prev * q + c]
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    return out
+            out[k] = addf[get(k, 0) * q + mulf[row + c2]]
+    return {k: c for k, c in out.items() if c}
 
 
 def ser_theta(terms: dict, p: int, thetaf: list) -> dict:

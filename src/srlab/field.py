@@ -28,7 +28,7 @@ from .errors import (
     ResourceBoundError,
 )
 from .record import Record, set_field
-from .scalar import INFINITY, ExtVal, QuadExt, quad_str, read_int
+from .scalar import INFINITY, QUAD, ExtVal, QuadExt, quad_str, read_int, read_quad
 
 Lat = tuple[int, int]
 
@@ -45,14 +45,11 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 
 # a coefficient: a prime-subfield digit or a generator power g[^k]
 _COEFF = r"(([0-9]+)|g(?:\^([+-]?[0-9]+))?)"
-# one term and the '+' or end after it: the coefficient, then the exponent
-# n[/d][+n[/d]rP].  The pattern reads any digits; which of them a field
-# accepts (digit range, generator, denominators, radicand, lattice) is
-# decided on the match
-_TERM = re.compile(
-    r"\s*" + _COEFF + r"\s*\*t\^\(\s*([+-]?[0-9]+)(?:/([0-9]+))?"
-    r"(?:\+([+-]?[0-9]+)(?:/([0-9]+))?r([0-9]))?\s*\)\s*(?:(\+)|$)"
-)
+# one term and the '+' or end after it: the coefficient, then the exponent,
+# a scalar.QUAD.  The pattern reads any digits; which of them a field accepts
+# (digit range, generator, the exponent's rules, lattice) is decided on the
+# match
+_TERM = re.compile(r"\s*" + _COEFF + r"\s*\*t\^\(\s*" + QUAD + r"\s*\)\s*(?:(\+)|$)")
 _FINITE = re.compile(_COEFF)
 
 _KEY_LIMIT = kernel.KEY_LIMIT
@@ -267,7 +264,9 @@ class TitsField:
         if not isinstance(exp, QuadExt):
             exp = QuadExt(exp)
         if exp.p is not None and exp.p != self.p:
-            raise ConfigError(f"exponent over sqrt({exp.p}) in a sqrt({self.p}) field")
+            raise RadicandMismatchError(
+                f"value written over sqrt({exp.p}) in a sqrt({self.p}) context"
+            )
         e, re = divmod(exp.a * self.D, exp.den)
         f, rf = divmod(exp.b * self.D, exp.den)
         if re or rf:
@@ -327,21 +326,8 @@ class TitsField:
                 raise ParseError(
                     "term must look like coef*t^(exponent)", len(s) - len(s[pos:].lstrip())
                 )
-            na, da, nb, db, rad, more = m.groups()[3:]
             c = self._coeff_index(m)
-            a = read_int(na, m.start(4))
-            b = read_int(nb, m.start(6)) if nb else 0
-            da = read_int(da, m.start(5)) if da else 1
-            db = read_int(db, m.start(7)) if db else 1
-            if not da or not db:
-                raise ParseError("zero denominator", m.start(7 if da else 5))
-            if rad is not None and int(rad) != p:
-                if rad not in ("2", "3"):
-                    raise ParseError("radicand must be 2 or 3", m.start(8))
-                if b:
-                    raise RadicandMismatchError(
-                        f"value written over sqrt({rad}) in a sqrt({p}) context"
-                    )
+            a, da, b, db, _p = read_quad(m, 4, p)
             e, re_ = divmod(a * D, da)
             g, rg = divmod(b * D, db)
             if re_ or rg:
@@ -356,7 +342,7 @@ class TitsField:
                 terms[key] = summed
             else:
                 terms.pop(key, None)
-            if not more:
+            if not m[9]:  # no '+' after the term
                 return SeriesElem(self, kernel.ser_trunc(terms, self.prec_key), self.prec_key, span)
             pos = m.end()
 

@@ -10,7 +10,8 @@ QuadExt is built from one only to show or hand out the value.  Each combines
 only with its own kind: ints and Fractions enter through the constructors and
 ExtVal.of.  `irr_sign`, the exact sign of a + b*sqrt(p), decides every sign
 and comparison of both.  `read_int` reads the integers of every literal, of
-scalars here and of field elements.
+scalars here and of field elements, and `QUAD` with `read_quad` is the one
+reader of exact-quadratic text, here and in field exponents.
 """
 
 from __future__ import annotations
@@ -192,36 +193,16 @@ def quad_str(a: int, b: int, den: int, p: int | None) -> str:
     return f"{ra}+{rb}r{p}"
 
 
-def parse_quad(text: str, radicand: int | None = None) -> QuadExt:
-    """Parse 'a/b' or 'a/b+c/dr2' into a QuadExt.
-
-    `radicand`, when given, rejects values written over a different radicand.
-    """
-    s = text.strip()
-    shift = len(text) - len(text.lstrip())
-    na, da, i = _scan_rational(s, 0, shift)
-    if i == len(s):
-        return QuadExt.from_ints(na, 0, da, None)
-    if s[i] != "+":
-        raise ParseError(f"expected '+' or end of value, found {s[i]!r}", shift + i)
-    nb, db, j = _scan_rational(s, i + 1, shift)
-    if j >= len(s) or s[j] != "r":
-        raise ParseError("expected 'r' radicand marker", shift + j)
-    j += 1
-    if j >= len(s) or s[j] not in "23":
-        raise ParseError("radicand must be 2 or 3", shift + j)
-    p = int(s[j])
-    if j + 1 != len(s):
-        raise ParseError(f"trailing input {s[j + 1:]!r}", shift + j + 1)
-    if radicand is not None and nb != 0 and p != radicand:
-        raise RadicandMismatchError(
-            f"value written over sqrt({p}) in a sqrt({radicand}) context"
-        )
-    return QuadExt.from_ints(na * db, nb * da, da * db, p)
-
-
-# a rational n or n/d: sign and digits, then the slash and the denominator
-_RATIONAL = re.compile(r"[+-]?([0-9]*)(?:/([0-9]*))?")
+# the exact-quadratic text n[/d][+n[/d]rP], in five groups: the numerator
+# and denominator, those of the radicand part, and the radicand.  It reads
+# any digits; the rules (denominators, radicand) are read_quad's
+QUAD = r"([+-]?[0-9]+)(?:/([0-9]+))?(?:\+([+-]?[0-9]+)(?:/([0-9]+))?r([0-9]))?"
+_QUAD = re.compile(QUAD)
+# every prefix of a QUAD text: its longest match is where text that is not
+# one stops following the grammar
+_QUAD_PREFIX = re.compile(
+    r"[+-]?(?:[0-9]+(?:/[0-9]*)?(?:(?<!/)\+[+-]?(?:[0-9]+(?:/[0-9]*)?(?:(?<!/)r[0-9]?)?)?)?)?"
+)
 
 # An integer in a literal has at most this many digits past its leading
 # zeros.  640 is the least limit CPython lets int() be set to, so int()
@@ -238,21 +219,48 @@ def read_int(text: str, pos: int) -> int:
     return -int(digits) if text[0] == "-" else int(digits)
 
 
-def _scan_rational(s: str, i: int, shift: int) -> tuple[int, int, int]:
-    """Numerator, positive denominator and end index of the rational at s[i:]."""
-    m = _RATIONAL.match(s, i)
-    if not m.group(1):
-        raise ParseError("expected a rational number", shift + m.start(1))
-    num = read_int(s[i : m.end(1)], shift + i)
-    den_text = m.group(2)
-    if den_text is None:
-        return num, 1, m.end()
-    if not den_text:
-        raise ParseError("expected a denominator", shift + m.start(2))
-    den = read_int(den_text, shift + m.start(2))
-    if den == 0:
-        raise ParseError("zero denominator", shift + m.start(2))
-    return num, den, m.end()
+def read_quad(m: re.Match[str], g: int, radicand: int | None) -> tuple:
+    """The integers (a, da, b, db, p) of the five QUAD groups of `m` from
+    group `g` on, for the value a/da + (b/db)*sqrt(p); without a radicand
+    part b = 0, db = 1 and p is None.  Ints, not a QuadExt: a field reads
+    an exponent's lattice pair from them without taking a gcd.
+
+    Each error is reported at the position of its own text: a zero
+    denominator and a radicand other than 2 or 3 as ParseErrors, and a
+    nonzero radicand part over a radicand other than `radicand`, when that
+    is given, as a RadicandMismatchError.
+    """
+    a, da, b, db, rad = m.group(g, g + 1, g + 2, g + 3, g + 4)
+    a = read_int(a, m.start(g))
+    da = read_int(da, m.start(g + 1)) if da else 1
+    b = read_int(b, m.start(g + 2)) if b else 0
+    db = read_int(db, m.start(g + 3)) if db else 1
+    if not da or not db:
+        raise ParseError("zero denominator", m.start(g + 3 if da else g + 1))
+    if rad is None:
+        return a, da, b, db, None
+    p = int(rad)
+    if p not in _ALLOWED_RADICANDS:
+        raise ParseError("radicand must be 2 or 3", m.start(g + 4))
+    if b and radicand is not None and p != radicand:
+        raise RadicandMismatchError(f"value written over sqrt({p}) in a sqrt({radicand}) context")
+    return a, da, b, db, p
+
+
+def parse_quad(text: str, radicand: int | None = None) -> QuadExt:
+    """Parse 'a/b' or 'a/b+c/dr2', with spaces around it, into a QuadExt.
+
+    `radicand`, when given, rejects values written over a different radicand.
+    Text that is not n[/d][+n[/d]rP] fails where it stops following it.
+    """
+    start = len(text) - len(text.lstrip())
+    end = start + len(text.strip())
+    m = _QUAD.fullmatch(text, start, end)
+    if m is None:
+        pos = _QUAD_PREFIX.match(text, start, end).end()
+        raise ParseError("value must look like n[/d][+n[/d]rP]", pos)
+    a, da, b, db, p = read_quad(m, 1, radicand)
+    return QuadExt.from_ints(a * db, b * da, da * db, p)
 
 
 @total_ordering

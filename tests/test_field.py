@@ -290,6 +290,12 @@ def test_malformed_literal_error_type_and_position(char, m, text, error, pos, me
     assert str(exc.value).startswith(message)
 
 
+def test_exponent_over_the_other_radicand_is_a_radicand_mismatch():
+    # the rule parse and parse_quad apply to text, applied to a QuadExt
+    with pytest.raises(RadicandMismatchError, match=r"^value written over sqrt\(2\) in a sqrt\(3\)"):
+        hahn().monomial(QuadExt(0, 1, 2))
+
+
 def test_radicand_of_a_zero_part_is_not_checked():
     # as in parse_quad, a part 0*sqrt(P) names no radicand to mismatch
     f = hahn()

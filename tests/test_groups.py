@@ -517,6 +517,21 @@ def test_squares_equal_the_general_product():
                 got = kpy.ser_mul(items, items, cf.q, cf.addf, cf.mulf, bound)
                 assert got == kpy.ser_mul(items, list(items), cf.q, cf.addf, cf.mulf, bound)
                 assert got == kpy.ser_trunc(full, bound)
+    # a small grid of exponents, whose many equal pair sums cancel: the
+    # square keeps none of its zero sums, bounded or not
+    grid = [(e, g) for e in range(3) for g in range(-1, 2)]
+    cancelled = 0
+    for p, m in ((3, 1), (3, 3)):
+        cf = CoeffField(p, m)
+        for _ in range(50):
+            items = sorted((kpy.exp_key(e, g, p), rng.randrange(1, cf.q)) for e, g in grid)
+            sums = {k1 + k2 for k1, _c1 in items for k2, _c2 in items}
+            for bound in (None, items[4][0] + items[5][0]):
+                got = kpy.ser_mul(items, items, cf.q, cf.addf, cf.mulf, bound)
+                assert all(got.values())
+                assert got == kpy.ser_mul(items, list(items), cf.q, cf.addf, cf.mulf, bound)
+                cancelled += sum(bound is None or k < bound for k in sums) - len(got)
+    assert cancelled >= 50
 
 
 def test_theta_of_a_product_is_the_product_of_theta_images():

@@ -123,6 +123,36 @@ def test_parse_errors_carry_position():
     assert parse_quad("-" + "0" * 5000 + "3/2") == QuadExt(Fraction(-3, 2))
 
 
+@pytest.mark.parametrize(
+    "text, pos, message",
+    [
+        # text that is not n[/d][+n[/d]rP] fails where it stops following it
+        ("1/2+zr3", 4, None),
+        ("-/2", 1, None),
+        ("1/", 2, None),
+        ("1+1", 3, None),
+        ("1+1r", 4, None),
+        ("1/2+1/3r3x", 9, None),
+        ("+", 1, None),
+        ("1r3", 1, None),
+        ("1/-2", 2, None),
+        ("1+1/r3", 4, None),
+        ("", 0, None),
+        # a rule fails at the part it rejects
+        ("1+1r5", 4, "radicand must be 2 or 3"),
+        ("1/0", 2, "zero denominator"),
+        ("1/2+1/0r3", 6, "zero denominator"),
+    ],
+)
+def test_parse_quad_error_table(text, pos, message):
+    with pytest.raises(ParseError) as exc:
+        parse_quad(text)
+    assert type(exc.value) is ParseError
+    assert exc.value.pos == pos
+    if message is not None:
+        assert str(exc.value).startswith(message)
+
+
 def test_parse_quad_reads_ascii_digits_only():
     # literals are read in ASCII digits; int() alone also reads other scripts' digits
     with pytest.raises(ParseError) as exc:
