@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from .core import BACKEND
-from .scalar import INFINITY, ExtVal, QuadExt, ext_min, parse_quad
+from .scalar import INFINITY, ExtVal, QuadExt, parse_quad
 
 __all__ = [
     "BACKEND",
     "INFINITY",
     "ExtVal",
     "QuadExt",
-    "ext_min",
     "parse_quad",
 ]
 

@@ -263,15 +263,21 @@ class TitsField:
         """Lattice pair of an exponent, validating membership in (1/D)Z[sqrt p]."""
         if not isinstance(exp, QuadExt):
             exp = QuadExt(exp)
-        if exp.p is not None and exp.p != self.p:
-            raise RadicandMismatchError(
-                f"value written over sqrt({exp.p}) in a sqrt({self.p}) context"
-            )
-        e, re = divmod(exp.a * self.D, exp.den)
-        f, rf = divmod(exp.b * self.D, exp.den)
-        if re or rf:
-            raise ConfigError(f"exponent {exp} is not a multiple of 1/{self.D}")
-        return (e, f)
+        return self._lat(exp.a, exp.den, exp.b, exp.den, exp.p)
+
+    def _lat(self, a: int, da: int, b: int, db: int, p: int | None) -> Lat:
+        """Lattice pair of the exponent a/da + (b/db)*sqrt(p): a nonzero
+        sqrt part over another radicand is a RadicandMismatchError, and a
+        value off (1/D)Z[sqrt p] a ConfigError."""
+        if b and p != self.p:
+            raise RadicandMismatchError(f"value written over sqrt({p}) in a sqrt({self.p}) context")
+        D = self.D
+        e, re_ = divmod(a * D, da)
+        f, rf = divmod(b * D, db)
+        if re_ or rf:
+            exp = QuadExt.from_ints(a * db, b * da, da * db, p)
+            raise ConfigError(f"exponent {exp} is not a multiple of 1/{D}")
+        return e, f
 
     def unlat(self, lat: Lat) -> QuadExt:
         return QuadExt.from_ints(lat[0], lat[1], self.D, self.p)
@@ -318,7 +324,7 @@ class TitsField:
             return SeriesElem(self, {}, self.prec_key, self.prec_span)
         terms: dict[int, int] = {}
         span = self.prec_span
-        D, p, addf, q = self.D, self.p, self.coeff.addf, self.q
+        p, addf, q = self.p, self.coeff.addf, self.q
         pos = 0
         while True:
             m = _TERM.match(s, pos)
@@ -327,12 +333,10 @@ class TitsField:
                     "term must look like coef*t^(exponent)", len(s) - len(s[pos:].lstrip())
                 )
             c = self._coeff_index(m)
-            a, da, b, db, _p = read_quad(m, 4, p)
-            e, re_ = divmod(a * D, da)
-            g, rg = divmod(b * D, db)
-            if re_ or rg:
-                exp = QuadExt.from_ints(a * db, b * da, da * db, p)
-                raise ParseError(f"exponent {exp} is not a multiple of 1/{D}", m.start(4))
+            try:
+                e, g = self._lat(*read_quad(m, 4, p))
+            except ConfigError as err:
+                raise ParseError(str(err), m.start(4)) from None
             term_span = kernel.lat_span(e, g)
             if term_span > span:
                 span = term_span
@@ -510,7 +514,7 @@ class SeriesElem(FieldElem):
         low: Lat | None = None,
     ) -> None:
         if span >= _KEY_LIMIT:
-            span = _exact_span(field, terms, prec)
+            span = kernel.key_span(terms if prec is None else [*terms, prec], field.p)
         self.field = field
         self.terms = terms
         self.prec = prec
@@ -627,7 +631,7 @@ class SeriesElem(FieldElem):
             bound -= lo
             span += x._span
             if span >= _KEY_LIMIT:
-                span = _exact_span(f, {}, bound)
+                span = kernel.key_span((bound,), f.p)
             bounds.append((bound, span))
         q, addf, mulf = f.q, f.coeff.addf, f.coeff.mulf
         acc = factors[0]
@@ -727,7 +731,7 @@ class SeriesElem(FieldElem):
         else:
             rel, rel_span = prec - g, step
             if rel_span >= _KEY_LIMIT:
-                rel_span = _exact_span(f, {}, rel)
+                rel_span = kernel.key_span((rel,), f.p)
         cap = f.cfg.support_cap
         acc: dict[int, int] = {0: 1}
         power = {k: c for k, c in neg_x if k < rel}
@@ -823,12 +827,3 @@ def _product_prec(
         if lo is not None and (prec is None or pb + lo < prec):
             prec = pb + lo
     return prec
-
-
-def _exact_span(f: TitsField, terms: dict[int, int], prec: int | None) -> int:
-    """max(|e|, |f|) over a support and its precision, found by decoding each
-    key; raises ResourceBoundError when an exponent reaches the key limit."""
-    span = kernel.key_span(terms, f.p)
-    if prec is not None:
-        span = max(span, kernel.lat_span(*kernel.key_lat(prec, f.p)))
-    return span

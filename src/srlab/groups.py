@@ -19,7 +19,7 @@ from typing import Callable, ClassVar, TypeVar
 from .errors import ConfigError
 from .field import FieldElem, TitsField
 from .record import Frozen, set_field
-from .scalar import ExtVal, QuadExt, ext_min
+from .scalar import ExtVal, QuadExt
 
 
 _COUNT = {2: "two", 3: "three"}
@@ -222,7 +222,7 @@ def val_norm_exact(a: RankOneElem) -> ExtVal:
     the least of each coordinate's valuation scaled by its weight, which
     the class's torus table (ACTION_EXPONENTS) fixes."""
     weights = _norm_weights(a.CHAR, a.ACTION_EXPONENTS)
-    return ext_min(*(c.val().scale(w) for c, w in zip(a.COORDS(a), weights)))
+    return min(c.val().scale(w) for c, w in zip(a.COORDS(a), weights))
 
 
 def h_action(h: Elem) -> Callable[[Elem], Elem] | None:

@@ -37,10 +37,7 @@ _COS2 = {deg: c for (_, c), deg in _ANGLES.items()}
 
 
 def dot(u: Vec, v: Vec) -> QuadExt:
-    out = _ZERO
-    for x, y in zip(u, v):
-        out = out + x * y
-    return out
+    return sum((x * y for x, y in zip(u, v)), _ZERO)
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:

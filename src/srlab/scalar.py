@@ -395,14 +395,3 @@ def _join(f1: int, p1: int | None, f2: int, p2: int | None) -> int | None:
     if not f2 or p1 == p2:
         return p1
     raise RadicandMismatchError(f"cannot combine sqrt({p1}) value with sqrt({p2}) value")
-
-
-def ext_min(*vals: ExtVal) -> ExtVal:
-    """Minimum of one or more extended values."""
-    if not vals:
-        raise ValueError("ext_min needs at least one value")
-    out = vals[0]
-    for v in vals[1:]:
-        if v < out:
-            out = v
-    return out

@@ -37,7 +37,7 @@ from .samplers import (
     rand_short,
     tie_samples_t,
 )
-from .scalar import INFINITY, ExtVal, QuadExt, ext_min, parse_quad
+from .scalar import INFINITY, ExtVal, QuadExt, parse_quad
 from .valuation import (
     LatticeOrderValuation,
     PhiAssignment,
@@ -113,7 +113,7 @@ def _suite_scalars(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
         ))
     vals = [ExtVal.of(rand_quad(rng, 3)) for _ in range(20)] + [INFINITY]
     rep.check("extended-min-and-infinity", all(
-        ext_min(a, b) == ext_min(b, a) and (a + b).is_infinite == (a.is_infinite or b.is_infinite)
+        min(a, b) == min(b, a) and (a + b).is_infinite == (a.is_infinite or b.is_infinite)
         for a in vals
         for b in vals
     ))
@@ -376,7 +376,7 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> Non
         ks = iter(range(n_pairs))
         draws = ((rand_elem(cls, field, rng), rand_elem(cls, field, rng)) for _ in ks)
         rep.check(f"{tag}-norm-level-ultrametric", all(
-            not (a * b).norm().val() < ext_min(a.norm().val(), b.norm().val()) for a, b in draws
+            not (a * b).norm().val() < min(a.norm().val(), b.norm().val()) for a, b in draws
         ))
         drawn = min(drawn, next(ks, n_pairs))
     # the pairs drawn by the check that drew fewer

@@ -34,7 +34,7 @@ from .field import FieldElem, TitsField
 from .groups import SElem, TElem
 from .report import CheckResult
 from .roots import Rank2System, RootSystem, get_system
-from .scalar import INFINITY, ExtVal, QuadExt, ext_min
+from .scalar import INFINITY, ExtVal, QuadExt
 
 # each ambient case: the characteristic of its field and its root system
 CASES = {"B": (2, "B2"), "F": (2, "F4"), "G": (3, "G2")}
@@ -322,7 +322,7 @@ def check_v1(
     fld = pairs[0][0].field if pairs else None
     for s, t in pairs:
         lhs = phi.phi(root_idx, s + t)
-        rhs = ext_min(phi.phi(root_idx, s), phi.phi(root_idx, t))
+        rhs = min(phi.phi(root_idx, s), phi.phi(root_idx, t))
         if lhs < rhs:
             return CheckResult(False, f"phi(s+t) < min at root {root_idx}: {s} {t}")
         if phi.phi(root_idx, -s) != phi.phi(root_idx, s):
@@ -382,7 +382,7 @@ def check_v3(
             )
     data = {"constant": str(const)}
     if beta == alpha and const is not None:
-        expected = ExtVal(-(phi.phi(alpha, u).finite * QuadExt(2)))
+        expected = -phi.phi(alpha, u).scale(QuadExt(2))
         if const != expected:
             return CheckResult(
                 False,
@@ -404,7 +404,7 @@ def check_double_reflection(
     system = phi.system
     if phi.phi(alpha, w) != ExtVal.of(0):
         raise ConfigError("base reflection parameter must have phi = 0")
-    expected = ExtVal(phi.phi(alpha, u).finite * QuadExt(2))
+    expected = phi.phi(alpha, u).scale(QuadExt(2))
     for g in g_params:
         mid_root, mid = m_sigma_conj(phi.case, system, alpha, w, alpha, g)
         end_root, end = m_sigma_conj(phi.case, system, alpha, u, mid_root, mid)
@@ -497,8 +497,7 @@ def nu_from_center(case: str, nu: Valuation, t: FieldElem) -> ExtVal:
     """Recover nu(t) from phi = nu o N on the folded rank-one group: half of
     phi at the central element over t (over theta(t) in case B)."""
     center = TElem.center(t) if case == "G" else SElem.center(t.theta())
-    v = nu.of(center.norm())
-    return v.scale(QuadExt(Fraction(1, 2))) if not v.is_infinite else v
+    return nu.of(center.norm()).scale(QuadExt(Fraction(1, 2)))
 
 
 # --- embeddings into the positive span of a rank-2 system ---

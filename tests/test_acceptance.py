@@ -30,7 +30,7 @@ from srlab.field import FieldCfg, TitsField
 from srlab.groups import SElem, TElem, val_norm_exact
 from srlab.moufang import enumerate_group
 from srlab.roots import get_system
-from srlab.scalar import QuadExt, ext_min
+from srlab.scalar import QuadExt
 from srlab.samplers import (
     finite_elems,
     lat_mul_quad,
@@ -113,7 +113,7 @@ def test_criterion_3_norm_valuation_formula(capsys):
             a = SElem(hf2.monomial(hf2.unlat(gs)), hf2.monomial(hf2.unlat(gt)))
         else:
             a = SElem(rand_monomial(hf2, rng), rand_monomial(hf2, rng))
-        expect = ext_min(
+        expect = min(
             a.s.val().scale(QuadExt(2, 1, 2)),
             a.t.val().scale(QuadExt(0, 1, 2)),
         )
@@ -128,7 +128,7 @@ def test_criterion_3_norm_valuation_formula(capsys):
         samples.append(rand_elem(TElem, hf3, rng))
     t_ok = True
     for a in samples:
-        expect = ext_min(
+        expect = min(
             a.r.val().scale(QuadExt(4, 2, 3)),
             a.s.val().scale(QuadExt(1, 1, 3)),
             a.t.val().scale(QuadExt(2)),
@@ -152,13 +152,13 @@ def test_criterion_4_norm_ultrametric(capsys):
     t_ok = True
     for _ in range(1000):
         a, b = rand_elem(TElem, hf3, rng), rand_elem(TElem, hf3, rng)
-        if (a * b).norm().val() < ext_min(a.norm().val(), b.norm().val()):
+        if (a * b).norm().val() < min(a.norm().val(), b.norm().val()):
             t_ok = False
             break
     s_ok = True
     for _ in range(1000):
         a, b = rand_elem(SElem, hf2, rng), rand_elem(SElem, hf2, rng)
-        if (a * b).norm().val() < ext_min(a.norm().val(), b.norm().val()):
+        if (a * b).norm().val() < min(a.norm().val(), b.norm().val()):
             s_ok = False
             break
     _report(capsys, 4, t_ok and s_ok)

@@ -19,7 +19,7 @@ from srlab.errors import (
 )
 from srlab.field import CoeffField, FieldCfg, SeriesElem, TitsField
 from srlab.samplers import rand_lat, rand_monomial, rand_short
-from srlab.scalar import INFINITY, ExtVal, QuadExt, irr_sign, quad_str
+from srlab.scalar import INFINITY, ExtVal, QuadExt, irr_sign, parse_quad, quad_str
 from srlab.suites import RunConfig, run_suite
 
 
@@ -184,8 +184,16 @@ def test_lattice_roundtrip():
     f = hahn()
     exp = QuadExt(Fraction(-5, 2), 2, 3)
     assert f.unlat(f.lat(exp)) == exp
-    with pytest.raises(ConfigError):
-        f.lat(QuadExt(Fraction(1, 3)))  # not on the exponent lattice
+    # off the exponent lattice, lat raises the message parse reports for the
+    # same exponent in text
+    for text in ("1/3", "1/2+1/3r3"):
+        with pytest.raises(ConfigError) as lat_error:
+            f.lat(parse_quad(text))
+        with pytest.raises(ParseError) as parse_error:
+            f.parse(f"1*t^({text})")
+        assert type(lat_error.value) is ConfigError
+        assert str(lat_error.value) == f"exponent {text} is not a multiple of 1/2"
+        assert str(parse_error.value) == f"{lat_error.value} (at position 5)"
 
 
 def test_parse_and_emit():
@@ -828,6 +836,18 @@ def test_products_and_theta_raise_exactly_at_the_key_limit():
         assert f.unkey((mono(40 - top, 0) + mono(41 - top, 0)).inv().prec) == (top, 0)
         with pytest.raises(ResourceBoundError):
             (mono(40 - kpy.KEY_LIMIT, 0) + mono(41 - kpy.KEY_LIMIT, 0)).inv()
+
+
+def test_inverse_checks_its_working_bound_at_the_key_limit():
+    # 1/x for x = t^g (1 + t + t^2) + O(t^prec) is first cut below
+    # prec - g = 2^29 + 10, past the key limit, though every exponent of x
+    # and of the result, which the support cap of 8 cuts lower, lies below it
+    g, prec = -(2**28), 2**28 + 10
+    f = hahn(denom=1, precision=prec, support_cap=8)
+    x = f.parse(f"1*t^({g}) + 1*t^({g + 1}) + 1*t^({g + 2})")
+    assert len(x.terms) == 3 and f.unkey(x.prec) == (prec, 0)
+    with pytest.raises(ResourceBoundError, match=r"^lattice exponent \(536870922, 0\) "):
+        x.inv()
 
 
 def test_support_cap_cut_is_checked_at_the_key_limit():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srlab.errors import ParseError, RadicandMismatchError
-from srlab.scalar import INFINITY, ExtVal, QuadExt, ext_min, parse_quad, quad_str
+from srlab.scalar import INFINITY, ExtVal, QuadExt, parse_quad, quad_str
 
 
 def test_normalization():
@@ -166,11 +166,11 @@ def test_parse_quad_reads_ascii_digits_only():
 def test_extval_basics():
     a = ExtVal.of(QuadExt(1))
     b = ExtVal.of(QuadExt(0, 1, 3))
-    assert ext_min(a, b) == a
+    assert min(a, b) == a
     assert a + b == ExtVal.of(QuadExt(1, 1, 3))
     assert (a + INFINITY).is_infinite
     assert INFINITY > b
-    assert ext_min(INFINITY, b) == b
+    assert min(INFINITY, b) == b
     assert a.scale(QuadExt(2)) == ExtVal.of(QuadExt(2))
     with pytest.raises(ValueError):
         a.scale(QuadExt(-1))
@@ -325,7 +325,7 @@ def test_extval_matches_quadext_arithmetic(p, raw1, raw2, chain1, chain2):
         assert hash(got) == hash(ExtVal(want))
     assert (x < y) == (qx < qy) and (y < x) == (qy < qx)
     assert (x == y) == (qx == qy) and (x <= y) == (qx <= qy)
-    assert ext_min(x, y) == ExtVal(min(qx, qy))
+    assert min(x, y) == ExtVal(min(qx, qy))
     assert x < INFINITY and not INFINITY < x and x + INFINITY == INFINITY
 
 
