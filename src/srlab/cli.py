@@ -24,19 +24,20 @@ from .valuation import CASES
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    default = RunConfig()
     parser = argparse.ArgumentParser(prog="srlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run check suites and emit a JSON report")
     run.add_argument("--suite", action="append", choices=SUITE_NAMES, help="suite to run (repeatable; default all)")
     run.add_argument(
-        "--case", choices=tuple(CASES), default=RunConfig.case,
-        help=f"ambient case (default {RunConfig.case}); no suite reads it yet: it is only"
+        "--case", choices=tuple(CASES), default=default.case,
+        help=f"ambient case (default {default.case}); no suite reads it yet: it is only"
         " echoed into the report's config block",
     )
     run.add_argument("--samples", type=int, help="override documented sample counts")
     run.add_argument(
-        "--seed", type=int, default=RunConfig.seed, help=f"run seed (default {RunConfig.seed})"
+        "--seed", type=int, default=default.seed, help=f"run seed (default {default.seed})"
     )
     run.add_argument("--out", help="write the report to this path instead of stdout")
     # suites run in turn in one thread; the flag is kept, hidden and taking only
@@ -114,7 +115,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     """Ree(3) over F3: over F27 and beyond the group outgrows the closure's
     order bound."""
     stats = enumerate_group(TitsField(FieldCfg(char=3, mode="finite", m=1)))
-    payload = {"q": 3, **vars(stats)}
+    payload = {"q": 3, **stats._asdict()}
     _emit(render_report(payload), args.out)
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import kernel
 from .errors import (
@@ -27,7 +28,6 @@ from .errors import (
     RadicandMismatchError,
     ResourceBoundError,
 )
-from .record import Record, set_field
 from .scalar import INFINITY, QUAD, ExtVal, QuadExt, quad_str, read_int, read_quad
 
 Lat = tuple[int, int]
@@ -135,13 +135,14 @@ class CoeffField:
         return self.exp[(self.log[x] * (em + en * self.theta_exp)) % (self.q - 1)]
 
 
-class FieldCfg(Record):
+class FieldCfg(NamedTuple):
     """Configuration of a field with a Tits endomorphism, checked by
     `TitsField`.
 
     Every series field of a suite run takes the `denom`, `precision` and
-    `support_cap` defaults, and the run's report states them; tests and
-    library callers build fields with other values.
+    `support_cap` defaults (`FieldCfg._field_defaults`), and the run's
+    report states them; tests and library callers build fields with other
+    values.
     """
 
     char: int
@@ -150,22 +151,6 @@ class FieldCfg(Record):
     denom: int = 2
     precision: int = 40
     support_cap: int = 64
-
-    def __init__(
-        self,
-        char: int,
-        mode: str = mode,
-        m: int = m,
-        denom: int = denom,
-        precision: int = precision,
-        support_cap: int = support_cap,
-    ) -> None:
-        set_field(self, "char", char)
-        set_field(self, "mode", mode)
-        set_field(self, "m", m)
-        set_field(self, "denom", denom)
-        set_field(self, "precision", precision)
-        set_field(self, "support_cap", support_cap)
 
 
 class _ExpText(dict):

@@ -18,15 +18,19 @@ from typing import Callable, ClassVar, TypeVar
 
 from .errors import ConfigError
 from .field import FieldElem, TitsField
-from .record import Frozen, set_field
 from .scalar import ExtVal, QuadExt
 
 
 _COUNT = {2: "two", 3: "three"}
 Elem = TypeVar("Elem", bound="RankOneElem")
 
+# stores a coordinate as plain assignment does, past the read-only
+# __setattr__; writing through the instance __dict__ instead would give every
+# element a dict object of its own, 64 bytes more per element
+set_field = object.__setattr__
 
-class RankOneElem(Frozen):
+
+class RankOneElem:
     """An element of a twisted rank-one group, held as its field coordinates.
 
     A subclass annotates its coordinates, and nothing else, with the
@@ -37,8 +41,8 @@ class RankOneElem(Frozen):
     scales each coordinate under the torus action (ACTION_EXPONENTS), and
     it supplies only its group law, inverse and norm.  Its COORDS (the
     coordinates of an element, as a tuple in order) and ARITY are set here
-    from those annotations.  Elements are read-only and compare by
-    identity.
+    from those annotations.  Elements are read-only (assigning or deleting
+    a coordinate raises `AttributeError`) and compare by identity.
     """
 
     CHAR: ClassVar[int]
@@ -84,6 +88,12 @@ class RankOneElem(Frozen):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(str, self.COORDS(self)))})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class SElem(RankOneElem):

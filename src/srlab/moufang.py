@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from math import perm
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, ResourceBoundError
 from .field import TitsField
 from .groups import TElem, h_action
-from .record import Record, set_field
 from .report import CheckResult
 from .samplers import cayley_table, finite_elems, finite_index
 
@@ -92,17 +91,14 @@ def rho_scalar_check(a: TElem, sample_points: Sequence[TElem]) -> CheckResult:
     return CheckResult(True)
 
 
-class PermGroupStats(Record):
+class PermGroupStats(NamedTuple):
     """Summary of an enumerated permutation group."""
 
-    def __init__(
-        self, npoints: int, order: int, transitivity: int, point_stab: int, two_point_stab: int
-    ) -> None:
-        set_field(self, "npoints", npoints)
-        set_field(self, "order", order)
-        set_field(self, "transitivity", transitivity)
-        set_field(self, "point_stab", point_stab)
-        set_field(self, "two_point_stab", two_point_stab)
+    npoints: int
+    order: int
+    transitivity: int
+    point_stab: int
+    two_point_stab: int
 
 
 def enumerate_group(field: TitsField) -> PermGroupStats:

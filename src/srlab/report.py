@@ -33,7 +33,7 @@ class SuiteReport:
         self.timing: dict = {}
 
     def check(self, name: str, result: CheckResult | bool) -> None:
-        """Record one named outcome; a bool is a result without detail or data."""
+        """Add one named outcome; a bool is a result without detail or data."""
         if not isinstance(result, CheckResult):
             result = CheckResult(bool(result))
         entry: dict = {"name": name, "ok": result.ok}

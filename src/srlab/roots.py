@@ -267,35 +267,28 @@ class F4System(RootSystem):
         super().__init__("F4", vectors, identity, simple)
 
 
-def _cyclic_cmp_key(coords: Sequence[tuple[QuadExt, QuadExt]]):
-    """Sort key for rays by angle from the first basis direction."""
-
-    def half(xy: tuple[QuadExt, QuadExt]) -> int:
-        x, y = xy
-        sy = y.sign()
-        if sy > 0 or (sy == 0 and x.sign() > 0):
-            return 0
-        return 1
-
-    def cmp(i: int, j: int) -> int:
-        a, b = coords[i], coords[j]
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        return -cross.sign()
-
-    return functools.cmp_to_key(cmp)
-
-
 class FoldedSystem:
     """Rays obtained by gluing roots along the chamber involution."""
 
     def __init__(self, parent: RootSystem, rays: list[Vec], projection: dict[int, int]) -> None:
-        # order the rays by angle within the fixed plane of the involution
-        basis = self._fixed_basis(parent)
-        coords = [self._plane_coords(w, basis) for w in rays]
-        order = sorted(range(len(rays)), key=_cyclic_cmp_key(coords))
+        # order the rays by angle from e within the fixed plane of the
+        # involution: against f' = (e.e) f - (e.f) e, orthogonal to e in that
+        # plane, a ray w has x = w.e and y = w.f', and the exact x|x|/(w.w)
+        # rises with its cosine; rays have distinct directions, so no keys tie
+        e, f = self._fixed_basis(parent)
+        ee, ef = dot(e, e), dot(e, f)
+        f = tuple(ee * b - ef * a for a, b in zip(e, f))
+
+        def angle_key(k: int) -> tuple[bool, QuadExt]:
+            w = rays[k]
+            x, y = dot(w, e), dot(w, f)
+            c = x * x / dot(w, w)
+            if x.sign() < 0:
+                c = -c
+            lower = y.sign() < 0 or (not y and x.sign() < 0)
+            return lower, c if lower else -c
+
+        order = sorted(range(len(rays)), key=angle_key)
         rank = {old: new for new, old in enumerate(order)}
         self.rays = [rays[k] for k in order]
         self.projection = {root: rank[r] for root, r in projection.items()}
@@ -318,15 +311,6 @@ class FoldedSystem:
         unit, tau = parent.unit, parent.chamber_involution_idx
         e, f = (vec_add(unit(r), unit(tau(r))) for r in parent.tau_refs[:2])
         return e, f
-
-    @staticmethod
-    def _plane_coords(w: Vec, basis: tuple[Vec, Vec]) -> tuple[QuadExt, QuadExt]:
-        """Coordinates of w's projection in the basis (e, f), by Cramer's rule."""
-        e, f = basis
-        ee, ef, ff = dot(e, e), dot(e, f), dot(f, f)
-        we, wf = dot(w, e), dot(w, f)
-        det = ee * ff - ef * ef
-        return (we * ff - wf * ef) / det, (wf * ee - we * ef) / det
 
     def ray(self, idx: int) -> Vec:
         return self.rays[idx % self.count]

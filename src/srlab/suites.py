@@ -15,13 +15,12 @@ import random
 import time
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError
 from .field import _MODULI, CoeffField, FieldCfg, FieldElem, TitsField
 from .groups import SElem, TElem, h_action, val_norm_exact
 from .moufang import enumerate_group, rho_scalar_check
-from .record import Record, set_field
 from .report import CheckResult, SuiteReport
 from .roots import FoldedSystem, get_system
 from .samplers import (
@@ -55,7 +54,7 @@ from .valuation import (
     solve_suzuki_word,
 )
 
-class RunConfig(Record):
+class RunConfig(NamedTuple):
     """Knobs shared by all suites; None keeps a suite's documented default.
 
     Every series field a suite builds takes `FieldCfg`'s settings, which the
@@ -66,18 +65,6 @@ class RunConfig(Record):
     samples: int | None = None
     seed: int = 0
     timings: bool = False
-
-    def __init__(
-        self,
-        case: str = case,
-        samples: int | None = samples,
-        seed: int = seed,
-        timings: bool = timings,
-    ) -> None:
-        set_field(self, "case", case)
-        set_field(self, "samples", samples)
-        set_field(self, "seed", seed)
-        set_field(self, "timings", timings)
 
 
 def suite_seed(seed: int, suite: str) -> int:
@@ -523,7 +510,7 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
     t0 = time.perf_counter()
     g = enumerate_group(f3)
     rep.timing["enumerate_seconds"] = round(time.perf_counter() - t0, 3)
-    rep.stats["group"] = dict(vars(g))
+    rep.stats["group"] = g._asdict()
     rep.check(
         "finite-group-shape",
         g.order == 1512
@@ -612,14 +599,15 @@ def run_all(cfg: RunConfig, names: Sequence[str] | None = None) -> dict:
         payload = run_suite(name, cfg)
         timing[name] = {"seconds": payload.pop("seconds"), **payload.pop("timing")}
         suites[name] = payload
+    defaults = FieldCfg._field_defaults
     out = {
         "seed": cfg.seed,
         "config": {
             "case": cfg.case,
             "samples": cfg.samples,
-            "precision": FieldCfg.precision,
-            "denom": FieldCfg.denom,
-            "support_cap": FieldCfg.support_cap,
+            "precision": defaults["precision"],
+            "denom": defaults["denom"],
+            "support_cap": defaults["support_cap"],
         },
         "suites": suites,
         "ok": all(payload["ok"] for payload in suites.values()),

@@ -358,15 +358,16 @@ def test_config_field_settings_reach_the_run(tmp_path, monkeypatch):
     assert {cfg.char for cfg in series} == {2, 3}
     assert all(cfg == FieldCfg(char=cfg.char) for cfg in series)
     config = json.loads(out.read_text())["config"]
+    defaults = FieldCfg._field_defaults
     assert (config["precision"], config["denom"], config["support_cap"]) == (
-        FieldCfg.precision, FieldCfg.denom, FieldCfg.support_cap
+        defaults["precision"], defaults["denom"], defaults["support_cap"]
     ) == (40, 2, 64)
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    """srlab's records are plain classes, so importing the command line pays
-    for neither module.  pytest has loaded both already, so the import runs
-    in a fresh interpreter."""
+    """srlab's records are `typing.NamedTuple`s and its group elements plain
+    classes, so importing the command line pays for neither module.  pytest
+    has loaded both already, so the import runs in a fresh interpreter."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     script = "import sys, srlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"

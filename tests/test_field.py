@@ -11,6 +11,7 @@ from srlab import _kernel_py as kpy
 from srlab import field
 from srlab.errors import (
     ConfigError,
+    DivisionByZeroError,
     InsufficientPrecisionError,
     ParseError,
     RadicandMismatchError,
@@ -262,6 +263,9 @@ _TERM_SHAPE = "term must look like coef*t^(exponent)"
 @pytest.mark.parametrize(
     "char, m, text, error, pos, message",
     [
+        # text with nothing but blanks is no literal
+        (3, 1, "", ParseError, 0, "empty element literal"),
+        (3, 1, "   ", ParseError, 0, "empty element literal"),
         # text the term pattern cannot read fails at its term's start
         (3, 1, "1*t^(1/2) + ", ParseError, 11, _TERM_SHAPE),
         (3, 1, "1*t(0)", ParseError, 0, _TERM_SHAPE),
@@ -391,6 +395,25 @@ def test_addition_cancels_exactly():
     pb = f.parse("2*t^(0) + 1*t^(1)")
     with pytest.raises(InsufficientPrecisionError):
         (pa + pb).is_zero()
+
+
+def test_parsed_terms_at_one_exponent_sum_and_may_cancel():
+    # 1 + 2 = 0 in characteristic 3, so the two terms leave the parsed zero
+    f = hahn()
+    assert f.parse("1*t^(1)+2*t^(1)") == f.parse("0")
+    assert f.parse("1*t^(1)+1*t^(1)") == f.parse("2*t^(1)")
+
+
+def test_finite_field_refuses_what_it_cannot_hold():
+    f = finite(3, 1)
+    with pytest.raises(DivisionByZeroError, match="inverse of zero coefficient"):
+        f.zero().inv()
+    with pytest.raises(DivisionByZeroError, match="inverse of zero coefficient"):
+        f.zero() ** -1
+    with pytest.raises(ValueError, match="coefficient index out of range: 3"):
+        f.from_coeff(f.q)
+    with pytest.raises(ConfigError, match="monomials exist only in hahn mode"):
+        f.monomial(0)
 
 
 def test_theta_on_exponents():

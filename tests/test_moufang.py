@@ -15,6 +15,7 @@ from srlab.moufang import (
     rho_scalar_check,
     translate,
 )
+from srlab.samplers import finite_elem
 from srlab.scalar import QuadExt
 from srlab.suites import RunConfig, run_suite
 
@@ -155,10 +156,26 @@ def test_rho_scalar_hahn_single_slot():
 
 def test_scaling_checks_see_a_wrong_torus_table(monkeypatch):
     """rho_a is checked against `h_action`, so a wrong but self-consistent T
-    table fails exactly the two diagonal-scaling entries."""
-    monkeypatch.setattr(TElem, "ACTION_EXPONENTS", ((1, 0), (1, 1), (2, 1)))
-    checks = run_suite("moufang", RunConfig(samples=5))["checks"]
-    assert [c["name"] for c in checks if not c["ok"]] == [
-        "scaling-map-diagonal-F27",
-        "scaling-map-diagonal-hahn",
-    ]
+    table fails exactly the two diagonal-scaling entries.  A table that
+    moves the central scalar off the norm fails at the centre; one that keeps
+    the norm there but scales r wrongly fails at a sample point, which the
+    result names."""
+    f, rng = f27(), random.Random(2)
+    points = [finite_elem(TElem, f, rng.randrange(1, f.q**3)) for _ in range(30)]
+    draws = [finite_elem(TElem, f, rng.randrange(1, f.q**3)) for _ in range(10)]
+    for table, detail, data in [
+        (((1, 0), (1, 1), (2, 1)), "the central scalar is not the norm", []),
+        (((1, 0), (-1, 1), (1, 0)), "action is not the diagonal twisted scaling", ["x"]),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(TElem, "ACTION_EXPONENTS", table)
+            checks = run_suite("moufang", RunConfig(samples=5))["checks"]
+            assert [c["name"] for c in checks if not c["ok"]] == [
+                "scaling-map-diagonal-F27",
+                "scaling-map-diagonal-hahn",
+            ]
+            failed = [r for r in (rho_scalar_check(a, points) for a in draws) if not r.ok]
+        assert failed, table
+        for r in failed:
+            assert (r.detail, list(r.data)) == (detail, data)
+            assert not data or r.data["x"] in map(repr, points)

@@ -276,6 +276,20 @@ def test_f4_fold_geometry():
     assert sum(mults) == 48
 
 
+@pytest.mark.parametrize("kind", ["B2", "G2", "F4"])
+def test_fold_order_does_not_depend_on_discovery_order(kind):
+    """The rays are sorted by angle, so handing them over in reverse gives
+    the same rays, projection and multiplicities."""
+    system = get_system(kind)
+    f = system.fold()
+    rev = FoldedSystem(
+        system, f.rays[::-1], {root: f.count - 1 - r for root, r in f.projection.items()}
+    )
+    assert rev.rays == f.rays
+    assert rev.projection == f.projection
+    assert rev.multiplicities == f.multiplicities
+
+
 def test_fold_preimages_partition():
     for kind in ("B2", "G2", "F4"):
         system = get_system(kind)

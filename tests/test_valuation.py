@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -291,6 +292,34 @@ def test_both_assignments_pass_containment():
     assert passes[0] and passes[1]
     assert next(tc for tc, ok in passes.items() if ok) == 0
     assert sum(passes.values()) != 1
+
+
+@pytest.mark.parametrize("case, char", [("G", 3), ("B", 2)])
+def test_containment_sees_a_wrong_weight(monkeypatch, case, char):
+    """With interval coefficient 1 read as a square, some commutator factor
+    undercuts its bound, and the failure names the drawn pair it saw; with
+    the table restored every pair passes again."""
+    f, system = hahn(char), ambient_system(case)
+    phi = PhiAssignment(case, system, TAdicValuation(), twisted_class=1)
+    rng = random.Random(1)
+    pairs = [(rand_monomial(f, rng), rand_monomial(f, rng)) for _ in range(20)]
+
+    def results():
+        return [check_v2_pair(phi, i, j, pairs) for i, j in system.interval_pairs()]
+
+    valuation._factor_recipe.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setitem(valuation._WEIGHT_EXP[char], QuadExt(1), (2, 0))
+            failed = [r for r in results() if not r.ok]
+    finally:
+        valuation._factor_recipe.cache_clear()
+    assert failed
+    for r in failed:
+        assert re.fullmatch(r"factor at root \d+ of pair \(\d+,\d+\) undercuts its bound", r.detail)
+        s, t = f.parse(r.data["s"]), f.parse(r.data["t"])
+        assert any(s.agrees(a) and t.agrees(b) for a, b in pairs)
+    assert all(r.ok for r in results())
 
 
 def twisted_draws(f, rng):
