@@ -17,7 +17,16 @@ division using dynamic arrays, heaps, and packed exponent vectors", CASC
   (e^2 - p f^2 is a nonzero integer).  For N < 2^31 the error is smaller,
   so keys of exponents with |e|, |f| < 2^30, sums of two stored exponents
   included, are distinct and ordered exactly as the exponents are;
-* the low 32 bits hold f, so `key_lat` decodes a key back to (e, f).
+* K = e * 2^96 + f * U_p, where U_p = (R_p << 32) + 1 is the key of
+  sqrt(p).  The low 32 bits r of K are f mod 2^32 (|f| < 2^31), and
+  K >> 96 is e + shift_p[f] with shift_p[f] = floor(f * U_p / 2^96).  So
+  a key decodes through a table per radicand indexed by r, which holds f
+  (r sign-adjusted) and shift_p[f]: e = (K >> 96) - shift_p[f], a mask, a
+  shift and a subtraction of small ints per key.  A second table holds
+  theta_p[f] = p*f*2^96 - shift_p[f]*U_p, so the key of sqrt(p) times the
+  exponent, K(p*f, e), is (K >> 96) * U_p + theta_p[f].  Both tables fill
+  on first use and are `BoundedMemo`s: cleared when full, each holds at
+  most LIMIT entries however widely the keys spread.
 
 `ser_mul` visits each pair of terms of its two supports (a bounded product
 only the pairs keyed below its bound).  A square, one support passed as both
@@ -54,6 +63,42 @@ _F_MASK = (1 << 32) - 1
 _F_UNIT = {p: (isqrt(p << 128) << 32) + 1 for p in (2, 3)}
 
 
+class BoundedMemo(dict):
+    """A dict that writes a missing entry as fill(key) on first use and
+    keeps it.  A full memo (LIMIT entries) is cleared before its next
+    entry, so it holds at most LIMIT entries however many keys it is asked
+    for."""
+
+    LIMIT = 4096
+
+    def __init__(self, fill) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        if len(self) >= self.LIMIT:
+            self.clear()
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _lat_entry(r: int, p: int) -> tuple[int, int]:
+    """(shift_p[f], f) for the low 32 bits r of a key (see above)."""
+    f = r - (1 << 32) if r >= _F_HALF else r
+    return f * _F_UNIT[p] >> _E_SHIFT, f
+
+
+def _theta_entry(r: int, p: int) -> int:
+    """theta_p[f] for the low 32 bits r of a key (see above)."""
+    shift, f = _LAT[p][r]
+    return (p * f << _E_SHIFT) - shift * _F_UNIT[p]
+
+
+# the decode tables of each radicand, indexed by a key's low 32 bits
+_LAT = {p: BoundedMemo(lambda r, p=p: _lat_entry(r, p)) for p in _F_UNIT}
+_THETA = {p: BoundedMemo(lambda r, p=p: _theta_entry(r, p)) for p in _F_UNIT}
+
+
 def lat_span(e: int, f: int) -> int:
     """max(|e|, |f|), raising ResourceBoundError at KEY_LIMIT and beyond."""
     span = -e if e < 0 else e
@@ -73,15 +118,13 @@ def exp_key(e: int, f: int, p: int) -> int:
 
 def key_lat(k: int, p: int) -> tuple[int, int]:
     """The lattice pair (e, f) of a key of an exponent with |f| < 2^31."""
-    f = ((k + _F_HALF) & _F_MASK) - _F_HALF
-    return (k - f * _F_UNIT[p]) >> _E_SHIFT, f
+    shift, f = _LAT[p][k & _F_MASK]
+    return (k >> _E_SHIFT) - shift, f
 
 
 def key_theta(k: int, p: int) -> int:
     """The key of sqrt(p) times the exponent keyed k: (e, f) -> (p*f, e)."""
-    unit = _F_UNIT[p]
-    f = ((k + _F_HALF) & _F_MASK) - _F_HALF
-    return (p * f << _E_SHIFT) + ((k - f * unit) >> _E_SHIFT) * unit
+    return (k >> _E_SHIFT) * _F_UNIT[p] + _THETA[p][k & _F_MASK]
 
 
 def key_span(keys, p: int) -> int:
@@ -199,19 +242,21 @@ def ser_theta(terms: dict, p: int, thetaf: list) -> dict:
     """Apply the twisting endomorphism: the exponent e + f*sqrt(p) goes to
     sqrt(p) times itself, p*f + e*sqrt(p), and each coefficient through
     thetaf.  Multiplying by sqrt(p) keeps the order of the exponents."""
-    unit = _F_UNIT[p]
-    p_unit = p << _E_SHIFT
+    unit, table = _F_UNIT[p], _THETA[p]
     out = {}
     for k, c in terms.items():
-        f = ((k + _F_HALF) & _F_MASK) - _F_HALF
-        out[((k - f * unit) >> _E_SHIFT) * unit + f * p_unit] = thetaf[c]
+        out[(k >> _E_SHIFT) * unit + table[k & _F_MASK]] = thetaf[c]
     return out
 
 
-def key_lats(keys, p: int) -> list:
-    """The lattice pair (e, f) of each key of an iterable, in order."""
-    unit = _F_UNIT[p]
-    return [
-        ((k - (f := ((k + _F_HALF) & _F_MASK) - _F_HALF) * unit) >> _E_SHIFT, f)
-        for k in keys
-    ]
+def ser_text(terms: dict, p: int, names: list, e_text, f_text) -> str:
+    """The text of a nonempty support in increasing exponent order: its
+    terms joined by '+', each written `<name>*t^(<e part><f part>)` from the
+    coefficient names and the texts of the exponent parts by numerator,
+    e_text[e] and f_text[f]."""
+    table = _LAT[p]
+    out = []
+    for k in sorted(terms):
+        shift, f = table[k & _F_MASK]
+        out.append(f"{names[terms[k]]}*t^({e_text[(k >> _E_SHIFT) - shift]}{f_text[f]})")
+    return "+".join(out)

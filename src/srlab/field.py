@@ -13,10 +13,11 @@ the CoeffField tables; inexact elements carry an upper truncation exponent
 class.  Elements are immutable and may be shared.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
+# annotations are evaluated here (no `from __future__ import annotations`):
+# typing.NamedTuple would compile each string annotation of FieldCfg into
+# a ForwardRef at import
 from typing import NamedTuple
 
 from .core import kernel
@@ -153,26 +154,6 @@ class FieldCfg(NamedTuple):
     support_cap: int = 64
 
 
-class _ExpText(dict):
-    """Text of one part of an exponent by its numerator n over the field's
-    D, written through `quad_str` on first use and kept: see
-    `TitsField.e_text` and `TitsField.f_text`.  A full table (LIMIT
-    entries) is cleared before its next entry, so a long-lived field keeps
-    at most LIMIT texts per part, however widely its exponents spread."""
-
-    LIMIT = 4096
-
-    def __init__(self, write) -> None:
-        super().__init__()
-        self.write = write
-
-    def __missing__(self, n: int) -> str:
-        if len(self) >= self.LIMIT:
-            self.clear()
-        text = self[n] = self.write(n)
-        return text
-
-
 class TitsField:
     """A field in one of the two modes, with element factories and parsing."""
 
@@ -209,10 +190,11 @@ class TitsField:
         # the text of the exponent (e + f*sqrt(p))/D is e_text[e] + f_text[f],
         # which is quad_str(e, f, D, p): e/D in lowest terms, then
         # '+<f/D>r<p>' (quad_str(0, f, D, p) less its leading '0'), or ''
-        # when f == 0
+        # when f == 0.  Each part is written on first use and kept, at most
+        # LIMIT texts per part however widely the exponents spread
         D, p = self.D, self.p
-        self.e_text = _ExpText(lambda e: quad_str(e, 0, D, p))
-        self.f_text = _ExpText(lambda f: quad_str(0, f, D, p)[1:])
+        self.e_text = kernel.BoundedMemo(lambda e: quad_str(e, 0, D, p))
+        self.f_text = kernel.BoundedMemo(lambda f: quad_str(0, f, D, p)[1:])
         self.elems: list[FiniteElem] | None = None
         if self.mode == "finite":
             # each element holds its rows of the sum and product tables, its
@@ -788,12 +770,7 @@ class SeriesElem(FieldElem):
         if not terms:
             return "0"
         f = self.field
-        names, e_text, f_text = f.coeff_names, f.e_text, f.f_text
-        keys = sorted(terms)
-        return "+".join([
-            f"{names[terms[k]]}*t^({e_text[e]}{f_text[g]})"
-            for k, (e, g) in zip(keys, kernel.key_lats(keys, f.p))
-        ])
+        return kernel.ser_text(terms, f.p, f.coeff_names, f.e_text, f.f_text)
 
 
 def _product_prec(

@@ -8,10 +8,11 @@ The derived maps rho_a are checked against the torus action of
 the Cayley table, can be enumerated by closure.
 """
 
-from __future__ import annotations
-
 from math import perm
 from operator import itemgetter
+# annotations are evaluated here (no `from __future__ import annotations`):
+# typing.NamedTuple would compile each string annotation of PermGroupStats into
+# a ForwardRef at import
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, ResourceBoundError

@@ -8,13 +8,14 @@ counts follow the documented defaults unless the run configuration
 overrides them.
 """
 
-from __future__ import annotations
-
 import hashlib
 import random
 import time
 from fractions import Fraction
 from functools import reduce
+# annotations are evaluated here (no `from __future__ import annotations`):
+# typing.NamedTuple would compile each string annotation of RunConfig into
+# a ForwardRef at import
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError

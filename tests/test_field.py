@@ -790,6 +790,52 @@ def test_exact_key_is_linear_and_decodes():
             assert kpy.key_lat(k, p) == (e1 + e2, f1 + f2)
 
 
+def formula_key(e, f, p):
+    """The key of (e + f*sqrt(p))/D written out:
+    ((e*2^64 + f*floor(sqrt(p)*2^64)) << 32) + f."""
+    return ((e * 2**64 + f * isqrt(p << 128)) << 32) + f
+
+
+def test_key_decode_stays_exact_across_table_clears():
+    """The kernel decodes keys through per-radicand tables that hold at most
+    LIMIT entries and are cleared when full.  Decoding more distinct f than
+    that, negative ones and sums of two exponents near 2^29 included, gives
+    the written-out formula's answers through key_lat, key_theta, ser_theta
+    and emit, and no table grows past LIMIT."""
+    rng = random.Random(17)
+    limit = kpy.BoundedMemo.LIMIT
+    top = kpy.KEY_LIMIT - 1
+    for p in (2, 3):
+        f = hahn(char=p, denom=2, precision=top // 2)
+        tables = (kpy._LAT[p], kpy._THETA[p], f.e_text, f.f_text)
+        sizes = []
+        fs = list(range(-(limit // 2 + 300), limit // 2 + 300))
+        rng.shuffle(fs)
+        stored = [(rng.randint(-top, top), g) for g in fs]
+        edge = [(rng.choice((-1, 1)) * (top - rng.randrange(40)),
+                 rng.choice((-1, 1)) * (top - rng.randrange(40))) for _ in range(300)]
+        stored += edge
+        sums = [(e1 + e2, g1 + g2) for (e1, g1), (e2, g2) in zip(edge, edge[::-1])]
+        for e, g in stored + sums:
+            k = formula_key(e, g, p)
+            assert kpy.key_lat(k, p) == (e, g)
+            assert kpy.key_theta(k, p) == formula_key(p * g, e, p)
+            sizes.append([len(t) for t in tables])
+        thetaf = f.coeff.thetaf
+        for part in range(0, len(stored), 1000):
+            lats = {lat: 1 + rng.randrange(f.q - 1) for lat in stored[part:part + 1000]}
+            terms = {formula_key(e, g, p): c for (e, g), c in lats.items()}
+            assert kpy.ser_theta(terms, p, thetaf) == {
+                formula_key(p * g, e, p): thetaf[c] for (e, g), c in lats.items()
+            }
+            assert SeriesElem(f, terms).emit() == reference_text(f, lats)
+            sizes.append([len(t) for t in tables])
+        assert max(map(max, sizes)) <= limit
+        # both decode tables were cleared on the way
+        for i in (0, 1):
+            assert any(b[i] < a[i] for a, b in zip(sizes, sizes[1:]))
+
+
 def test_products_and_theta_raise_exactly_at_the_key_limit():
     top = kpy.KEY_LIMIT - 1
     for p in (2, 3):
