@@ -2,17 +2,18 @@
 
 Each suite draws from its own deterministic random stream (derived from
 the run seed and the suite name), builds its fields and samples, and states
-each exact check, stat and timing on the `SuiteReport` it is handed;
-`run_suite` turns that report into the suite's JSON-safe payload.  Sample
-counts follow the documented defaults unless the run configuration
-overrides them.
+each entry, stat and timing on the `SuiteReport` it is handed: an entry
+drawn from the stream through `rep.sampled`, an exhaustive one through
+`rep.check`.  `run_suite` times the suite and turns its report into the
+suite's JSON-safe payload.  Sample counts follow the documented defaults
+unless the run configuration overrides them.
 """
 
 import hashlib
 import random
-import time
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 # annotations are evaluated here (no `from __future__ import annotations`):
 # typing.NamedTuple would compile each string annotation of RunConfig into
 # a ForwardRef at import
@@ -81,26 +82,26 @@ def _suite_scalars(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
     for p in (None, 2, 3):
         draws = [tuple(rand_quad(rng, p) for _ in range(3)) for _ in range(n)]
         tag = "rational" if p is None else f"sqrt{p}"
-        rep.check(f"ring-laws-{tag}", all(
+        rep.sampled(f"ring-laws-{tag}", (
             (x + y) * z == x * z + y * z and x * y == y * x and (x + y) + z == x + (y + z)
             for x, y, z in draws
         ))
-        rep.check(f"ordering-vs-sign-{tag}", all(
+        rep.sampled(f"ordering-vs-sign-{tag}", (
             ((x - y).sign() > 0) == (x > y) and ((x - y).sign() == 0) == (x == y)
             for x, y, _ in draws
         ))
-        rep.check(f"inverse-roundtrip-{tag}", all(
+        rep.sampled(f"inverse-roundtrip-{tag}", (
             x == QuadExt(0) or x * x.inv() == QuadExt(1) for x, _, _ in draws
         ))
     for p in (2, 3):
         r = QuadExt.sqrt(p)
         rep.check(f"sqrt{p}-squares", r * r == QuadExt(p))
         draws = [rand_quad(rng, p) for _ in range(max(1, n // 2))]
-        rep.check(f"parse-roundtrip-sqrt{p}", all(
+        rep.sampled(f"parse-roundtrip-sqrt{p}", (
             parse_quad(str(q), radicand=p) == q for q in draws
         ))
     vals = [ExtVal.of(rand_quad(rng, 3)) for _ in range(20)] + [INFINITY]
-    rep.check("extended-min-and-infinity", all(
+    rep.sampled("extended-min-and-infinity", (
         min(a, b) == min(b, a) and (a + b).is_infinite == (a.is_infinite or b.is_infinite)
         for a in vals
         for b in vals
@@ -164,9 +165,8 @@ def _suite_roots(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
 
 
 def _suite_folding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
-    t0 = time.perf_counter()
-    folded: dict[str, FoldedSystem] = {k: get_system(k).fold() for k in ("B2", "G2", "F4")}
-    rep.timing["fold_seconds"] = round(time.perf_counter() - t0, 4)
+    with rep.timed("fold_seconds"):
+        folded: dict[str, FoldedSystem] = {k: get_system(k).fold() for k in ("B2", "G2", "F4")}
     counts = {k: f.count for k, f in folded.items()}
     rep.stats["direction_counts"] = counts
     rep.check("B2-direction-count", counts["B2"] == 2)
@@ -229,21 +229,21 @@ def _suite_field(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
             for _ in range(n)
         ]
         tag = f"hahn-char{char}"
-        rep.check(f"{tag}-ring-laws", all(
+        rep.sampled(f"{tag}-ring-laws", (
             ((a + b) * c).agrees(a * c + b * c) and (a * b).agrees(b * a) for a, b, c in draws
         ))
-        rep.check(f"{tag}-inverse-roundtrip", all(
+        rep.sampled(f"{tag}-inverse-roundtrip", (
             (a * a.inv()).agrees(field.one()) for a, _, _ in draws
         ))
         # theta is a ring map whose square is the Frobenius a -> a^p
-        rep.check(f"{tag}-twist-ring-map", all(
+        rep.sampled(f"{tag}-twist-ring-map", (
             (a * b).theta().agrees(a.theta() * b.theta()) and a.theta().theta().agrees(a ** field.p)
             for a, b, _ in draws
         ))
-        rep.check(f"{tag}-valuation-additive", all(
+        rep.sampled(f"{tag}-valuation-additive", (
             (a * b).val() == a.val() + b.val() for a, b, _ in draws
         ))
-        rep.check(f"{tag}-parse-roundtrip", all(
+        rep.sampled(f"{tag}-parse-roundtrip", (
             field.parse(a.emit()).agrees(a) for a, _, _ in draws
         ))
 
@@ -288,23 +288,20 @@ def _suite_groups(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
         row[cz] == m[cz][i] for i, row in enumerate(m)
     ))
 
-    t0 = time.perf_counter()
-    involutive, anisotropic3 = _omega_table(t_all)
-    rep.check("omega-squared-F3", involutive)
-    f27 = TitsField(FieldCfg(char=3, mode="finite", m=3))
-    involutive, anisotropic27 = _omega_table(finite_elems(TElem, f27))
-    rep.check("omega-squared-F27", involutive)
-    rep.timing["omega_finite_seconds"] = round(time.perf_counter() - t0, 3)
+    with rep.timed("omega_finite_seconds"):
+        involutive, anisotropic3 = _omega_table(t_all)
+        rep.check("omega-squared-F3", involutive)
+        f27 = TitsField(FieldCfg(char=3, mode="finite", m=3))
+        involutive, anisotropic27 = _omega_table(finite_elems(TElem, f27))
+        rep.check("omega-squared-F27", involutive)
 
     n = cfg.samples or 1000
     hf = TitsField(FieldCfg(char=3))
-    t0 = time.perf_counter()
-    ks = iter(range(n))
-    draws = (rand_elem(TElem, hf, rng) for _ in ks)
-    rep.check("omega-squared-hahn", all(a.omega().omega().agrees(a) for a in draws))
-    rep.timing["omega_hahn_seconds"] = round(time.perf_counter() - t0, 3)
-    # the samples drawn: a failing check stops drawing, and next(ks) is the count drawn
-    rep.stats["omega_hahn_samples"] = next(ks, n)
+    with rep.timed("omega_hahn_seconds"):
+        draws = (rand_elem(TElem, hf, rng) for _ in range(n))
+        rep.stats["omega_hahn_samples"] = rep.sampled(
+            "omega-squared-hahn", (a.omega().omega().agrees(a) for a in draws)
+        )
 
     rep.check("T-norm-anisotropic", anisotropic3 and anisotropic27)
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
@@ -320,7 +317,7 @@ def _suite_groups(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
             for act in acts
             if act is not None
         ]
-        rep.check(f"{tag}-scaling-action-automorphism", all(
+        rep.sampled(f"{tag}-scaling-action-automorphism", (
             act(x * y).agrees(act(x) * act(y)) for act, x, y in draws
         ))
 
@@ -330,8 +327,6 @@ def _suite_groups(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
 
 def _suite_appendix(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     hf2 = TitsField(FieldCfg(char=2))
-    n_pre = (cfg.samples or 1000) * 10
-    ks = iter(range(n_pre))
     # every tenth draw is an engineered collision of the two norm levels
     draws = (
         SElem(rand_monomial(hf2, rng), rand_monomial(hf2, rng))
@@ -340,12 +335,11 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> Non
             hf2.monomial_at(gs := rand_lat(rng, 4)),
             hf2.monomial_at(lat_mul_quad(gs, 1, 1, 2)),
         )
-        for k in ks
+        for k in range((cfg.samples or 1000) * 10)
     )
-    rep.check("S-norm-level-prevalidation", all(a.norm().val() == val_norm_exact(a) for a in draws))
-    # the samples and ties drawn: a failing check stops drawing, and next(ks)
-    # is the count drawn
-    drawn = next(ks, n_pre)
+    drawn = rep.sampled(
+        "S-norm-level-prevalidation", (a.norm().val() == val_norm_exact(a) for a in draws)
+    )
     rep.stats["s_prevalidation_samples"] = drawn
     rep.stats["s_prevalidation_ties"] = len(range(0, drawn, 10))
 
@@ -354,21 +348,18 @@ def _suite_appendix(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> Non
     tie_count = max(50, min(60, n // 2)) if n >= 50 else n
     samples = tie_samples_t(hf3, rng, tie_count)
     samples += [rand_elem(TElem, hf3, rng) for _ in range(n - len(samples))]
-    rep.check("T-norm-level-formula", all(a.norm().val() == val_norm_exact(a) for a in samples))
+    rep.sampled("T-norm-level-formula", (a.norm().val() == val_norm_exact(a) for a in samples))
     rep.stats["t_formula_samples"] = len(samples)
     rep.stats["t_formula_ties"] = tie_count
 
-    n_pairs = cfg.samples or 1000
-    drawn = n_pairs
+    drawn = []
     for tag, cls, field in (("T", TElem, hf3), ("S", SElem, hf2)):
-        ks = iter(range(n_pairs))
-        draws = ((rand_elem(cls, field, rng), rand_elem(cls, field, rng)) for _ in ks)
-        rep.check(f"{tag}-norm-level-ultrametric", all(
+        draws = ((rand_elem(cls, field, rng), rand_elem(cls, field, rng)) for _ in range(n))
+        drawn.append(rep.sampled(f"{tag}-norm-level-ultrametric", (
             not (a * b).norm().val() < min(a.norm().val(), b.norm().val()) for a, b in draws
-        ))
-        drawn = min(drawn, next(ks, n_pairs))
+        )))
     # the pairs drawn by the check that drew fewer
-    rep.stats["ultrametric_pairs"] = drawn
+    rep.stats["ultrametric_pairs"] = min(drawn)
 
 
 # --- valuation axioms ---
@@ -386,8 +377,8 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random, rep: SuiteReport
             (rand_short(field, rng, rng.randint(1, 2)), rand_short(field, rng, 1))
             for _ in range(n)
         ] + [(field.zero(), field.one())]
-        rep.check(f"{case}-one-root-valuation", all(
-            check_v1(phi, idx, pairs).ok for idx in range(system.count)
+        rep.sampled(f"{case}-one-root-valuation", (
+            check_v1(phi, idx, pairs) for idx in range(system.count)
         ))
 
         def sample_pairs(field: TitsField = field) -> list[tuple[FieldElem, FieldElem]]:
@@ -417,7 +408,7 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random, rep: SuiteReport
         (i, j, [(rand_monomial(field, rng), rand_monomial(field, rng)) for _ in range(n)])
         for i, j in chosen
     )
-    rep.check("F-containment-sampled-pairs", all(
+    rep.sampled("F-containment-sampled-pairs", (
         check_v2_pair(phi4, i, j, params) for i, j, params in draws
     ))
     rep.stats["F_pairs_checked"] = len(chosen)
@@ -431,11 +422,11 @@ def _suite_valuation_axioms(cfg: RunConfig, rng: random.Random, rep: SuiteReport
             for beta in roots
         ]
         results = [
-            (beta == alpha, check_v3(phi, alpha, beta, u, g_params).ok)
+            (beta == alpha, check_v3(phi, alpha, beta, u, g_params))
             for alpha, beta, u, g_params in draws
         ]
-        rep.check(f"{case}-conjugation-shift-constant", all(ok for _, ok in results))
-        rep.check(f"{case}-self-shift-minus-twice", all(ok for diagonal, ok in results if diagonal))
+        rep.sampled(f"{case}-conjugation-shift-constant", (ok for _, ok in results))
+        rep.sampled(f"{case}-self-shift-minus-twice", (ok for diagonal, ok in results if diagonal))
 
         alpha = system.position_root(1)
         w = field.one()
@@ -466,13 +457,13 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> No
     rep.check("G-word-flip-invariance-F3", all(check_embedding_rho("G", a).ok for a in t_all))
 
     hf3 = TitsField(FieldCfg(char=3))
-    n = max(1, (cfg.samples or 1000) // 5)  # never pass on zero pairs
-    ks = iter(range(n))
-    draws = ((rand_elem(TElem, hf3, rng), rand_elem(TElem, hf3, rng)) for _ in ks)
-    rep.check("G-word-homomorphism-hahn", all(check_embedding_hom("G", a, b).ok for a, b in draws))
-    rep.stats["g_hahn_pairs"] = next(ks, n)  # the pairs drawn
+    n = max(1, (cfg.samples or 1000) // 5)  # at least one pair: an entry fails on none
+    draws = ((rand_elem(TElem, hf3, rng), rand_elem(TElem, hf3, rng)) for _ in range(n))
+    rep.stats["g_hahn_pairs"] = rep.sampled(
+        "G-word-homomorphism-hahn", (check_embedding_hom("G", a, b) for a, b in draws)
+    )
     draws = (rand_elem(TElem, hf3, rng) for _ in range(50))
-    rep.check("G-word-flip-invariance-hahn", all(check_embedding_rho("G", a).ok for a in draws))
+    rep.sampled("G-word-flip-invariance-hahn", (check_embedding_rho("G", a) for a in draws))
 
     winners = solve_suzuki_word()
     if len(winners) != 1:
@@ -493,13 +484,14 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> No
     f8 = TitsField(FieldCfg(char=2, mode="finite", m=3))
     s8 = finite_elems(SElem, f8)
     pick = [s8[rng.randrange(len(s8))] for _ in range(100)]
-    rep.check("B-word-checks-F8", all(
-        check_embedding_hom("B", a, b).ok for a, b in zip(pick[::2], pick[1::2])
-    ) and all(check_embedding_rho("B", a).ok for a in pick[:50]))
+    rep.sampled("B-word-checks-F8", chain(
+        (check_embedding_hom("B", a, b) for a, b in zip(pick[::2], pick[1::2])),
+        (check_embedding_rho("B", a) for a in pick[:50]),
+    ))
     hf2 = TitsField(FieldCfg(char=2))
     draws = ((rand_elem(SElem, hf2, rng), rand_elem(SElem, hf2, rng)) for _ in range(100))
-    rep.check("B-word-checks-hahn", all(
-        check_embedding_hom("B", a, b).ok and check_embedding_rho("B", a).ok for a, b in draws
+    rep.sampled("B-word-checks-hahn", (
+        check_embedding_hom("B", a, b) and check_embedding_rho("B", a) for a, b in draws
     ))
 
 
@@ -508,9 +500,8 @@ def _suite_embedding(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> No
 
 def _suite_moufang(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None:
     f3 = TitsField(FieldCfg(char=3, mode="finite", m=1))
-    t0 = time.perf_counter()
-    g = enumerate_group(f3)
-    rep.timing["enumerate_seconds"] = round(time.perf_counter() - t0, 3)
+    with rep.timed("enumerate_seconds"):
+        g = enumerate_group(f3)
     rep.stats["group"] = g._asdict()
     rep.check(
         "finite-group-shape",
@@ -525,7 +516,7 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
     order = f27.q**3
     sample = [finite_elem(TElem, f27, rng.randrange(1, order)) for _ in range(30)]
     draws = (finite_elem(TElem, f27, rng.randrange(1, order)) for _ in range(10))
-    rep.check("scaling-map-diagonal-F27", all(rho_scalar_check(a, sample).ok for a in draws))
+    rep.sampled("scaling-map-diagonal-F27", (rho_scalar_check(a, sample) for a in draws))
     rep.check("unit-scaling-identity-F27", rho_scalar_check(TElem.center(f27.one()), sample).ok)
 
     # In series mode a general point drives the certified range to zero
@@ -544,15 +535,13 @@ def _suite_moufang(cfg: RunConfig, rng: random.Random, rep: SuiteReport) -> None
         hf3.monomial_at((rng.randint(-2, 2), rng.randint(-1, 1)), rng.randrange(1, 3))
         for _ in range(6)
     ]
-    rep.check("scaling-map-diagonal-hahn", all(
-        rho_scalar_check(TElem.center(c), hs).ok for c in draws
-    ))
+    rep.sampled("scaling-map-diagonal-hahn", (rho_scalar_check(TElem.center(c), hs) for c in draws))
 
     n = cfg.samples or 100
     nu = TAdicValuation()
     for case, field, count in (("G", hf3, n), ("B", TitsField(FieldCfg(char=2)), max(1, n // 2))):
         draws = (rand_monomial(field, rng) for _ in range(count))
-        rep.check(f"{case}-round-trip-on-monomials", all(
+        rep.sampled(f"{case}-round-trip-on-monomials", (
             nu_from_center(case, nu, t) == nu.of(t) for t in draws
         ))
 
@@ -581,12 +570,9 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
         raise ConfigError(f"unknown suite: {name}")
     rng = random.Random(suite_seed(cfg.seed, name))
     rep = SuiteReport()
-    t0 = time.perf_counter()
-    _SUITES[name](cfg, rng, rep)
-    payload = rep.payload()
-    payload["timing"] = rep.timing
-    payload["seconds"] = round(time.perf_counter() - t0, 3)
-    return payload
+    with rep.timed("seconds"):
+        _SUITES[name](cfg, rng, rep)
+    return {**rep.payload(), "timing": rep.timing}
 
 
 def run_all(cfg: RunConfig, names: Sequence[str] | None = None) -> dict:
@@ -598,7 +584,7 @@ def run_all(cfg: RunConfig, names: Sequence[str] | None = None) -> dict:
     timing: dict[str, dict] = {}
     for name in chosen:
         payload = run_suite(name, cfg)
-        timing[name] = {"seconds": payload.pop("seconds"), **payload.pop("timing")}
+        timing[name] = payload.pop("timing")
         suites[name] = payload
     defaults = FieldCfg._field_defaults
     out = {

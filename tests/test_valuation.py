@@ -7,13 +7,14 @@ import pytest
 from srlab import valuation
 from srlab.errors import InsufficientPrecisionError, ResourceBoundError, UnsupportedAngleError
 from srlab.field import FieldCfg, SeriesElem, TitsField
-from srlab.samplers import biased_component, rand_short
+from srlab.samplers import biased_component, finite_elems, rand_short
 from srlab.groups import TElem
-from srlab.scalar import ExtVal, QuadExt
+from srlab.scalar import INFINITY, ExtVal, QuadExt
 from srlab.valuation import (
     LatticeOrderValuation,
     PhiAssignment,
     TAdicValuation,
+    Valuation,
     ambient_system,
     check_double_reflection,
     check_embedding_hom,
@@ -272,6 +273,44 @@ def test_v1_v2_both_cases():
                 assert check_v2_pair(phi, i, j, pairs[:20]).ok
 
 
+class ConstantZero(Valuation):
+    def of(self, x):
+        return ExtVal.of(0)
+
+
+class NegatedOrder(Valuation):
+    def of(self, x):
+        return -x.val()
+
+
+class LeadingCoefficient(Valuation):
+    """The index of the lowest term's coefficient: 1 at s = 1, 2 at -s."""
+
+    def of(self, x):
+        return ExtVal.of(x.terms[min(x.terms)]) if x.terms else INFINITY
+
+
+@pytest.mark.parametrize("nu, detail", [
+    (NegatedOrder(), r"phi\(s\+t\) < min at root {}: .*"),
+    (LeadingCoefficient(), r"phi\(-s\) != phi\(s\) at root {}: .*"),
+    (ConstantZero(), r"phi\(identity\) is finite"),
+], ids=["sum", "negation", "identity"])
+def test_v1_sees_each_broken_axiom(nu, detail):
+    """Each of check_v1's three failing returns, on every root of case G, from
+    the one pair (s, b - s) with s = 1 and b = t: in char 3, -s != s, so the
+    leading coefficient tells them apart."""
+    f, system = hahn(3), g2()
+    s, b = f.one(), f.monomial(QuadExt(1), 1)
+    pairs = [(s, b - s)]
+    broken = PhiAssignment("G", system, nu, twisted_class=1)
+    sound = PhiAssignment("G", system, TAdicValuation(), twisted_class=1)
+    for idx in range(system.count):
+        res = check_v1(broken, idx, pairs)
+        assert not res.ok
+        assert re.fullmatch(detail.format(idx), res.detail)
+        assert check_v1(sound, idx, pairs).ok
+
+
 def rand_monomial(f, rng):
     return f.monomial(f.unlat((rng.randint(-3, 3), rng.randint(-1, 1))), rng.randrange(1, f.q))
 
@@ -482,6 +521,31 @@ def test_embedding_hom_finite_sample():
         assert check_embedding_rho("G", a).ok
         for b in elems[:6]:
             assert check_embedding_hom("G", a, b).ok
+
+
+def test_word_checks_see_a_wrong_ree_word_factor(monkeypatch):
+    """With the position-3 factor of the Ree word negated, 324 of the 729 F3
+    pairs fail the homomorphism check and 18 of the 27 elements fail the flip
+    check, each with its detail; with the word restored all of them pass."""
+    t_all = finite_elems(TElem, TitsField(FieldCfg(char=3, mode="finite", m=1)))
+
+    def results():
+        hom = [check_embedding_hom("G", a, b) for a in t_all for b in t_all]
+        return hom, [check_embedding_rho("G", a) for a in t_all]
+
+    inner = valuation.ree_word
+    with monkeypatch.context() as m:
+        m.setattr(valuation, "ree_word", lambda a: [
+            (pos, -c if pos == 3 else c) for pos, c in inner(a)
+        ])
+        hom, rho = results()
+    hom_failed = [r for r in hom if not r.ok]
+    rho_failed = [r for r in rho if not r.ok]
+    assert (len(hom_failed), len(rho_failed)) == (324, 18)
+    assert {r.detail for r in hom_failed} == {"word of a product differs from product of words"}
+    assert {r.detail for r in rho_failed} == {"embedded word is not flip-invariant"}
+    hom, rho = results()
+    assert all(r.ok for r in hom + rho)
 
 
 def test_suzuki_recipe_unique():
